@@ -12,8 +12,12 @@ Each agent kind defines a total preorder on valid games via
   descriptive only (the reward scale is taken as capped at that value); no
   comparison depends on it.
 
-Comparisons return one of three verdicts and never raise on valid input,
-so every kind is a total preorder by construction.
+Every kind ranks by at most three statistics of a game: its expected
+value, and the smallest and largest reward on its support.  :data:`RULES`
+holds each kind's rule on such summaries; :func:`compare` feeds it just the
+statistics the kind reads, and the grid search feeds it summaries composed
+along branches.  Comparisons return one of three verdicts and never raise
+on valid input, so every kind is a total preorder by construction.
 """
 
 from __future__ import annotations
@@ -21,16 +25,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .core import (
-    Game,
-    RationalLike,
-    as_rational,
-    expected_value,
-    largest_reward,
-    reward_range,
-)
+from .core import Game, RationalLike, as_rational, expected_value, largest_reward
 
 
 class Preference(enum.Enum):
@@ -73,28 +70,69 @@ class Agent:
         return cls(name, kind, bound)
 
 
-def _rank(sign: Fraction) -> Preference:
-    if sign > 0:
+# (expected value, support min, support max).  Any exact ordered numbers
+# will do: Fractions, or integers scaled by one positive factor per field.
+# A field that a kind's rule never reads may be None.
+Summary = tuple
+
+
+def summary(game: Game) -> Summary:
+    """Every statistic any kind ranks by, for one valid game."""
+    rewards = [b.reward for b in game.support()]
+    return (expected_value(game), min(rewards), max(rewards))
+
+
+def _order(left: object, right: object) -> Preference:
+    """The verdict when a larger statistic is better."""
+    if left > right:
         return Preference.PrefersLeft
-    if sign < 0:
+    if left < right:
         return Preference.PrefersRight
     return Preference.Indifferent
 
 
+def _by_value(left: Summary, right: Summary) -> Preference:
+    return _order(left[0], right[0])
+
+
+def _by_value_then_spread(left: Summary, right: Summary) -> Preference:
+    by_value = _order(left[0], right[0])
+    if by_value is not Preference.Indifferent:
+        return by_value
+    # On an exact expected-value tie the smaller spread wins.
+    return _order(right[2] - right[1], left[2] - left[1])
+
+
+def _by_best(left: Summary, right: Summary) -> Preference:
+    return _order(left[2], right[2])
+
+
+def _indifferent(left: Summary, right: Summary) -> Preference:
+    return Preference.Indifferent
+
+
+# Each kind's ranking rule on two summaries.  Both :func:`compare` and the
+# grid search rank through this table.
+RULES: dict[str, Callable[[Summary, Summary], Preference]] = {
+    "dtbr": _by_value,
+    "egalitarian": _by_value_then_spread,
+    "optimist": _by_best,
+    "stoic": _indifferent,
+}
+
+# Per kind, the partial summary holding just the fields its rule reads.
+_STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
+    "dtbr": lambda game: (expected_value(game), None, None),
+    "egalitarian": summary,
+    "optimist": lambda game: (None, None, largest_reward(game)),
+    "stoic": lambda game: None,
+}
+
+
 def compare(agent: Agent, left: Game, right: Game) -> Preference:
     """Rank two valid games under the agent's preference order."""
-    if agent.kind == "dtbr":
-        return _rank(expected_value(left) - expected_value(right))
-    if agent.kind == "egalitarian":
-        by_value = _rank(expected_value(left) - expected_value(right))
-        if by_value is not Preference.Indifferent:
-            return by_value
-        # On an exact expected-value tie the smaller spread wins.
-        return _rank(reward_range(right) - reward_range(left))
-    if agent.kind == "optimist":
-        return _rank(largest_reward(left) - largest_reward(right))
-    # stoic: every game is as good as every other.
-    return Preference.Indifferent
+    statistics = _STATISTICS[agent.kind]
+    return RULES[agent.kind](statistics(left), statistics(right))
 
 
 def strictly_prefers(agent: Agent, left: Game, right: Game) -> bool:

@@ -141,6 +141,24 @@ def _flatten_with(root: Game, continuations: Sequence[Game], name: str) -> Game:
     return flatten(CompoundGame(root, tuple(continuations)), name=name, validate=False)
 
 
+def broken_clause(
+    descendant: Sequence[Preference], forward: Preference
+) -> Optional[str]:
+    """The diachronic clause broken, if any, by these verdicts.
+
+    ``descendant`` holds each branch's comparison of its first option
+    against its second; ``forward`` compares the compound of first options
+    against the compound of second options.  Clause i takes precedence.
+    """
+    if Preference.PrefersRight in descendant:
+        return None
+    if forward is Preference.PrefersRight:
+        return "i"
+    if Preference.PrefersLeft in descendant and forward is not Preference.PrefersLeft:
+        return "ii"
+    return None
+
+
 def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     """Decide diachronic consistency for one agent and scenario.
 
@@ -171,21 +189,11 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
         i for i, p in enumerate(descendant) if p is Preference.PrefersLeft
     )
 
-    none_prefer_second = all(p is not Preference.PrefersRight for p in descendant)
-    clause_i_broken = (
-        none_prefer_second
-        and compare(agent, right, left) is Preference.PrefersLeft
-    )
     forward = compare(agent, left, right)
-    clause_ii_broken = (
-        none_prefer_second
-        and bool(strict)
-        and forward is not Preference.PrefersLeft
-    )
-
-    if clause_i_broken or clause_ii_broken:
+    clause = broken_clause(descendant, forward)
+    if clause is not None:
         witness = DiachronicWitness(
-            clause="i" if clause_i_broken else "ii",
+            clause=clause,
             descendant_preferences=descendant,
             strict_branches=strict,
             left_compound=left,
@@ -253,6 +261,20 @@ def _perturbations(
     return candidates
 
 
+def _check_radius(
+    game: Game, candidates: Sequence[Game], alphabet: RewardAlphabet, delta: Fraction
+) -> None:
+    # Every candidate moves at most delta of weight, so this never fires; a
+    # candidate that did not would make a falsified radius meaningless.
+    for candidate in candidates:
+        distance = game_distance(game, candidate, alphabet)
+        if distance > delta:
+            raise RuntimeError(
+                f"perturbation {candidate.name!r} lies {distance} from "
+                f"{game.name!r}, outside the radius {delta}"
+            )
+
+
 def check_continuity(
     agent: Agent,
     left: Game,
@@ -301,13 +323,11 @@ def check_continuity(
         right_candidates = _perturbations(
             right, alphabet, delta, rng, samples_per_delta
         )
+        _check_radius(left, left_candidates, alphabet, delta)
+        _check_radius(right, right_candidates, alphabet, delta)
         hit = None
         for lp in left_candidates:
             for rp in right_candidates:
-                if game_distance(left, lp, alphabet) > delta:
-                    continue
-                if game_distance(right, rp, alphabet) > delta:
-                    continue
                 verdict = compare(agent, lp, rp)
                 if verdict is not Preference.PrefersLeft:
                     hit = (lp, rp, verdict)

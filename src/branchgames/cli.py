@@ -152,7 +152,8 @@ class SearchCheck:
     weights: tuple[Fraction, ...]
     root_branches: int
     option_branches: int
-    line: int = field(compare=False, default=0)
+    # None when the check came from the command line rather than a file.
+    line: Optional[int] = field(compare=False, default=0)
 
 
 CheckDecl = Union[
@@ -173,13 +174,13 @@ class ScenarioFile:
     checks: tuple[CheckDecl, ...]
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 _TOKEN_RE = re.compile(r"\S+")
 
 
 def _rational(text: str, line: int, column: int) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(
             f"expected a rational like 3 or 1/2, got {text!r}", line, column
         )
@@ -200,13 +201,13 @@ def _rational_list(text: str, line: int, column: int) -> tuple[Fraction, ...]:
 
 def _name_list(text: str, line: int, column: int) -> tuple[str, ...]:
     parts = text.split(",")
-    if any(not _NAME_RE.match(p) for p in parts):
+    if any(not _NAME_RE.fullmatch(p) for p in parts):
         raise ParseError(f"malformed name list {text!r}", line, column)
     return tuple(parts)
 
 
 def _integer(text: str, line: int, column: int) -> int:
-    if not re.match(r"^-?\d+$", text):
+    if not re.fullmatch(r"-?\d+", text):
         raise ParseError(f"expected an integer, got {text!r}", line, column)
     return int(text)
 
@@ -289,7 +290,7 @@ class _Parser:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, column)
 
     def _declare_name(self, name: str, kind: str, line: int, column: int) -> None:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ParseError(f"invalid {kind} name {name!r}", line, column)
         namespace = {
             "game": self.games,
@@ -436,7 +437,7 @@ class _Parser:
         else:
             raise ParseError(f"unknown check kind {kind!r}", lineno, column)
 
-    def _search(self, rest: list[tuple[str, int]], lineno: int) -> None:
+    def _search(self, rest: list[tuple[str, int]], lineno: Optional[int]) -> None:
         if not rest or rest[0][0] != "diachronic":
             raise ParseError("expected: search diachronic ...", lineno)
         keys = ("agent", "rewards", "weights", "root_branches", "option_branches")
@@ -525,6 +526,37 @@ class _Parser:
 def parse(text: str) -> ScenarioFile:
     """Parse scenario-file text; raises ParseError with line and column."""
     return _Parser().parse(text)
+
+
+def _parse_search_terms(terms: Sequence[str]) -> ScenarioFile:
+    """The one-check file for ``branchgames search <terms>``.
+
+    Each term is one ``search`` token, never scenario-file text.  The agent
+    must be an agent kind, since no file declares it.  A ParseError names
+    the offending term.
+    """
+    parser = _Parser()
+    try:
+        # A term's 1-based position stands in for its column.
+        parser._search(
+            [(term, position) for position, term in enumerate(terms, start=1)],
+            None,
+        )
+    except ParseError as exc:
+        if exc.column is None:
+            raise
+        raise ParseError(f"term {terms[exc.column - 1]!r}: {exc.message}") from None
+    check = parser.checks[0]
+    if check.agent not in AGENT_KINDS:
+        raise ParseError(
+            f"agent must be one of {', '.join(AGENT_KINDS)} (got {check.agent!r})"
+        )
+    return ScenarioFile(
+        games={},
+        agents={check.agent: Agent.of(check.agent, check.agent)},
+        scenarios={},
+        checks=(check,),
+    )
 
 
 def _fmt_list(values: Sequence) -> str:
@@ -952,8 +984,9 @@ def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
         try:
             outcomes.append(executor(check, sf))
         except (GameError, ValueError) as exc:
+            origin = "check" if check.line is None else f"check at line {check.line}"
             raise CheckExecutionError(
-                f"check at line {check.line} ({_render_check(check)})", exc
+                f"{origin} ({_render_check(check)})", exc
             ) from exc
     return outcomes
 
@@ -1129,33 +1162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.command == "gallery":
             return _emit_and_exit_code(run_gallery(), args.machine, False)
-        # search: agent names must be agent kinds, since no file declares them
-        terms = list(args.terms)
-        agent_kind = None
-        for term in terms[1:]:
-            key, _, value = term.partition("=")
-            if key == "agent":
-                agent_kind = value
-        if terms[0] != "diachronic" or agent_kind is None:
-            print(
-                "error: expected search diachronic agent=<kind> ...",
-                file=sys.stderr,
-            )
-            return 2
-        if agent_kind not in AGENT_KINDS:
-            print(
-                f"error: agent must be one of {', '.join(AGENT_KINDS)} "
-                f"(got {agent_kind!r})",
-                file=sys.stderr,
-            )
-            return 2
-        source = (
-            f"agent {agent_kind} kind={agent_kind}\n"
-            + "search "
-            + " ".join(terms)
-            + "\n"
-        )
-        outcomes = run_file(parse(source))
+        outcomes = run_file(_parse_search_terms(args.terms))
         return _emit_and_exit_code(outcomes, args.machine, args.fail_on_violation)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

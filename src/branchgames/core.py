@@ -201,10 +201,16 @@ def validate_game(game: Game) -> None:
 
 def expected_value(game: Game) -> Fraction:
     """Weight-weighted sum of rewards; zero-weight branches contribute nothing."""
-    total = ZERO
+    # Integers over a running common denominator, reduced once at the end:
+    # one gcd per game instead of one per Fraction multiply and add.
+    numerator, denominator = 0, 1
     for b in game.branches:
-        total += b.weight * b.reward
-    return total
+        scale = b.weight.denominator * b.reward.denominator
+        numerator = (
+            numerator * scale + b.weight.numerator * b.reward.numerator * denominator
+        )
+        denominator *= scale
+    return Fraction(numerator, denominator)
 
 
 def largest_reward(game: Game) -> Fraction:

@@ -18,20 +18,38 @@ and lets a returned violation be identified by its index:
 * the option pool itself lists games by branch count ascending, then
   weight tuple, then reward tuple, in the same product order.
 
-The projected scenario count is checked against a cap before any work
-happens; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
+The search builds no game for a scenario it rejects.  Every kind ranks by
+expected value, support min and support max, and all three compose along
+a branch: with positive root weights w_i over continuations c_i, the
+compound has expected value sum_i w_i*EV(c_i), support min min_i lo(c_i) and
+support max max_i hi(c_i).  So :func:`find_violation` summarises each
+option-pool game once, as integers over a common denominator, ranks every
+pool pair once with the agent's rule, and decides each scenario from those
+tables and its two compound summaries.  Only the first violating scenario
+is built, and :func:`check_diachronic` replays it for the witness.
+
+The projected scenario count is computed in polynomial time, from
+partial-sum counts of the weight tuples, and checked against a cap before
+any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .agents import Agent
-from .axioms import AxiomReport, DiachronicScenario, Verdict, check_diachronic
+from .agents import RULES, Agent, Preference, Summary, summary
+from .axioms import (
+    AxiomReport,
+    DiachronicScenario,
+    Verdict,
+    broken_clause,
+    check_diachronic,
+)
 from .core import Branch, Game, GameError, RationalLike, as_rational
 
 DEFAULT_SCENARIO_CAP = 2_000_000
@@ -94,12 +112,44 @@ class ViolationHit:
 def _weight_tuples(
     grid: tuple[Fraction, ...], length: int
 ) -> list[tuple[Fraction, ...]]:
-    # Product order with the rightmost slot varying fastest; exact-sum filter.
-    return [
-        combo
-        for combo in itertools.product(grid, repeat=length)
-        if sum(combo) == 1
-    ]
+    """Menu tuples of the given length summing exactly to 1, in product order.
+
+    A depth-first walk with the rightmost position varying fastest.  Menu
+    weights are positive, so a prefix summing past 1 is dropped with every
+    tuple it starts.
+    """
+    tuples: list[tuple[Fraction, ...]] = []
+
+    def extend(prefix: tuple[Fraction, ...], total: Fraction) -> None:
+        if len(prefix) == length:
+            if total == 1:
+                tuples.append(prefix)
+            return
+        for weight in grid:
+            if total + weight <= 1:
+                extend(prefix + (weight,), total + weight)
+
+    extend((), Fraction(0))
+    return tuples
+
+
+def _weight_tuple_counts(grid: tuple[Fraction, ...], longest: int) -> list[int]:
+    """``counts[n]``: how many menu tuples of length n sum exactly to 1.
+
+    A dictionary over partial sums, grown one position at a time; sums past
+    1 are dropped, because menu weights are positive.
+    """
+    counts = [0]
+    sums = {Fraction(0): 1}
+    for _ in range(longest):
+        grown: dict[Fraction, int] = {}
+        for total, ways in sums.items():
+            for weight in grid:
+                if total + weight <= 1:
+                    grown[total + weight] = grown.get(total + weight, 0) + ways
+        sums = grown
+        counts.append(sums.get(Fraction(1), 0))
+    return counts
 
 
 def _option_pool(spec: GridSpec) -> list[Game]:
@@ -132,15 +182,17 @@ def _root_games(spec: GridSpec) -> list[Game]:
 
 def scenario_count(spec: GridSpec) -> int:
     """Exact size of the stream, computed without enumerating it."""
+    tuples = _weight_tuple_counts(
+        spec.weight_grid, max(spec.max_root_branches, spec.max_option_branches)
+    )
     option_count = sum(
-        len(_weight_tuples(spec.weight_grid, size)) * len(spec.reward_grid) ** size
+        tuples[size] * len(spec.reward_grid) ** size
         for size in range(1, spec.max_option_branches + 1)
     )
-    total = 0
-    for size in range(1, spec.max_root_branches + 1):
-        root_tuples = len(_weight_tuples(spec.weight_grid, size))
-        total += root_tuples * option_count ** (2 * size)
-    return total
+    return sum(
+        tuples[size] * option_count ** (2 * size)
+        for size in range(1, spec.max_root_branches + 1)
+    )
 
 
 def _cap() -> int:
@@ -156,8 +208,7 @@ def _cap() -> int:
     return value
 
 
-def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
-    """Yield every grid scenario exactly once, in the documented order."""
+def _check_cap(spec: GridSpec) -> None:
     projected = scenario_count(spec)
     cap = _cap()
     if projected > cap:
@@ -165,6 +216,11 @@ def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
             f"grid projects {projected} scenarios, over the cap of {cap} "
             f"(set {CAP_ENV_VAR} to override)"
         )
+
+
+def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
+    """Yield every grid scenario exactly once, in the documented order."""
+    _check_cap(spec)
     options = _option_pool(spec)
     for root in _root_games(spec):
         size = len(root.branches)
@@ -175,14 +231,90 @@ def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
             yield DiachronicScenario(root, pairs)
 
 
+def _scaled(values: Sequence[Fraction]) -> list[int]:
+    """The values times the least common multiple of their denominators."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values]
+
+
+def _pool_summaries(pool: Sequence[Game]) -> list[Summary]:
+    """Each pool game's summary, every field over one pool-wide denominator."""
+    summaries = [summary(game) for game in pool]
+    values = _scaled([s[0] for s in summaries])
+    bounds = _scaled([s[1] for s in summaries] + [s[2] for s in summaries])
+    return list(zip(values, bounds[: len(pool)], bounds[len(pool) :]))
+
+
+class _Arm(NamedTuple):
+    """A root branch's two options, their summaries, and the descendant's verdict."""
+
+    options: tuple[Game, Game]
+    summaries: tuple[Summary, Summary]
+    preference: Preference
+
+
+def _compound(weights: Sequence[int], continuations: Sequence[Summary]) -> Summary:
+    return (
+        sum(w * c[0] for w, c in zip(weights, continuations)),
+        min(c[1] for c in continuations),
+        max(c[2] for c in continuations),
+    )
+
+
+def _violates(
+    rule: Callable[[Summary, Summary], Preference],
+    weights: Sequence[int],
+    arms: Sequence[_Arm],
+) -> bool:
+    """Decide one scenario from its arms and its root weights, scaled to integers."""
+    descendant = [arm.preference for arm in arms]
+    # No clause binds once a descendant prefers its second option; skip the
+    # compounds, which is most of the work, for those scenarios.
+    if Preference.PrefersRight in descendant:
+        return False
+    forward = rule(
+        _compound(weights, [arm.summaries[0] for arm in arms]),
+        _compound(weights, [arm.summaries[1] for arm in arms]),
+    )
+    return broken_clause(descendant, forward) is not None
+
+
 def find_violation(
     agent: Agent, spec: GridSpec, axiom: str = "diachronic"
 ) -> Optional[ViolationHit]:
-    """First scenario in the stream the agent violates, or None when clean."""
+    """First scenario in the stream the agent violates, or None when clean.
+
+    Each scenario is decided from summaries (see the module docstring); the
+    first hit is built and replayed by :func:`check_diachronic`, whose
+    report the hit carries.
+    """
     if axiom != "diachronic":
         raise ValueError(f"unsupported axiom {axiom!r}")
-    for index, scenario in enumerate(enumerate_scenarios(spec)):
-        report = check_diachronic(agent, scenario)
-        if report.verdict is Verdict.VIOLATED:
-            return ViolationHit(index, scenario, report)
+    _check_cap(spec)
+    pool = _option_pool(spec)
+    summarised = list(zip(pool, _pool_summaries(pool)))
+    rule = RULES[agent.kind]
+    arms = [
+        _Arm((first, second), (left, right), rule(left, right))
+        for first, left in summarised
+        for second, right in summarised
+    ]
+    index = 0
+    for root in _root_games(spec):
+        weights = _scaled([b.weight for b in root.branches])
+        # Arms in odometer order put the slots in odometer order: within an
+        # arm the second slot varies fastest.
+        for chosen in itertools.product(arms, repeat=len(weights)):
+            if _violates(rule, weights, chosen):
+                scenario = DiachronicScenario(
+                    root, tuple(arm.options for arm in chosen)
+                )
+                report = check_diachronic(agent, scenario)
+                if report.verdict is not Verdict.VIOLATED:
+                    raise RuntimeError(
+                        f"scenario {index}: summaries say violated, "
+                        f"check_diachronic says {report.verdict.value}"
+                    )
+                return ViolationHit(index, scenario, report)
+            index += 1
     return None

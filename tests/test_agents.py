@@ -16,6 +16,7 @@ from branchgames import (
     strictly_prefers,
     weakly_prefers,
 )
+from branchgames.agents import RULES, summary
 from conftest import games
 
 F = Fraction
@@ -165,3 +166,12 @@ class TestPreorderLaws:
         by_mean = compare(DTBR, left, right)
         if by_mean is not Preference.Indifferent:
             assert compare(EGAL, left, right) is by_mean
+
+
+@given(st.sampled_from(AGENTS), games(name="x"), games(name="y"))
+def test_compare_is_the_rule_on_full_summaries(agent, left, right):
+    # compare reads only the statistics a kind needs; the verdict must be
+    # the one the shared rule gives on the complete summaries.
+    assert compare(agent, left, right) is RULES[agent.kind](
+        summary(left), summary(right)
+    )

@@ -372,3 +372,33 @@ class TestDutchBook:
         ]
         agent = data.draw(st.sampled_from(AGENTS))
         assert not analyze_dutch_book(agent, package).exposure
+
+
+def test_diachronic_ranks_the_compounds_once(monkeypatch):
+    import branchgames.axioms as axioms
+
+    calls = []
+
+    def counting_compare(agent, left, right):
+        calls.append((left.name, right.name))
+        return compare(agent, left, right)
+
+    monkeypatch.setattr(axioms, "compare", counting_compare)
+    check_diachronic(OPT, TIE_AT_THE_TOP)
+    # one comparison per descendant, then one of the two compounds
+    assert len(calls) == len(TIE_AT_THE_TOP.options) + 1
+    assert calls[-1] == ("compound_first", "compound_second")
+
+
+def test_continuity_refuses_a_candidate_outside_the_radius(monkeypatch):
+    import branchgames.axioms as axioms
+
+    original = axioms._perturbations
+
+    def with_a_stray(game, alphabet, delta, rng, samples):
+        far = Game("far", (Branch(F(0), F(1)), Branch(F(1), F(0))))
+        return original(game, alphabet, delta, rng, samples) + [far]
+
+    monkeypatch.setattr(axioms, "_perturbations", with_a_stray)
+    with pytest.raises(RuntimeError, match="outside the radius"):
+        check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 4, seed=7)

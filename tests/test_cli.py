@@ -465,3 +465,34 @@ class TestCommandLine:
         )
         assert code == 2
         assert "diachronic" in err
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            # once truncated at the '#' as a comment, and accepted
+            "option_branches=1#junk",
+            # once injected as a third line of synthesized scenario text
+            "option_branches=1\ngame X",
+        ],
+    )
+    def test_search_terms_are_tokens_not_scenario_text(self, term, capsys):
+        code, out, err = self.run_main(
+            ["search", "diachronic", "agent=dtbr", "rewards=0,1", "weights=1",
+             "root_branches=1", term],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert repr(term) in err
+        assert "line" not in err
+
+    def test_search_over_the_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRANCHGAMES_SCENARIO_CAP", "3")
+        code, out, err = self.run_main(
+            ["search", "diachronic", "agent=dtbr", "rewards=0,1",
+             "weights=1/2,1", "root_branches=2", "option_branches=2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid projects 1332 scenarios, over the cap of 3" in err

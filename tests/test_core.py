@@ -309,3 +309,10 @@ class TestProperties:
         assert game_distance(x, z, alphabet) <= (
             game_distance(x, y, alphabet) + game_distance(y, z, alphabet)
         )
+
+
+@given(games(name="g"))
+def test_expected_value_matches_the_fraction_sum(game):
+    assert expected_value(game) == sum(
+        (b.weight * b.reward for b in game.branches), Fraction(0)
+    )
