@@ -13,6 +13,26 @@ infeasible instances the solver returns an irreducible certificate: a
 subset of the recorded comparisons that is itself unsatisfiable and stays
 unsatisfiable under no further deletion.
 
+Three reductions keep the elimination small without changing any output:
+
+- Chain reduction.  The matrix is a total preorder, so sorting the games
+  by strict wins orders them, and the at most n - 1 comparisons between
+  games adjacent in that order describe the same polytope as all
+  n(n-1)/2 of them.  Only those rows are eliminated.
+- Equality substitution.  A variable that an equality (a row and its
+  negation) mentions is substituted out through it instead of pairing
+  upper with lower rows, which is still an exact projection.  Rows are
+  kept in integers, divided by the gcd of their entries.
+- History sets (Imbert 1993).  Each row carries the comparisons it was
+  derived from, so a contradiction names an infeasible subset, the core.
+  The backward deletion filter (Chinneck & Dravnieks 1991) still scans
+  every comparison, but deleting one outside the core cannot restore
+  feasibility, so only core members cost a solve.
+
+Back substitution takes the lexicographic midpoint of the feasible set,
+which depends on that set alone, so the witness utility is the same
+rationals that elimination over every pairwise row would give.
+
 Uniqueness is meant up to positive affine rescaling.  The fit is flagged
 unique exactly when the indifference equations pin the solution space down
 to that rescaling freedom: rank |alphabet| - 2 with strict comparisons
@@ -22,6 +42,7 @@ present (free scale and shift around a non-constant solution), or rank
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -96,12 +117,34 @@ def build_instance(
     return PreferenceInstance(alphabet, games, matrix)
 
 
-def _check_preorder(instance: PreferenceInstance) -> None:
+_IMPLIED = {
+    1: Preference.PrefersLeft,
+    0: Preference.Indifferent,
+    -1: Preference.PrefersRight,
+}
+
+
+def _check_preorder(instance: PreferenceInstance) -> list[int]:
+    """Prove the matrix is a total preorder; return the game indices best first.
+
+    In a total preorder a game strictly beats more games than any game
+    below it and exactly as many as every game tied with it, so sorting by
+    strict wins and checking every entry against that order decides the
+    question in O(n^2).  Only a matrix that fails pays for the scan that
+    names the offending entries.
+    """
     games = instance.games
     m = instance.comparisons
     n = len(games)
     if len(m) != n or any(len(row) != n for row in m):
         raise InconsistentPreorderError("comparison matrix is not square")
+    wins = [sum(p is Preference.PrefersLeft for p in row) for row in m]
+    if all(
+        m[i][j] is _IMPLIED[(wins[i] > wins[j]) - (wins[i] < wins[j])]
+        for i in range(n)
+        for j in range(n)
+    ):
+        return sorted(range(n), key=lambda i: -wins[i])
     for i in range(n):
         if m[i][i] is not Preference.Indifferent:
             raise InconsistentPreorderError(
@@ -126,78 +169,124 @@ def _check_preorder(instance: PreferenceInstance) -> None:
                         f"intransitive ranking among {games[i].name!r}, "
                         f"{games[j].name!r}, {games[k].name!r}"
                     )
+    raise AssertionError("a total preorder always agrees with its win counts")
 
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . u <= bound
+# An integer row and the constraint_list() positions it was derived from.
+_Tracked = tuple[tuple[int, ...], int, frozenset]
+_Vectors = Sequence[tuple[Fraction, ...]]
 
 
-def _normalize_row(row: Row) -> Row:
+class _Infeasible(Exception):
+    """A derived row reads 0 <= negative; ``core`` names its comparisons."""
+
+    def __init__(self, core: frozenset) -> None:
+        super().__init__(core)
+        self.core = core
+
+
+def _integral(row: Row, history: frozenset) -> _Tracked:
+    """The row scaled by the least common denominator of its entries."""
     coeffs, bound = row
-    for c in coeffs:
-        if c != 0:
-            scale = abs(c)
-            return (tuple(x / scale for x in coeffs), bound / scale)
-    return row
+    den = math.lcm(*(x.denominator for x in coeffs), bound.denominator)
+    return (
+        tuple(x.numerator * (den // x.denominator) for x in coeffs),
+        bound.numerator * (den // bound.denominator),
+        history,
+    )
 
 
-def _clean(rows: list[Row]) -> Optional[list[Row]]:
-    """Normalize, deduplicate, drop trivial rows; None on a constant contradiction."""
-    seen = {}
-    for row in rows:
-        coeffs, bound = _normalize_row(row)
-        if all(c == 0 for c in coeffs):
+def _clean(rows: list[_Tracked]) -> list[_Tracked]:
+    """Reduce, deduplicate and drop trivial rows; raise on a contradiction.
+
+    Dividing a row by the gcd of its entries gives one form per positive
+    rescaling.  Of two equal rows, the one with the smaller history stays.
+    """
+    seen: dict[tuple[tuple[int, ...], int], frozenset] = {}
+    for coeffs, bound, history in rows:
+        if not any(coeffs):
             if bound < 0:
-                return None
+                raise _Infeasible(history)
             continue
-        seen.setdefault((coeffs, bound), None)
-    return list(seen.keys())
+        g = math.gcd(*coeffs, bound)
+        if g != 1:
+            coeffs = tuple(x // g for x in coeffs)
+            bound //= g
+        old = seen.get((coeffs, bound))
+        if old is None or len(history) < len(old):
+            seen[coeffs, bound] = history
+    return [(coeffs, bound, history) for (coeffs, bound), history in seen.items()]
 
 
-def _eliminate(rows: list[Row], var: int) -> list[Row]:
+def _eliminate(rows: list[_Tracked], var: int) -> list[_Tracked]:
+    """Project variable ``var`` out of clean rows, exactly.
+
+    When an equality (a row and its negation) mentions ``var``, the
+    variable is substituted through it.  Otherwise every upper row is
+    combined with every lower row (Fourier-Motzkin).
+    """
+    present = {(coeffs, bound) for coeffs, bound, _ in rows}
+    for pcoeffs, pbound, phistory in rows:
+        a = pcoeffs[var]
+        if a and (tuple(-x for x in pcoeffs), -pbound) in present:
+            scale, sign = abs(a), (1 if a > 0 else -1)
+            out = []
+            for coeffs, bound, history in rows:
+                f = coeffs[var] * sign
+                if f:
+                    coeffs = tuple(x * scale - f * y for x, y in zip(coeffs, pcoeffs))
+                    bound = bound * scale - f * pbound
+                    history = history | phistory
+                out.append((coeffs, bound, history))
+            return out
     upper = []
     lower = []
     kept = []
-    for coeffs, bound in rows:
-        c = coeffs[var]
+    for row in rows:
+        c = row[0][var]
         if c > 0:
-            upper.append((coeffs, bound))
+            upper.append(row)
         elif c < 0:
-            lower.append((coeffs, bound))
+            lower.append(row)
         else:
-            kept.append((coeffs, bound))
-    for ucoeffs, ubound in upper:
-        for lcoeffs, lbound in lower:
-            a = ucoeffs[var]
+            kept.append(row)
+    for ucoeffs, ubound, uhistory in upper:
+        a = ucoeffs[var]
+        for lcoeffs, lbound, lhistory in lower:
             b = -lcoeffs[var]
-            coeffs = tuple(
-                u * b + l * a for u, l in zip(ucoeffs, lcoeffs)
-            )
-            kept.append((coeffs, ubound * b + lbound * a))
+            coeffs = tuple(u * b + l * a for u, l in zip(ucoeffs, lcoeffs))
+            kept.append((coeffs, ubound * b + lbound * a, uhistory | lhistory))
     return kept
 
 
-def _solve_rows(rows: list[Row], nvars: int) -> Optional[list[Fraction]]:
-    """Exact feasibility by variable elimination; a witness point or None.
+def _project(rows: list[_Tracked], nvars: int) -> list[list[_Tracked]]:
+    """Eliminate variables from the highest index down; raise if infeasible.
 
-    Variables are eliminated from the highest index down, so the snapshot
-    kept before eliminating variable k mentions variables 0..k only.  Back
-    substitution then assigns variables in ascending order: midpoint when
-    boxed between bounds, the single bound when one-sided, 0 when free.
+    Entry ``k`` of the result, kept just before variable ``k`` is
+    eliminated, is the exact projection of the system onto variables
+    ``0..k``.
     """
     current = _clean(rows)
-    if current is None:
-        return None
-    snapshots: list[tuple[int, list[Row]]] = []
+    snapshots = [current] * nvars
     for k in range(nvars - 1, -1, -1):
-        snapshots.append((k, current))
+        snapshots[k] = current
         current = _clean(_eliminate(current, k))
-        if current is None:
-            return None
-    values: list[Optional[Fraction]] = [None] * nvars
-    for k, rows_k in reversed(snapshots):
+    return snapshots
+
+
+def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
+    """Assign variables in ascending order from the projections.
+
+    Midpoint when boxed between bounds, the single bound when one-sided,
+    0 when free.  Every projection is exact, so the point depends only on
+    the feasible set, not on the rows that describe it.
+    """
+    values: list[Fraction] = []
+    for k, rows_k in enumerate(snapshots):
         low = None
         high = None
-        for coeffs, bound in rows_k:
+        for coeffs, bound, _ in rows_k:
             c = coeffs[k]
             if c == 0:
                 continue
@@ -205,45 +294,62 @@ def _solve_rows(rows: list[Row], nvars: int) -> Optional[list[Fraction]]:
             for m in range(k):
                 if coeffs[m]:
                     rest -= coeffs[m] * values[m]
-            limit = rest / c
+            limit = Fraction(rest, c)
             if c > 0:
                 high = limit if high is None else min(high, limit)
             else:
                 low = limit if low is None else max(low, limit)
         if low is not None and high is not None:
-            values[k] = (low + high) / 2
+            values.append((low + high) / 2)
         elif low is not None:
-            values[k] = low
+            values.append(low)
         elif high is not None:
-            values[k] = high
+            values.append(high)
         else:
-            values[k] = _ZERO
-    return values  # type: ignore[return-value]
+            values.append(_ZERO)
+    return values
+
+
+def _solve_rows(rows: list[Row], nvars: int) -> Optional[list[Fraction]]:
+    """Exact feasibility by variable elimination; a witness point or None."""
+    try:
+        snapshots = _project([_integral(row, frozenset()) for row in rows], nvars)
+    except _Infeasible:
+        return None
+    return _back_substitute(snapshots)
+
+
+def _weight_vectors(instance: PreferenceInstance) -> list[tuple[Fraction, ...]]:
+    return [weight_vector(g, instance.alphabet) for g in instance.games]
+
+
+def _comparison_rows(vectors: _Vectors, c: ComparisonConstraint) -> list[Row]:
+    diff = tuple(a - b for a, b in zip(vectors[c.left], vectors[c.right]))
+    if c.preference is Preference.Indifferent:
+        return [(diff, _ZERO), (tuple(-d for d in diff), _ZERO)]
+    if c.preference is Preference.PrefersLeft:
+        return [(tuple(-d for d in diff), -_ONE)]
+    return [(diff, -_ONE)]
 
 
 def _constraint_rows(
     instance: PreferenceInstance, constraints: Sequence[ComparisonConstraint]
 ) -> list[Row]:
-    vectors = [weight_vector(g, instance.alphabet) for g in instance.games]
-    rows: list[Row] = []
-    for c in constraints:
-        diff = tuple(
-            a - b for a, b in zip(vectors[c.left], vectors[c.right])
-        )
-        if c.preference is Preference.Indifferent:
-            rows.append((diff, _ZERO))
-            rows.append((tuple(-d for d in diff), _ZERO))
-        elif c.preference is Preference.PrefersLeft:
-            rows.append((tuple(-d for d in diff), -_ONE))
-        else:
-            rows.append((diff, -_ONE))
-    return rows
+    vectors = _weight_vectors(instance)
+    return [row for c in constraints for row in _comparison_rows(vectors, c)]
+
+
+def _tracked_rows(
+    vectors: _Vectors, constraints: Sequence[ComparisonConstraint], i: int
+) -> list[_Tracked]:
+    """The integer rows of ``constraints[i]``, tagged with ``i``."""
+    history = frozenset((i,))
+    return [_integral(row, history) for row in _comparison_rows(vectors, constraints[i])]
 
 
 def _equality_rank(
-    instance: PreferenceInstance, constraints: Sequence[ComparisonConstraint]
+    vectors: _Vectors, constraints: Sequence[ComparisonConstraint]
 ) -> int:
-    vectors = [weight_vector(g, instance.alphabet) for g in instance.games]
     pivots: dict[int, list[Fraction]] = {}
     for c in constraints:
         if c.preference is not Preference.Indifferent:
@@ -263,42 +369,67 @@ def _equality_rank(
 
 
 def _irreducible_certificate(
-    instance: PreferenceInstance, constraints: tuple[ComparisonConstraint, ...]
+    vectors: _Vectors,
+    constraints: tuple[ComparisonConstraint, ...],
+    core: frozenset,
+    nvars: int,
 ) -> tuple[ComparisonConstraint, ...]:
     """Shrink an infeasible constraint set until every member is load-bearing.
 
     Deletion scan runs from the most recently declared constraint backward,
-    so the surviving certificate favors the earliest declarations.
+    so the surviving certificate favors the earliest declarations.  ``core``
+    names an infeasible subset of the kept constraints.  Deleting a
+    candidate outside it leaves the core in place, so that trial is
+    infeasible without a solve.  Only candidates inside the core are
+    solved for, and each infeasible trial hands back a new core.
     """
-    kept = list(constraints)
-    for candidate in reversed(constraints):
-        trial = [c for c in kept if c is not candidate]
-        nvars = len(instance.alphabet)
-        if _solve_rows(_constraint_rows(instance, trial), nvars) is None:
-            kept = trial
-    return tuple(kept)
+    rows = [_tracked_rows(vectors, constraints, i) for i in range(len(constraints))]
+    kept = list(range(len(constraints)))
+    for candidate in reversed(range(len(constraints))):
+        trial = [i for i in kept if i != candidate]
+        if candidate in core:
+            try:
+                _project([row for i in trial for row in rows[i]], nvars)
+                continue
+            except _Infeasible as exc:
+                core = exc.core
+        kept = trial
+    return tuple(constraints[i] for i in kept)
 
 
 def fit_utility(instance: PreferenceInstance) -> UtilityFit:
     """Decide representability; return a witness utility or a certificate."""
-    _check_preorder(instance)
+    order = _check_preorder(instance)
     constraints = instance.constraint_list()
     nvars = len(instance.alphabet)
-    rows = _constraint_rows(instance, constraints)
-    solution = _solve_rows(rows, nvars)
-    if solution is None:
+    n = len(instance.games)
+    vectors = _weight_vectors(instance)
+    # Comparisons between games adjacent in the order imply all the others;
+    # pair (i, j) with i < j sits at this position in constraint_list().
+    chain = [
+        i * n - i * (i + 1) // 2 + j - i - 1
+        for i, j in (sorted(pair) for pair in zip(order, order[1:]))
+    ]
+    rows = [row for i in chain for row in _tracked_rows(vectors, constraints, i)]
+    try:
+        snapshots = _project(rows, nvars)
+    except _Infeasible as exc:
         return UtilityFit(
             verdict=INFEASIBLE,
             u=None,
-            certificate=_irreducible_certificate(instance, constraints),
+            certificate=_irreducible_certificate(
+                vectors, constraints, exc.core, nvars
+            ),
             unique=None,
         )
+    solution = _back_substitute(snapshots)
     u = {r: solution[i] for i, r in enumerate(instance.alphabet.rewards)}
+    chain_constraints = [constraints[i] for i in chain]
     has_strict = any(
-        c.preference is not Preference.Indifferent for c in constraints
+        c.preference is not Preference.Indifferent for c in chain_constraints
     )
     expected_rank = nvars - 2 if has_strict else nvars - 1
-    unique = _equality_rank(instance, constraints) == expected_rank
+    unique = _equality_rank(vectors, chain_constraints) == expected_rank
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)
 
 

@@ -1,5 +1,6 @@
 """Utility representability: exact feasibility, certificates, normalization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,12 @@ from branchgames import (
     normalize_fit,
     verify_fit,
 )
-from branchgames.representation import _constraint_rows, _solve_rows
+from branchgames.representation import (
+    _constraint_rows,
+    _equality_rank,
+    _solve_rows,
+    _weight_vectors,
+)
 from conftest import games
 
 F = Fraction
@@ -258,3 +264,52 @@ class TestFitProperties:
         # ladder order forces strictly increasing utility
         values = [fit.u[r] for r in distinct]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def _thirds_games(seed, rewards, count):
+    """Seeded games of one to three branches, every weight in thirds."""
+    rng = random.Random(seed)
+    splits = {1: ((3,),), 2: ((1, 2), (2, 1)), 3: ((1, 1, 1),)}
+    out = []
+    for i in range(count):
+        size = rng.randint(1, 3)
+        chosen = rng.sample(rewards, size)
+        parts = rng.choice(splits[size])
+        out.append(
+            Game(f"g{i}", tuple(Branch(r, F(p, 3)) for r, p in zip(chosen, parts)))
+        )
+    return tuple(out)
+
+
+class TestLargeInstances:
+    """Shapes where elimination over every pairwise row used to blow up."""
+
+    @pytest.mark.parametrize("agent", (STOIC, DTBR), ids=("stoic", "dtbr"))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_eight_rewards_fourteen_games_fit(self, agent, seed):
+        rewards = [F(r) for r in range(8)]
+        alphabet = RewardAlphabet.of(rewards)
+        inst = build_instance(agent, _thirds_games(seed, rewards, 14), alphabet)
+        fit = fit_utility(inst)
+        assert fit.feasible
+        assert verify_fit(inst, fit.u)
+        constraints = inst.constraint_list()
+        has_strict = any(
+            c.preference is not Preference.Indifferent for c in constraints
+        )
+        expected_rank = len(alphabet) - (2 if has_strict else 1)
+        rank = _equality_rank(_weight_vectors(inst), constraints)
+        assert fit.unique == (rank == expected_rank)
+
+    def test_optimist_six_by_sixteen_certificate_is_irreducible(self):
+        rewards = [F(r) for r in range(6)]
+        alphabet = RewardAlphabet.of(rewards)
+        inst = build_instance(OPT, _thirds_games(0, rewards, 16), alphabet)
+        fit = fit_utility(inst)
+        assert not fit.feasible
+        certificate = fit.certificate
+        assert _solve_rows(_constraint_rows(inst, certificate), len(alphabet)) is None
+        for dropped in range(len(certificate)):
+            kept = certificate[:dropped] + certificate[dropped + 1 :]
+            rows = _constraint_rows(inst, kept)
+            assert _solve_rows(rows, len(alphabet)) is not None
