@@ -173,20 +173,21 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
 
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . u <= bound
-# An integer row and the constraint_list() positions it was derived from.
-_Tracked = tuple[tuple[int, ...], int, frozenset]
+# An integer row and its history: a bitmask of the constraint_list()
+# positions it was derived from.
+_Tracked = tuple[tuple[int, ...], int, int]
 _Vectors = Sequence[tuple[Fraction, ...]]
 
 
 class _Infeasible(Exception):
     """A derived row reads 0 <= negative; ``core`` names its comparisons."""
 
-    def __init__(self, core: frozenset) -> None:
+    def __init__(self, core: int) -> None:
         super().__init__(core)
         self.core = core
 
 
-def _integral(row: Row, history: frozenset) -> _Tracked:
+def _integral(row: Row, history: int) -> _Tracked:
     """The row scaled by the least common denominator of its entries."""
     coeffs, bound = row
     den = math.lcm(*(x.denominator for x in coeffs), bound.denominator)
@@ -203,7 +204,7 @@ def _clean(rows: list[_Tracked]) -> list[_Tracked]:
     Dividing a row by the gcd of its entries gives one form per positive
     rescaling.  Of two equal rows, the one with the smaller history stays.
     """
-    seen: dict[tuple[tuple[int, ...], int], frozenset] = {}
+    seen: dict[tuple[tuple[int, ...], int], int] = {}
     for coeffs, bound, history in rows:
         if not any(coeffs):
             if bound < 0:
@@ -214,7 +215,7 @@ def _clean(rows: list[_Tracked]) -> list[_Tracked]:
             coeffs = tuple(x // g for x in coeffs)
             bound //= g
         old = seen.get((coeffs, bound))
-        if old is None or len(history) < len(old):
+        if old is None or history.bit_count() < old.bit_count():
             seen[coeffs, bound] = history
     return [(coeffs, bound, history) for (coeffs, bound), history in seen.items()]
 
@@ -313,7 +314,7 @@ def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
 def _solve_rows(rows: list[Row], nvars: int) -> Optional[list[Fraction]]:
     """Exact feasibility by variable elimination; a witness point or None."""
     try:
-        snapshots = _project([_integral(row, frozenset()) for row in rows], nvars)
+        snapshots = _project([_integral(row, 0) for row in rows], nvars)
     except _Infeasible:
         return None
     return _back_substitute(snapshots)
@@ -342,9 +343,9 @@ def _constraint_rows(
 def _tracked_rows(
     vectors: _Vectors, constraints: Sequence[ComparisonConstraint], i: int
 ) -> list[_Tracked]:
-    """The integer rows of ``constraints[i]``, tagged with ``i``."""
-    history = frozenset((i,))
-    return [_integral(row, history) for row in _comparison_rows(vectors, constraints[i])]
+    """The integer rows of ``constraints[i]``, with history bit ``i`` set."""
+    rows = _comparison_rows(vectors, constraints[i])
+    return [_integral(row, 1 << i) for row in rows]
 
 
 def _equality_rank(
@@ -371,7 +372,7 @@ def _equality_rank(
 def _irreducible_certificate(
     vectors: _Vectors,
     constraints: tuple[ComparisonConstraint, ...],
-    core: frozenset,
+    core: int,
     nvars: int,
 ) -> tuple[ComparisonConstraint, ...]:
     """Shrink an infeasible constraint set until every member is load-bearing.
@@ -387,7 +388,7 @@ def _irreducible_certificate(
     kept = list(range(len(constraints)))
     for candidate in reversed(range(len(constraints))):
         trial = [i for i in kept if i != candidate]
-        if candidate in core:
+        if core >> candidate & 1:
             try:
                 _project([row for i in trial for row in rows[i]], nvars)
                 continue

@@ -170,7 +170,8 @@ def reference_irreducible_certificate(
     for candidate in reversed(constraints):
         trial = [c for c in kept if c is not candidate]
         nvars = len(instance.alphabet)
-        if reference_solve_rows(reference_constraint_rows(instance, trial), nvars) is None:
+        rows = reference_constraint_rows(instance, trial)
+        if reference_solve_rows(rows, nvars) is None:
             kept = trial
     return tuple(kept)
 
