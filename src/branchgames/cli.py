@@ -1,7 +1,8 @@
 """Scenario files, check execution, reports, and the command line.
 
 Scenario files are line oriented; ``#`` starts a comment and indentation
-is ignored.  Rational literals are ``<int>`` or ``<int>/<posint>`` only.
+is ignored.  Rational literals are ``<int>`` or ``<int>/<posint>`` only,
+in ASCII digits.
 Decimals are rejected on purpose: they would smuggle binary-float
 ambiguity into an exact model.
 
@@ -19,6 +20,14 @@ ambiguity into an exact model.
     search diachronic agent=<a> rewards=<...> weights=<...>
                       root_branches=<n> option_branches=<n>
 
+A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
+first two words of its line, its dataclass and its executor.  The
+dataclass's fields, in order, are the keys of the line, each with a value
+parser, the kind of declaration its value names (if any) and whether it
+is required.  Parsing, reference resolution, canonical rendering and the
+``inputs`` of each record are read from that entry; only the executor is
+written per kind.
+
 Checks run in declaration order.  Text mode prints one block per check;
 machine mode prints one JSON object per line with stable keys
 (check_kind, inputs, verdict, witness, values) and is byte-identical
@@ -34,17 +43,15 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .agents import AGENT_KINDS, Agent, compare
 from .axioms import (
-    AxiomReport,
     DiachronicScenario,
     DiachronicWitness,
     ScenarioError,
-    Verdict,
     analyze_dutch_book,
     check_continuity,
     check_diachronic,
@@ -54,6 +61,7 @@ from .core import (
     Game,
     GameError,
     RewardAlphabet,
+    as_rational,
     expected_value,
     largest_reward,
     reward_range,
@@ -61,7 +69,6 @@ from .core import (
 )
 from .representation import (
     DegenerateNormalizationError,
-    UtilityFit,
     build_instance,
     fit_utility,
     normalize_fit,
@@ -102,56 +109,152 @@ class CheckExecutionError(Exception):
         super().__init__(f"{description}: {cause}")
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"\S+")
+
+# A token and its 1-based column; command-line terms have no column.
+_Token = tuple[str, Optional[int]]
+
+
+# -- value parsers: text to value, or ValueError ----------------------------
+
+
+def _rationals(text: str) -> tuple[Fraction, ...]:
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"malformed list {text!r}")
+    return tuple(as_rational(part) for part in parts)
+
+
+def _names(text: str) -> tuple[str, ...]:
+    parts = text.split(",")
+    if not all(_NAME_RE.fullmatch(part) for part in parts):
+        raise ValueError(f"malformed name list {text!r}")
+    return tuple(parts)
+
+
+def _integer(text: str) -> int:
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _anchors(text: str) -> tuple[Fraction, ...]:
+    pair = _rationals(text)
+    if len(pair) != 2:
+        raise ValueError("anchors must be exactly two rewards")
+    return pair
+
+
+def _weight(text: str) -> Fraction:
+    weight = as_rational(text)
+    if weight < 0 or weight > 1:
+        raise ValueError(f"weight {weight} outside [0, 1]")
+    return weight
+
+
+def _agent_kind(text: str) -> str:
+    if text not in AGENT_KINDS:
+        expected = ", ".join(AGENT_KINDS)
+        raise ValueError(f"unknown agent kind {text!r}; expected one of {expected}")
+    return text
+
+
+class _Key(NamedTuple):
+    """One ``key=value`` of a line."""
+
+    name: str
+    parse: Callable[[str], Any]
+    # What the value names: "agent", "game", "games" or "scenario"; None
+    # for a literal.
+    ref: Optional[str] = None
+    required: bool = True
+
+
+def _keys(*keys: _Key) -> dict[str, _Key]:
+    return {key.name: key for key in keys}
+
+
+_BRANCH_KEYS = _keys(_Key("reward", as_rational), _Key("weight", _weight))
+# The keys after the name of each declaration.
+_DECLARATION_KEYS = {
+    "game": _keys(),
+    "agent": _keys(
+        _Key("kind", _agent_kind), _Key("max_reward", as_rational, required=False)
+    ),
+    "scenario": _keys(_Key("root", str)),
+}
+
+
+def _key_field(
+    parse: Callable[[str], Any], ref: Optional[str] = None, required: bool = True
+) -> Any:
+    """A check field, read from the ``key=value`` token of the same name.
+
+    ``ref`` is the kind of declaration the value names ("agent", "game",
+    "games" or "scenario"), or None for a literal.  The fields of a check
+    dataclass, in order, are the keys of its line.
+    """
+    return field(metadata={"parse": parse, "ref": ref, "required": required})
+
+
 @dataclass(frozen=True)
 class CompareCheck:
-    agent: str
-    left: str
-    right: str
+    agent: str = _key_field(str, "agent")
+    left: str = _key_field(str, "game")
+    right: str = _key_field(str, "game")
     line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
 class DiachronicCheck:
-    agent: str
-    scenario: str
+    agent: str = _key_field(str, "agent")
+    scenario: str = _key_field(str, "scenario")
     line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
 class ContinuityCheck:
-    agent: str
-    left: str
-    right: str
-    alphabet: tuple[Fraction, ...]
-    deltas: tuple[Fraction, ...]
-    samples: int
-    seed: int
+    agent: str = _key_field(str, "agent")
+    left: str = _key_field(str, "game")
+    right: str = _key_field(str, "game")
+    alphabet: tuple[Fraction, ...] = _key_field(_rationals)
+    deltas: tuple[Fraction, ...] = _key_field(_rationals)
+    samples: int = _key_field(_positive_int)
+    seed: int = _key_field(_integer)
     line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
 class DutchBookCheck:
-    agent: str
-    games: tuple[str, ...]
+    agent: str = _key_field(str, "agent")
+    games: tuple[str, ...] = _key_field(_names, "games")
     line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
 class FitCheck:
-    agent: str
-    games: tuple[str, ...]
-    alphabet: tuple[Fraction, ...]
-    anchors: Optional[tuple[Fraction, Fraction]]
+    agent: str = _key_field(str, "agent")
+    games: tuple[str, ...] = _key_field(_names, "games")
+    alphabet: tuple[Fraction, ...] = _key_field(_rationals)
+    anchors: Optional[tuple[Fraction, Fraction]] = _key_field(_anchors, required=False)
     line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
 class SearchCheck:
-    agent: str
-    rewards: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
-    root_branches: int
-    option_branches: int
+    agent: str = _key_field(str, "agent")
+    rewards: tuple[Fraction, ...] = _key_field(_rationals)
+    weights: tuple[Fraction, ...] = _key_field(_rationals)
+    root_branches: int = _key_field(_positive_int)
+    option_branches: int = _key_field(_positive_int)
     # None when the check came from the command line rather than a file.
     line: Optional[int] = field(compare=False, default=0)
 
@@ -174,83 +277,70 @@ class ScenarioFile:
     checks: tuple[CheckDecl, ...]
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
-_TOKEN_RE = re.compile(r"\S+")
-
-
-def _rational(text: str, line: int, column: int) -> Fraction:
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ParseError(
-            f"expected a rational like 3 or 1/2, got {text!r}", line, column
-        )
-    top, slash, bottom = text.partition("/")
-    if slash:
-        if int(bottom) == 0:
-            raise ParseError(f"zero denominator in {text!r}", line, column)
-        return Fraction(int(top), int(bottom))
-    return Fraction(int(top))
-
-
-def _rational_list(text: str, line: int, column: int) -> tuple[Fraction, ...]:
-    parts = text.split(",")
-    if any(p == "" for p in parts):
-        raise ParseError(f"malformed list {text!r}", line, column)
-    return tuple(_rational(p, line, column) for p in parts)
-
-
-def _name_list(text: str, line: int, column: int) -> tuple[str, ...]:
-    parts = text.split(",")
-    if any(not _NAME_RE.fullmatch(p) for p in parts):
-        raise ParseError(f"malformed name list {text!r}", line, column)
-    return tuple(parts)
-
-
-def _integer(text: str, line: int, column: int) -> int:
-    if not re.fullmatch(r"-?\d+", text):
-        raise ParseError(f"expected an integer, got {text!r}", line, column)
-    return int(text)
-
-
-def _positive_int(text: str, line: int, column: int) -> int:
-    value = _integer(text, line, column)
-    if value < 1:
-        raise ParseError(f"expected a positive integer, got {text!r}", line, column)
-    return value
+def _located(
+    message: str, token: str, line: Optional[int], column: Optional[int]
+) -> ParseError:
+    """An error at a token: by line and column in a file, else by quoting it."""
+    if column is None:
+        return ParseError(f"term {token!r}: {message}")
+    return ParseError(message, line, column)
 
 
 def _keyword_args(
-    tokens: list[tuple[str, int]],
-    line: int,
-    allowed: tuple[str, ...],
-    required: tuple[str, ...],
-) -> dict[str, tuple[str, int]]:
-    args: dict[str, tuple[str, int]] = {}
+    tokens: Sequence[_Token], line: Optional[int], keys: dict[str, _Key]
+) -> dict[str, Any]:
+    """The parsed value of each ``key=value`` token, by key name."""
+    args: dict[str, Any] = {}
     for token, column in tokens:
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise ParseError(f"expected key=value, got {token!r}", line, column)
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r}", line, column)
-        if key in args:
-            raise ParseError(f"duplicate key {key!r}", line, column)
-        if value == "":
-            raise ParseError(f"empty value for {key!r}", line, column)
-        args[key] = (value, column)
-    for key in required:
-        if key not in args:
-            raise ParseError(f"missing required key {key}=...", line)
+        name, eq, value = token.partition("=")
+        try:
+            if not eq:
+                raise ValueError(f"expected key=value, got {token!r}")
+            if name not in keys:
+                raise ValueError(f"unknown key {name!r}")
+            if name in args:
+                raise ValueError(f"duplicate key {name!r}")
+            if value == "":
+                raise ValueError(f"empty value for {name!r}")
+            args[name] = keys[name].parse(value)
+        except ValueError as exc:
+            raise _located(str(exc), token, line, column) from None
+    for key in keys.values():
+        if key.required and key.name not in args:
+            raise ParseError(f"missing required key {key.name}=...", line)
     return args
+
+
+def _parse_check(tokens: Sequence[_Token], line: Optional[int]) -> CheckDecl:
+    """A ``check <kind> key=value ...`` or ``search diachronic ...`` line."""
+    keyword = tokens[0][0]
+    if len(tokens) < 2:
+        raise ParseError(f"expected a {keyword} kind after {keyword!r}", line)
+    word, column = tokens[1]
+    kind = _CHECK_FORMS.get(f"{keyword} {word}")
+    if kind is None:
+        forms = [form.split() for form in _CHECK_FORMS]
+        expected = ", ".join(w for k, w in forms if k == keyword)
+        message = f"unknown {keyword} kind {word!r}; expected one of {expected}"
+        raise _located(message, word, line, column)
+    args = _keyword_args(tokens[2:], line, kind.keys)
+    return kind.decl(**{name: args.get(name) for name in kind.keys}, line=line)
 
 
 class _Parser:
     def __init__(self) -> None:
         self.games: dict[str, Game] = {}
         self.agents: dict[str, Agent] = {}
-        self.scenario_decls: list[tuple] = []
+        self.scenario_decls: dict[str, tuple] = {}
         self.checks: list[CheckDecl] = []
         self.pending_game: Optional[tuple[str, int, list[Branch]]] = None
         self.pending_scenario: Optional[tuple[str, str, int, list[tuple]]] = None
+        # Declaration kind -> the names declared so far.
+        self.namespaces = {
+            "game": self.games,
+            "agent": self.agents,
+            "scenario": self.scenario_decls,
+        }
 
     def parse(self, text: str) -> ScenarioFile:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -266,196 +356,49 @@ class _Parser:
 
     # -- declaration handling -------------------------------------------
 
-    def _line(self, tokens: list[tuple[str, int]], lineno: int) -> None:
+    def _line(self, tokens: list[_Token], lineno: int) -> None:
         keyword, column = tokens[0]
         rest = tokens[1:]
+        if keyword not in ("branch", "arm"):
+            self._close_blocks()
         if keyword == "branch":
-            self._branch(rest, lineno)
-            return
-        if keyword == "arm":
-            self._arm(rest, lineno)
-            return
-        self._close_blocks()
-        if keyword == "game":
-            self._game(rest, lineno)
-        elif keyword == "agent":
-            self._agent(rest, lineno)
-        elif keyword == "scenario":
-            self._scenario(rest, lineno)
-        elif keyword == "check":
-            self._check(rest, lineno)
-        elif keyword == "search":
-            self._search(rest, lineno)
+            if self.pending_game is None:
+                raise ParseError("branch outside a game block", lineno)
+            args = _keyword_args(rest, lineno, _BRANCH_KEYS)
+            self.pending_game[2].append(Branch(args["reward"], args["weight"]))
+        elif keyword == "arm":
+            if self.pending_scenario is None:
+                raise ParseError("arm outside a scenario block", lineno)
+            if len(rest) != 3 or rest[1][0] != "vs":
+                raise ParseError("expected: arm <game> vs <game>", lineno)
+            self.pending_scenario[3].append((rest[0][0], rest[2][0], lineno))
+        elif keyword in _DECLARATION_KEYS:
+            self._declaration(keyword, rest, lineno)
+        elif keyword in _CHECK_KEYWORDS:
+            self.checks.append(_parse_check(tokens, lineno))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, column)
 
-    def _declare_name(self, name: str, kind: str, line: int, column: int) -> None:
+    def _declaration(self, keyword: str, rest: list[_Token], lineno: int) -> None:
+        if not rest:
+            raise ParseError(f"expected a name after {keyword!r}", lineno)
+        name, column = rest[0]
         if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"invalid {kind} name {name!r}", line, column)
-        namespace = {
-            "game": self.games,
-            "agent": self.agents,
-        }.get(kind)
-        taken = (
-            name in namespace
-            if namespace is not None
-            else any(decl[0] == name for decl in self.scenario_decls)
-        )
-        if taken:
-            raise DuplicateNameError(f"duplicate {kind} name {name!r}", line, column)
-
-    def _game(self, rest: list[tuple[str, int]], lineno: int) -> None:
-        if len(rest) != 1:
-            raise ParseError("expected: game <name>", lineno)
-        name, column = rest[0]
-        self._declare_name(name, "game", lineno, column)
-        self.pending_game = (name, lineno, [])
-
-    def _branch(self, rest: list[tuple[str, int]], lineno: int) -> None:
-        if self.pending_game is None:
-            raise ParseError("branch outside a game block", lineno)
-        args = _keyword_args(
-            rest, lineno, ("reward", "weight"), ("reward", "weight")
-        )
-        reward = _rational(*(args["reward"][0], lineno, args["reward"][1]))
-        weight = _rational(*(args["weight"][0], lineno, args["weight"][1]))
-        if weight < 0 or weight > 1:
-            raise ParseError(
-                f"weight {weight} outside [0, 1]", lineno, args["weight"][1]
+            raise ParseError(f"invalid {keyword} name {name!r}", lineno, column)
+        if name in self.namespaces[keyword]:
+            raise DuplicateNameError(
+                f"duplicate {keyword} name {name!r}", lineno, column
             )
-        self.pending_game[2].append(Branch(reward, weight))
-
-    def _agent(self, rest: list[tuple[str, int]], lineno: int) -> None:
-        if not rest:
-            raise ParseError("expected: agent <name> kind=<kind>", lineno)
-        name, column = rest[0]
-        self._declare_name(name, "agent", lineno, column)
-        args = _keyword_args(
-            rest[1:], lineno, ("kind", "max_reward"), ("kind",)
-        )
-        kind, kind_col = args["kind"]
-        if kind not in AGENT_KINDS:
-            raise ParseError(
-                f"unknown agent kind {kind!r}; expected one of {', '.join(AGENT_KINDS)}",
-                lineno,
-                kind_col,
-            )
-        bound = None
-        if "max_reward" in args:
-            bound = _rational(args["max_reward"][0], lineno, args["max_reward"][1])
-        try:
-            self.agents[name] = Agent(name, kind, bound)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-
-    def _scenario(self, rest: list[tuple[str, int]], lineno: int) -> None:
-        if not rest:
-            raise ParseError("expected: scenario <name> root=<game>", lineno)
-        name, column = rest[0]
-        self._declare_name(name, "scenario", lineno, column)
-        args = _keyword_args(rest[1:], lineno, ("root",), ("root",))
-        self.pending_scenario = (name, args["root"][0], lineno, [])
-
-    def _arm(self, rest: list[tuple[str, int]], lineno: int) -> None:
-        if self.pending_scenario is None:
-            raise ParseError("arm outside a scenario block", lineno)
-        if len(rest) != 3 or rest[1][0] != "vs":
-            raise ParseError("expected: arm <game> vs <game>", lineno)
-        self.pending_scenario[3].append((rest[0][0], rest[2][0], lineno))
-
-    def _check(self, rest: list[tuple[str, int]], lineno: int) -> None:
-        if not rest:
-            raise ParseError("expected a check kind after 'check'", lineno)
-        kind, column = rest[0]
-        args_tokens = rest[1:]
-        if kind == "compare":
-            args = _keyword_args(
-                args_tokens, lineno,
-                ("agent", "left", "right"), ("agent", "left", "right"),
-            )
-            self.checks.append(
-                CompareCheck(
-                    args["agent"][0], args["left"][0], args["right"][0], lineno
-                )
-            )
-        elif kind == "diachronic":
-            args = _keyword_args(
-                args_tokens, lineno, ("agent", "scenario"), ("agent", "scenario")
-            )
-            self.checks.append(
-                DiachronicCheck(args["agent"][0], args["scenario"][0], lineno)
-            )
-        elif kind == "continuity":
-            keys = ("agent", "left", "right", "alphabet", "deltas", "samples", "seed")
-            args = _keyword_args(args_tokens, lineno, keys, keys)
-            self.checks.append(
-                ContinuityCheck(
-                    agent=args["agent"][0],
-                    left=args["left"][0],
-                    right=args["right"][0],
-                    alphabet=_rational_list(args["alphabet"][0], lineno, args["alphabet"][1]),
-                    deltas=_rational_list(args["deltas"][0], lineno, args["deltas"][1]),
-                    samples=_positive_int(args["samples"][0], lineno, args["samples"][1]),
-                    seed=_integer(args["seed"][0], lineno, args["seed"][1]),
-                    line=lineno,
-                )
-            )
-        elif kind == "dutchbook":
-            args = _keyword_args(
-                args_tokens, lineno, ("agent", "games"), ("agent", "games")
-            )
-            self.checks.append(
-                DutchBookCheck(
-                    args["agent"][0],
-                    _name_list(args["games"][0], lineno, args["games"][1]),
-                    lineno,
-                )
-            )
-        elif kind == "fit":
-            args = _keyword_args(
-                args_tokens, lineno,
-                ("agent", "games", "alphabet", "anchors"),
-                ("agent", "games", "alphabet"),
-            )
-            anchors = None
-            if "anchors" in args:
-                pair = _rational_list(args["anchors"][0], lineno, args["anchors"][1])
-                if len(pair) != 2:
-                    raise ParseError(
-                        "anchors must be exactly two rewards", lineno, args["anchors"][1]
-                    )
-                anchors = (pair[0], pair[1])
-            self.checks.append(
-                FitCheck(
-                    agent=args["agent"][0],
-                    games=_name_list(args["games"][0], lineno, args["games"][1]),
-                    alphabet=_rational_list(args["alphabet"][0], lineno, args["alphabet"][1]),
-                    anchors=anchors,
-                    line=lineno,
-                )
-            )
+        args = _keyword_args(rest[1:], lineno, _DECLARATION_KEYS[keyword])
+        if keyword == "game":
+            self.pending_game = (name, lineno, [])
+        elif keyword == "scenario":
+            self.pending_scenario = (name, args["root"], lineno, [])
         else:
-            raise ParseError(f"unknown check kind {kind!r}", lineno, column)
-
-    def _search(self, rest: list[tuple[str, int]], lineno: Optional[int]) -> None:
-        if not rest or rest[0][0] != "diachronic":
-            raise ParseError("expected: search diachronic ...", lineno)
-        keys = ("agent", "rewards", "weights", "root_branches", "option_branches")
-        args = _keyword_args(rest[1:], lineno, keys, keys)
-        self.checks.append(
-            SearchCheck(
-                agent=args["agent"][0],
-                rewards=_rational_list(args["rewards"][0], lineno, args["rewards"][1]),
-                weights=_rational_list(args["weights"][0], lineno, args["weights"][1]),
-                root_branches=_positive_int(
-                    args["root_branches"][0], lineno, args["root_branches"][1]
-                ),
-                option_branches=_positive_int(
-                    args["option_branches"][0], lineno, args["option_branches"][1]
-                ),
-                line=lineno,
-            )
-        )
+            try:
+                self.agents[name] = Agent(name, args["kind"], args.get("max_reward"))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
 
     # -- block closing and reference resolution --------------------------
 
@@ -470,57 +413,37 @@ class _Parser:
                 raise ParseError(str(exc), lineno) from None
             self.games[name] = game
         if self.pending_scenario is not None:
-            self.scenario_decls.append(self.pending_scenario)
+            self.scenario_decls[self.pending_scenario[0]] = self.pending_scenario
             self.pending_scenario = None
 
     def _resolve(self) -> ScenarioFile:
         scenarios: dict[str, DiachronicScenario] = {}
-        for name, root_ref, lineno, arms in self.scenario_decls:
-            root = self._lookup_game(root_ref, lineno)
-            pairs = []
-            for first_ref, second_ref, arm_line in arms:
-                pairs.append(
-                    (
-                        self._lookup_game(first_ref, arm_line),
-                        self._lookup_game(second_ref, arm_line),
-                    )
-                )
+        declared = {"agent": self.agents, "game": self.games, "scenario": scenarios}
+
+        def lookup(kind: str, name: str, line: Optional[int]) -> Any:
+            if name not in declared[kind]:
+                raise UnknownReferenceError(f"unknown {kind} {name!r}", line)
+            return declared[kind][name]
+
+        for name, root_ref, lineno, arms in self.scenario_decls.values():
+            root = lookup("game", root_ref, lineno)
+            pairs = tuple(
+                (lookup("game", first, arm_line), lookup("game", second, arm_line))
+                for first, second, arm_line in arms
+            )
             try:
-                scenarios[name] = DiachronicScenario(root, tuple(pairs))
+                scenarios[name] = DiachronicScenario(root, pairs)
             except ScenarioError as exc:
                 raise ParseError(str(exc), lineno) from None
         for check in self.checks:
-            self._lookup_agent(check.agent, check.line)
-            if isinstance(check, CompareCheck):
-                self._lookup_game(check.left, check.line)
-                self._lookup_game(check.right, check.line)
-            elif isinstance(check, DiachronicCheck):
-                if check.scenario not in scenarios:
-                    raise UnknownReferenceError(
-                        f"unknown scenario {check.scenario!r}", check.line
-                    )
-            elif isinstance(check, ContinuityCheck):
-                self._lookup_game(check.left, check.line)
-                self._lookup_game(check.right, check.line)
-            elif isinstance(check, (DutchBookCheck, FitCheck)):
-                for ref in check.games:
-                    self._lookup_game(ref, check.line)
-        return ScenarioFile(
-            games=self.games,
-            agents=self.agents,
-            scenarios=scenarios,
-            checks=tuple(self.checks),
-        )
-
-    def _lookup_game(self, name: str, line: int) -> Game:
-        if name not in self.games:
-            raise UnknownReferenceError(f"unknown game {name!r}", line)
-        return self.games[name]
-
-    def _lookup_agent(self, name: str, line: int) -> Agent:
-        if name not in self.agents:
-            raise UnknownReferenceError(f"unknown agent {name!r}", line)
-        return self.agents[name]
+            for key in _KIND_OF[type(check)].keys.values():
+                value = getattr(check, key.name)
+                if key.ref == "games":
+                    for game in value:
+                        lookup("game", game, check.line)
+                elif key.ref is not None:
+                    lookup(key.ref, value, check.line)
+        return ScenarioFile(self.games, self.agents, scenarios, tuple(self.checks))
 
 
 def parse(text: str) -> ScenarioFile:
@@ -535,64 +458,33 @@ def _parse_search_terms(terms: Sequence[str]) -> ScenarioFile:
     must be an agent kind, since no file declares it.  A ParseError names
     the offending term.
     """
-    parser = _Parser()
-    try:
-        # A term's 1-based position stands in for its column.
-        parser._search(
-            [(term, position) for position, term in enumerate(terms, start=1)],
-            None,
-        )
-    except ParseError as exc:
-        if exc.column is None:
-            raise
-        raise ParseError(f"term {terms[exc.column - 1]!r}: {exc.message}") from None
-    check = parser.checks[0]
+    for term in terms:
+        if not _TOKEN_RE.fullmatch(term):
+            raise ParseError(f"term {term!r}: not a single token")
+    check = _parse_check([("search", None), *((term, None) for term in terms)], None)
     if check.agent not in AGENT_KINDS:
         raise ParseError(
             f"agent must be one of {', '.join(AGENT_KINDS)} (got {check.agent!r})"
         )
-    return ScenarioFile(
-        games={},
-        agents={check.agent: Agent.of(check.agent, check.agent)},
-        scenarios={},
-        checks=(check,),
-    )
+    agents = {check.agent: Agent.of(check.agent, check.agent)}
+    return ScenarioFile(games={}, agents=agents, scenarios={}, checks=(check,))
 
 
-def _fmt_list(values: Sequence) -> str:
-    return ",".join(str(v) for v in values)
+def _fmt(value: Any) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _key_words(keys: dict[str, _Key], declared: Any) -> list[str]:
+    """``key=value`` for each key the declaration sets, in key order."""
+    values = [(name, getattr(declared, name)) for name in keys]
+    return [f"{name}={_fmt(value)}" for name, value in values if value is not None]
 
 
 def _render_check(check: CheckDecl) -> str:
-    if isinstance(check, CompareCheck):
-        return (
-            f"check compare agent={check.agent} left={check.left} "
-            f"right={check.right}"
-        )
-    if isinstance(check, DiachronicCheck):
-        return f"check diachronic agent={check.agent} scenario={check.scenario}"
-    if isinstance(check, ContinuityCheck):
-        return (
-            f"check continuity agent={check.agent} left={check.left} "
-            f"right={check.right} alphabet={_fmt_list(check.alphabet)} "
-            f"deltas={_fmt_list(check.deltas)} samples={check.samples} "
-            f"seed={check.seed}"
-        )
-    if isinstance(check, DutchBookCheck):
-        return f"check dutchbook agent={check.agent} games={_fmt_list(check.games)}"
-    if isinstance(check, FitCheck):
-        text = (
-            f"check fit agent={check.agent} games={_fmt_list(check.games)} "
-            f"alphabet={_fmt_list(check.alphabet)}"
-        )
-        if check.anchors is not None:
-            text += f" anchors={check.anchors[0]},{check.anchors[1]}"
-        return text
-    return (
-        f"search diachronic agent={check.agent} rewards={_fmt_list(check.rewards)} "
-        f"weights={_fmt_list(check.weights)} root_branches={check.root_branches} "
-        f"option_branches={check.option_branches}"
-    )
+    kind = _KIND_OF[type(check)]
+    return " ".join([kind.form, *_key_words(kind.keys, check)])
 
 
 def render(sf: ScenarioFile) -> str:
@@ -603,9 +495,8 @@ def render(sf: ScenarioFile) -> str:
         for b in sf.games[name].branches:
             lines.append(f"  branch reward={b.reward} weight={b.weight}")
     for name in sorted(sf.agents):
-        agent = sf.agents[name]
-        suffix = "" if agent.max_reward is None else f" max_reward={agent.max_reward}"
-        lines.append(f"agent {name} kind={agent.kind}{suffix}")
+        words = _key_words(_DECLARATION_KEYS["agent"], sf.agents[name])
+        lines.append(" ".join(["agent", name, *words]))
     for name in sorted(sf.scenarios):
         scenario = sf.scenarios[name]
         lines.append(f"scenario {name} root={scenario.root.name}")
@@ -618,21 +509,42 @@ def render(sf: ScenarioFile) -> str:
 
 # -- check execution ------------------------------------------------------
 
+# The record verdicts that --fail-on-violation counts.
+_VIOLATIONS = frozenset({"violated", "exposed", "found"})
+
 
 @dataclass
 class CheckOutcome:
-    kind: str
     record: dict
     text: str
-    violation: bool
+
+    @property
+    def kind(self) -> str:
+        return self.record["check_kind"]
+
+    @property
+    def violation(self) -> bool:
+        return self.record["verdict"] in _VIOLATIONS
 
 
-def _game_json(game: Game) -> dict:
+def _game_json(game: Optional[Game]) -> Optional[dict]:
+    if game is None:
+        return None
     return {
         "name": game.name,
         "branches": [
             {"reward": str(b.reward), "weight": str(b.weight)}
             for b in game.branches
+        ],
+    }
+
+
+def _scenario_json(scenario: DiachronicScenario) -> dict:
+    return {
+        "root": _game_json(scenario.root),
+        "options": [
+            [_game_json(first), _game_json(second)]
+            for first, second in scenario.options
         ],
     }
 
@@ -648,24 +560,40 @@ def _diachronic_witness_json(witness: DiachronicWitness) -> dict:
     }
 
 
-def _diachronic_text(name: str, agent: str, report: AxiomReport) -> str:
-    if report.verdict is not Verdict.VIOLATED:
-        return f"diachronic {agent} {name} -> {report.verdict.value}"
-    w = report.witness
-    lines = [
-        f"diachronic {agent} {name} -> violated clause={w.clause}",
-        f"  descendants: {', '.join(p.value for p in w.descendant_preferences)}",
-        f"  {w.left_compound} vs {w.right_compound} -> {w.compound_preference.value}",
-    ]
-    return "\n".join(lines)
+def _compound_line(witness: DiachronicWitness) -> str:
+    return (
+        f"  {witness.left_compound} vs {witness.right_compound} -> "
+        f"{witness.compound_preference.value}"
+    )
 
 
-def _execute_compare(check: CompareCheck, sf: ScenarioFile) -> CheckOutcome:
+def _inputs(check: CheckDecl, sf: ScenarioFile) -> dict:
+    """The check's keys for its record: games in full, rationals as strings."""
+    inputs = {}
+    for key in _KIND_OF[type(check)].keys.values():
+        value = getattr(check, key.name)
+        if key.ref == "game":
+            value = _game_json(sf.games[value])
+        elif key.ref == "games":
+            value = [_game_json(sf.games[name]) for name in value]
+        elif isinstance(value, tuple):
+            value = [str(v) for v in value]
+        inputs[key.name] = value
+    return inputs
+
+
+# An executor runs its check, fills in the verdict, witness and values of
+# the record that run_file opened with check_kind and inputs, and returns
+# the text block, read from the record wherever the record holds it.
+
+
+def _execute_compare(check: CompareCheck, sf: ScenarioFile, record: dict) -> str:
     agent = sf.agents[check.agent]
     left = sf.games[check.left]
     right = sf.games[check.right]
-    verdict = compare(agent, left, right)
-    values = {
+    record["inputs"]["kind"] = agent.kind
+    record["verdict"] = compare(agent, left, right).value
+    record["values"] = {
         "left_expected_value": str(expected_value(left)),
         "right_expected_value": str(expected_value(right)),
         "left_largest_reward": str(largest_reward(left)),
@@ -673,321 +601,213 @@ def _execute_compare(check: CompareCheck, sf: ScenarioFile) -> CheckOutcome:
         "left_reward_range": str(reward_range(left)),
         "right_reward_range": str(reward_range(right)),
     }
-    record = {
-        "check_kind": "compare",
-        "inputs": {
-            "agent": check.agent,
-            "kind": agent.kind,
-            "left": _game_json(left),
-            "right": _game_json(right),
-        },
-        "verdict": verdict.value,
-        "witness": None,
-        "values": values,
-    }
-    text = f"compare {check.agent} {check.left} {check.right} -> {verdict.value}"
-    return CheckOutcome("compare", record, text, violation=False)
+    return f"compare {check.agent} {check.left} {check.right} -> {record['verdict']}"
 
 
-def _execute_diachronic(check: DiachronicCheck, sf: ScenarioFile) -> CheckOutcome:
-    agent = sf.agents[check.agent]
+def _execute_diachronic(check: DiachronicCheck, sf: ScenarioFile, record: dict) -> str:
     scenario = sf.scenarios[check.scenario]
-    report = check_diachronic(agent, scenario)
-    witness = None
-    if report.witness is not None:
-        witness = _diachronic_witness_json(report.witness)
-    record = {
-        "check_kind": "diachronic",
-        "inputs": {
-            "agent": check.agent,
-            "scenario": check.scenario,
-            "root": _game_json(scenario.root),
-            "options": [
-                [_game_json(first), _game_json(second)]
-                for first, second in scenario.options
-            ],
-        },
-        "verdict": report.verdict.value,
-        "witness": witness,
-        "values": {},
-    }
-    return CheckOutcome(
-        "diachronic",
-        record,
-        _diachronic_text(check.scenario, check.agent, report),
-        violation=report.verdict is Verdict.VIOLATED,
-    )
+    report = check_diachronic(sf.agents[check.agent], scenario)
+    record["inputs"].update(_scenario_json(scenario))
+    record["verdict"] = report.verdict.value
+    text = f"diachronic {check.agent} {check.scenario} -> {record['verdict']}"
+    w = report.witness
+    if w is None:
+        return text
+    record["witness"] = _diachronic_witness_json(w)
+    descendants = ", ".join(record["witness"]["descendant_preferences"])
+    lines = [f"{text} clause={w.clause}", f"  descendants: {descendants}"]
+    return "\n".join([*lines, _compound_line(w)])
 
 
-def _execute_continuity(check: ContinuityCheck, sf: ScenarioFile) -> CheckOutcome:
-    agent = sf.agents[check.agent]
-    left = sf.games[check.left]
-    right = sf.games[check.right]
+def _execute_continuity(check: ContinuityCheck, sf: ScenarioFile, record: dict) -> str:
     report = check_continuity(
-        agent,
-        left,
-        right,
+        sf.agents[check.agent],
+        sf.games[check.left],
+        sf.games[check.right],
         RewardAlphabet.of(check.alphabet),
         check.deltas,
         check.samples,
         check.seed,
     )
-    levels = []
-    text_lines = [
-        f"continuity {check.agent} {check.left} {check.right} -> "
-        f"{report.verdict.value}"
+    levels = report.witness.levels
+    record["verdict"] = report.verdict.value
+    record["witness"] = {
+        "levels": [
+            {
+                "delta": str(level.delta),
+                "left": _game_json(level.left_perturbed),
+                "right": _game_json(level.right_perturbed),
+                "preference": level.preference.value if level.falsified else None,
+            }
+            for level in levels
+        ]
+    }
+    lines = [
+        f"continuity {check.agent} {check.left} {check.right} -> {record['verdict']}"
     ]
-    for level in report.witness.levels:
+    for level, entry in zip(levels, record["witness"]["levels"]):
+        found = "no counterexample found"
         if level.falsified:
-            levels.append(
-                {
-                    "delta": str(level.delta),
-                    "left": _game_json(level.left_perturbed),
-                    "right": _game_json(level.right_perturbed),
-                    "preference": level.preference.value,
-                }
+            found = (
+                f"{level.left_perturbed} vs {level.right_perturbed} -> "
+                f"{entry['preference']}"
             )
-            text_lines.append(
-                f"  delta={level.delta}: {level.left_perturbed} vs "
-                f"{level.right_perturbed} -> {level.preference.value}"
-            )
-        else:
-            levels.append(
-                {
-                    "delta": str(level.delta),
-                    "left": None,
-                    "right": None,
-                    "preference": None,
-                }
-            )
-            text_lines.append(f"  delta={level.delta}: no counterexample found")
-    record = {
-        "check_kind": "continuity",
-        "inputs": {
-            "agent": check.agent,
-            "left": _game_json(left),
-            "right": _game_json(right),
-            "alphabet": [str(r) for r in check.alphabet],
-            "deltas": [str(d) for d in check.deltas],
-            "samples": check.samples,
-            "seed": check.seed,
-        },
-        "verdict": report.verdict.value,
-        "witness": {"levels": levels},
-        "values": {},
-    }
-    return CheckOutcome(
-        "continuity",
-        record,
-        "\n".join(text_lines),
-        violation=report.verdict is Verdict.VIOLATED,
+        lines.append(f"  delta={entry['delta']}: {found}")
+    return "\n".join(lines)
+
+
+def _execute_dutchbook(check: DutchBookCheck, sf: ScenarioFile, record: dict) -> str:
+    report = analyze_dutch_book(
+        sf.agents[check.agent], [sf.games[name] for name in check.games]
     )
-
-
-def _execute_dutchbook(check: DutchBookCheck, sf: ScenarioFile) -> CheckOutcome:
-    agent = sf.agents[check.agent]
-    games = [sf.games[name] for name in check.games]
-    report = analyze_dutch_book(agent, games)
-    verdict = "exposed" if report.exposure else "not_exposed"
-    record = {
-        "check_kind": "dutchbook",
-        "inputs": {
-            "agent": check.agent,
-            "games": [_game_json(g) for g in games],
-        },
-        "verdict": verdict,
-        "witness": {
-            "combined": _game_json(report.combined),
-            "null": _game_json(report.null),
-        },
-        "values": {
-            "individual_preferences": [p.value for p in report.individual_preferences],
-            "combined_preference": report.combined_preference.value,
-            "sure_loss": report.sure_loss,
-            "exposure": report.exposure,
-            "weak_exposure": report.weak_exposure,
-        },
+    record["verdict"] = "exposed" if report.exposure else "not_exposed"
+    record["witness"] = {
+        "combined": _game_json(report.combined),
+        "null": _game_json(report.null),
     }
-    text = "\n".join(
+    values = record["values"] = {
+        "individual_preferences": [p.value for p in report.individual_preferences],
+        "combined_preference": report.combined_preference.value,
+        "sure_loss": report.sure_loss,
+        "exposure": report.exposure,
+        "weak_exposure": report.weak_exposure,
+    }
+    return "\n".join(
         [
-            f"dutchbook {check.agent} {_fmt_list(check.games)} -> {verdict} "
+            f"dutchbook {check.agent} {_fmt(check.games)} -> {record['verdict']} "
             f"sure_loss={str(report.sure_loss).lower()} "
             f"weak_exposure={str(report.weak_exposure).lower()}",
-            f"  combined={report.combined} -> {report.combined_preference.value}",
-            "  individual: "
-            + ", ".join(p.value for p in report.individual_preferences),
+            f"  combined={report.combined} -> {values['combined_preference']}",
+            "  individual: " + ", ".join(values["individual_preferences"]),
         ]
     )
-    return CheckOutcome("dutchbook", record, text, violation=report.exposure)
 
 
-def _fit_values(
-    fit: UtilityFit,
-    alphabet: RewardAlphabet,
-    anchors: Optional[tuple[Fraction, Fraction]],
-) -> tuple[dict, list[str]]:
-    values: dict = {
+def _utility_text(u: dict[str, str]) -> str:
+    return ", ".join(f"{reward}->{value}" for reward, value in u.items())
+
+
+def _execute_fit(check: FitCheck, sf: ScenarioFile, record: dict) -> str:
+    alphabet = RewardAlphabet.of(check.alphabet)
+    instance = build_instance(
+        sf.agents[check.agent], [sf.games[name] for name in check.games], alphabet
+    )
+    fit = fit_utility(instance)
+    record["verdict"] = fit.verdict
+    values = record["values"] = {
         "u": None,
         "unique": fit.unique,
         "normalized_u": None,
         "normalization_error": None,
     }
-    text_lines = []
+    lines = [f"fit {check.agent} {_fmt(check.games)} -> {fit.verdict}"]
+    if fit.certificate is not None:
+        certificate = [
+            {
+                "left": instance.games[c.left].name,
+                "right": instance.games[c.right].name,
+                "preference": c.preference.value,
+            }
+            for c in fit.certificate
+        ]
+        record["witness"] = {"certificate": certificate}
+        parts = [f"{c['left']} {c['preference']} {c['right']}" for c in certificate]
+        lines.append("  certificate: " + "; ".join(parts))
     if fit.u is not None:
         values["u"] = {str(r): str(fit.u[r]) for r in alphabet}
-        text_lines.append(
-            "  u: " + ", ".join(f"{r}->{fit.u[r]}" for r in alphabet)
-            + f" unique={str(fit.unique).lower()}"
-        )
-    if anchors is not None and fit.feasible:
-        lo, hi = anchors
+        unique = str(fit.unique).lower()
+        lines.append(f"  u: {_utility_text(values['u'])} unique={unique}")
+    if check.anchors is not None and fit.feasible:
+        anchors = f"({_fmt(check.anchors)})"
         try:
-            normalized = normalize_fit(fit, lo, hi)
-            values["normalized_u"] = {str(r): str(normalized.u[r]) for r in alphabet}
-            text_lines.append(
-                f"  normalized at ({lo},{hi}): "
-                + ", ".join(f"{r}->{normalized.u[r]}" for r in alphabet)
-            )
+            normalized = normalize_fit(fit, *check.anchors)
         except DegenerateNormalizationError:
             values["normalization_error"] = "DegenerateNormalization"
-            text_lines.append(
-                f"  normalization at ({lo},{hi}): DegenerateNormalization"
+            lines.append(f"  normalization at {anchors}: DegenerateNormalization")
+        else:
+            values["normalized_u"] = {str(r): str(normalized.u[r]) for r in alphabet}
+            lines.append(
+                f"  normalized at {anchors}: {_utility_text(values['normalized_u'])}"
             )
-    return values, text_lines
+    return "\n".join(lines)
 
 
-def _execute_fit(check: FitCheck, sf: ScenarioFile) -> CheckOutcome:
-    agent = sf.agents[check.agent]
-    games = [sf.games[name] for name in check.games]
-    alphabet = RewardAlphabet.of(check.alphabet)
-    instance = build_instance(agent, games, alphabet)
-    fit = fit_utility(instance)
-    witness = None
-    if fit.certificate is not None:
-        witness = {
-            "certificate": [
-                {
-                    "left": instance.games[c.left].name,
-                    "right": instance.games[c.right].name,
-                    "preference": c.preference.value,
-                }
-                for c in fit.certificate
-            ]
-        }
-    values, extra_lines = _fit_values(fit, alphabet, check.anchors)
-    record = {
-        "check_kind": "fit",
-        "inputs": {
-            "agent": check.agent,
-            "games": [_game_json(g) for g in games],
-            "alphabet": [str(r) for r in check.alphabet],
-            "anchors": (
-                [str(check.anchors[0]), str(check.anchors[1])]
-                if check.anchors is not None
-                else None
-            ),
-        },
-        "verdict": fit.verdict,
-        "witness": witness,
-        "values": values,
-    }
-    text_lines = [
-        f"fit {check.agent} {_fmt_list(check.games)} -> {fit.verdict}"
-    ]
-    if witness is not None:
-        parts = [
-            f"{c['left']} {c['preference']} {c['right']}"
-            for c in witness["certificate"]
-        ]
-        text_lines.append("  certificate: " + "; ".join(parts))
-    text_lines.extend(extra_lines)
-    return CheckOutcome(
-        "fit", record, "\n".join(text_lines), violation=False
-    )
-
-
-def _execute_search(check: SearchCheck, sf: ScenarioFile) -> CheckOutcome:
+def _execute_search(check: SearchCheck, sf: ScenarioFile, record: dict) -> str:
     agent = sf.agents[check.agent]
     spec = GridSpec(
-        check.rewards,
-        check.weights,
-        check.root_branches,
-        check.option_branches,
+        check.rewards, check.weights, check.root_branches, check.option_branches
     )
     total = scenario_count(spec)
     hit = find_violation(agent, spec)
+    record["inputs"]["kind"] = agent.kind
+    record["values"] = {"scenario_count": total}
     if hit is None:
-        record_verdict = "none"
-        witness = None
-        text = (
-            f"search diachronic {check.agent} -> none "
-            f"(scanned {total} scenarios)"
-        )
-    else:
-        record_verdict = "found"
-        witness = {
-            "index": hit.index,
-            "scenario": {
-                "root": _game_json(hit.scenario.root),
-                "options": [
-                    [_game_json(first), _game_json(second)]
-                    for first, second in hit.scenario.options
-                ],
-            },
-            "report": _diachronic_witness_json(hit.report.witness),
-        }
-        text_lines = [
-            f"search diachronic {check.agent} -> found index={hit.index} "
-            f"clause={hit.report.witness.clause}",
-            f"  root={hit.scenario.root}",
-        ]
-        for i, (first, second) in enumerate(hit.scenario.options):
-            text_lines.append(f"  arm {i}: {first} vs {second}")
-        text_lines.append(
-            f"  {hit.report.witness.left_compound} vs "
-            f"{hit.report.witness.right_compound} -> "
-            f"{hit.report.witness.compound_preference.value}"
-        )
-        text = "\n".join(text_lines)
-    record = {
-        "check_kind": "search",
-        "inputs": {
-            "agent": check.agent,
-            "kind": agent.kind,
-            "rewards": [str(r) for r in check.rewards],
-            "weights": [str(w) for w in check.weights],
-            "root_branches": check.root_branches,
-            "option_branches": check.option_branches,
-        },
-        "verdict": record_verdict,
-        "witness": witness,
-        "values": {"scenario_count": total},
+        record["verdict"] = "none"
+        return f"search diachronic {check.agent} -> none (scanned {total} scenarios)"
+    w = hit.report.witness
+    record["verdict"] = "found"
+    record["witness"] = {
+        "index": hit.index,
+        "scenario": _scenario_json(hit.scenario),
+        "report": _diachronic_witness_json(w),
     }
-    return CheckOutcome("search", record, text, violation=hit is not None)
+    lines = [
+        f"search diachronic {check.agent} -> found index={hit.index} clause={w.clause}",
+        f"  root={hit.scenario.root}",
+    ]
+    for i, (first, second) in enumerate(hit.scenario.options):
+        lines.append(f"  arm {i}: {first} vs {second}")
+    lines.append(_compound_line(w))
+    return "\n".join(lines)
 
 
-_EXECUTORS = {
-    CompareCheck: _execute_compare,
-    DiachronicCheck: _execute_diachronic,
-    ContinuityCheck: _execute_continuity,
-    DutchBookCheck: _execute_dutchbook,
-    FitCheck: _execute_fit,
-    SearchCheck: _execute_search,
-}
+@dataclass
+class _CheckKind:
+    name: str  # the record's check_kind
+    form: str  # the first two words of its line
+    decl: type
+    execute: Callable[[Any, ScenarioFile, dict], str]
+    keys: dict[str, _Key] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.keys = _keys(
+            *(_Key(f.name, **f.metadata) for f in fields(self.decl) if f.metadata)
+        )
+
+
+_CHECK_KINDS = (
+    _CheckKind("compare", "check compare", CompareCheck, _execute_compare),
+    _CheckKind("diachronic", "check diachronic", DiachronicCheck, _execute_diachronic),
+    _CheckKind("continuity", "check continuity", ContinuityCheck, _execute_continuity),
+    _CheckKind("dutchbook", "check dutchbook", DutchBookCheck, _execute_dutchbook),
+    _CheckKind("fit", "check fit", FitCheck, _execute_fit),
+    _CheckKind("search", "search diachronic", SearchCheck, _execute_search),
+)
+_CHECK_FORMS = {kind.form: kind for kind in _CHECK_KINDS}
+_CHECK_KEYWORDS = {form.split()[0] for form in _CHECK_FORMS}
+_KIND_OF = {kind.decl: kind for kind in _CHECK_KINDS}
 
 
 def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
     """Execute all checks in declaration order; raises CheckExecutionError."""
     outcomes = []
     for check in sf.checks:
-        executor = _EXECUTORS[type(check)]
+        kind = _KIND_OF[type(check)]
+        record = {
+            "check_kind": kind.name,
+            "inputs": _inputs(check, sf),
+            "verdict": None,
+            "witness": None,
+            "values": {},
+        }
         try:
-            outcomes.append(executor(check, sf))
+            text = kind.execute(check, sf, record)
         except (GameError, ValueError) as exc:
             origin = "check" if check.line is None else f"check at line {check.line}"
             raise CheckExecutionError(
                 f"{origin} ({_render_check(check)})", exc
             ) from exc
+        outcomes.append(CheckOutcome(record, text))
     return outcomes
 
 
@@ -1057,22 +877,6 @@ check dutchbook agent=stoic games=coin_win_heads,coin_win_tails
 check compare agent=dtbr left=coin_win_heads right=zero_coin
 """
 
-_GALLERY_GAMES = (
-    "A",
-    "B",
-    "B0",
-    "Bhalf",
-    "certain0",
-    "certain1",
-    "certain2",
-    "coin_win_heads",
-    "coin_win_tails",
-    "mix02",
-    "prize2",
-    "prize3",
-    "zero_coin",
-)
-
 _GALLERY_FITS = """\
 check fit agent=stoic games=A,B,certain1 alphabet=1,2,3,4 anchors=1,2
 check fit agent=dtbr games=certain0,certain1,certain2,mix02 alphabet=0,1,2 anchors=0,1
@@ -1082,9 +886,10 @@ check fit agent=optimist games=certain1,B0,Bhalf alphabet=0,1
 
 def gallery_source() -> str:
     """The gallery as scenario-file text (stoic all-pairs checks generated)."""
+    games = sorted(parse(_GALLERY_BASE).games)
     lines = [_GALLERY_BASE]
-    for i, left in enumerate(_GALLERY_GAMES):
-        for right in _GALLERY_GAMES[i + 1 :]:
+    for i, left in enumerate(games):
+        for right in games[i + 1 :]:
             lines.append(f"check compare agent=stoic left={left} right={right}")
     lines.append(_GALLERY_FITS)
     return "\n".join(lines)
@@ -1098,15 +903,6 @@ def run_gallery() -> list[CheckOutcome]:
 # -- command line ----------------------------------------------------------
 
 
-def _emit_and_exit_code(
-    outcomes: Sequence[CheckOutcome], machine: bool, fail_on_violation: bool
-) -> int:
-    sys.stdout.write(emit(outcomes, machine))
-    if fail_on_violation and any(o.violation for o in outcomes):
-        return 1
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="branchgames",
@@ -1117,23 +913,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     run_parser = sub.add_parser("run", help="execute the checks in a scenario file")
     run_parser.add_argument("file", help="scenario file path")
-    run_parser.add_argument(
-        "--machine", action="store_true", help="one JSON record per check"
-    )
-    run_parser.add_argument(
-        "--fail-on-violation",
-        action="store_true",
-        help="exit 1 when any check reports a violation or exposure",
-    )
-
     gallery_parser = sub.add_parser(
         "gallery", help="run the built-in gallery of worked examples"
     )
-    gallery_parser.add_argument("--machine", action="store_true")
-
+    gallery_parser.set_defaults(fail_on_violation=False)
     search_parser = sub.add_parser(
         "search",
         help="grid search without a scenario file, e.g. "
@@ -1143,9 +928,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     search_parser.add_argument(
         "terms", nargs="+", help="the scenario-file search form, tokenized"
     )
-    search_parser.add_argument("--machine", action="store_true")
-    search_parser.add_argument("--fail-on-violation", action="store_true")
-
+    for command in (run_parser, gallery_parser, search_parser):
+        command.add_argument(
+            "--machine", action="store_true", help="one JSON record per check"
+        )
+    for command in (run_parser, search_parser):
+        command.add_argument(
+            "--fail-on-violation",
+            action="store_true",
+            help="exit 1 when any check reports a violation or exposure",
+        )
     args = parser.parse_args(argv)
 
     try:
@@ -1157,19 +949,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             outcomes = run_file(parse(text))
-            return _emit_and_exit_code(
-                outcomes, args.machine, args.fail_on_violation
-            )
-        if args.command == "gallery":
-            return _emit_and_exit_code(run_gallery(), args.machine, False)
-        outcomes = run_file(_parse_search_terms(args.terms))
-        return _emit_and_exit_code(outcomes, args.machine, args.fail_on_violation)
+        elif args.command == "gallery":
+            outcomes = run_gallery()
+        else:
+            outcomes = run_file(_parse_search_terms(args.terms))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except CheckExecutionError as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(emit(outcomes, args.machine))
+    if args.fail_on_violation and any(o.violation for o in outcomes):
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ RationalLike = Union[Fraction, int, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class GameError(Exception):
@@ -57,25 +57,25 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, ``p/q`` string, or Fraction to an exact rational.
 
     String literals follow the scenario-file grammar: an optional minus
-    sign, digits, and an optional ``/posint`` suffix.  Decimal and float
+    sign, ASCII digits, and an optional ``/posint`` suffix.  Decimal and float
     forms are rejected; they would smuggle binary-float ambiguity into an
     exact model.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not a rational literal: {value!r}")
+        if not _RATIONAL_RE.fullmatch(text):
+            raise ValueError(f"expected a rational like 3 or 1/2, got {value!r}")
         numerator, slash, denominator = text.partition("/")
         if slash:
             bottom = int(denominator)
             if bottom == 0:
-                raise ValueError(f"zero denominator: {value!r}")
+                raise ValueError(f"zero denominator in {value!r}")
             return Fraction(int(numerator), bottom)
         return Fraction(int(numerator))
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 

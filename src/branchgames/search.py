@@ -279,17 +279,13 @@ def _violates(
     return broken_clause(descendant, forward) is not None
 
 
-def find_violation(
-    agent: Agent, spec: GridSpec, axiom: str = "diachronic"
-) -> Optional[ViolationHit]:
+def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     """First scenario in the stream the agent violates, or None when clean.
 
     Each scenario is decided from summaries (see the module docstring); the
     first hit is built and replayed by :func:`check_diachronic`, whose
     report the hit carries.
     """
-    if axiom != "diachronic":
-        raise ValueError(f"unsupported axiom {axiom!r}")
     _check_cap(spec)
     pool = _option_pool(spec)
     summarised = list(zip(pool, _pool_summaries(pool)))

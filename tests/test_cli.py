@@ -121,6 +121,20 @@ class TestParseErrors:
         message = str(err.value)
         assert "line 2" in message and "column" in message
 
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            "reward=\u0663 weight=1",  # ARABIC-INDIC DIGIT THREE
+            "reward=0 weight=\uff11",  # FULLWIDTH DIGIT ONE
+            "reward=1/\u0663 weight=1",
+        ],
+    )
+    def test_literals_take_only_ascii_digits(self, branch):
+        with pytest.raises(ParseError) as err:
+            parse(f"game g\n  branch {branch}\n")
+        message = str(err.value)
+        assert "line 2" in message and "column" in message
+
     def test_weight_out_of_range_points_at_the_branch(self):
         self.assert_parse_error(
             "game g\n  branch reward=0 weight=2\n", "line 2"
@@ -473,13 +487,20 @@ class TestCommandLine:
             "option_branches=1#junk",
             # once injected as a third line of synthesized scenario text
             "option_branches=1\ngame X",
+            # a rational parser that strips whitespace would accept these
+            "rewards=0, 1",
+            "rewards=0,1\n",
+            # FULLWIDTH DIGIT ONE
+            "option_branches=\uff11",
         ],
     )
     def test_search_terms_are_tokens_not_scenario_text(self, term, capsys):
+        # The term stands in for the valid term with the same key.
+        key = term.split("=")[0] + "="
+        argv = ["search", "diachronic", "agent=dtbr", "rewards=0,1", "weights=1",
+                "root_branches=1", "option_branches=1"]
         code, out, err = self.run_main(
-            ["search", "diachronic", "agent=dtbr", "rewards=0,1", "weights=1",
-             "root_branches=1", term],
-            capsys,
+            [term if t.startswith(key) else t for t in argv], capsys
         )
         assert code == 2
         assert out == ""

@@ -94,6 +94,15 @@ class TestRationalParsing:
         with pytest.raises(ValueError):
             as_rational("1e-3")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0663", "\uff11", "-\uff11", "1/\u0663", "\u0661\u0662/3"],
+        ids=["arabic-indic", "fullwidth", "minus", "denominator", "numerator"],
+    )
+    def test_only_ascii_digits_are_digits(self, text):
+        with pytest.raises(ValueError):
+            as_rational(text)
+
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             as_rational(0.5)

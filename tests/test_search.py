@@ -192,10 +192,6 @@ class TestFindViolation:
         stream = (_scenario_structure(s) for s in enumerate_scenarios(spec))
         assert trap in stream
 
-    def test_only_the_diachronic_axiom_is_searchable(self):
-        with pytest.raises(ValueError):
-            find_violation(OPT, SMALL, axiom="continuity")
-
     def test_option_pool_lists_small_games_first(self):
         pool = _option_pool(SMALL)
         sizes = [len(g.branches) for g in pool]
