@@ -198,8 +198,7 @@ def _key_field(
 ) -> Any:
     """A check field, read from the ``key=value`` token of the same name.
 
-    ``ref`` is the kind of declaration the value names ("agent", "game",
-    "games" or "scenario"), or None for a literal.  The fields of a check
+    The arguments are those of :class:`_Key`.  The fields of a check
     dataclass, in order, are the keys of its line.
     """
     return field(metadata={"parse": parse, "ref": ref, "required": required})
