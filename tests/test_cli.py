@@ -135,6 +135,113 @@ class TestParseErrors:
         message = str(err.value)
         assert "line 2" in message and "column" in message
 
+    @pytest.mark.parametrize(
+        "source, exc, message",
+        [
+            (
+                "game g\n  branch reward=0.5 weight=1\n",
+                ParseError,
+                "line 2, column 10: expected a rational like 3 or 1/2, got '0.5'",
+            ),
+            (
+                "game g\n  branch reward=0 weight=1/0\n",
+                ParseError,
+                "line 2, column 19: zero denominator in '1/0'",
+            ),
+            (
+                "game g\n  branch reward=0 weight=2\n",
+                ParseError,
+                "line 2, column 19: weight 2 outside [0, 1]",
+            ),
+            (
+                "game g\n  branch reward=0 weight=1 colour=red\n",
+                ParseError,
+                "line 2, column 28: unknown key 'colour'",
+            ),
+            (
+                "game g\n  branch reward=0 reward=1 weight=1\n",
+                ParseError,
+                "line 2, column 19: duplicate key 'reward'",
+            ),
+            (
+                "game g\n  branch reward= weight=1\n",
+                ParseError,
+                "line 2, column 10: empty value for 'reward'",
+            ),
+            (
+                "game g\n  branch reward=0 =1\n",
+                ParseError,
+                "line 2, column 19: unknown key ''",
+            ),
+            (
+                "game g\n  branch reward=0 weight\n",
+                ParseError,
+                "line 2, column 19: expected key=value, got 'weight'",
+            ),
+            ("  wager 3\n", ParseError, "line 1, column 3: unknown keyword 'wager'"),
+            (
+                "game 3bad\n  branch reward=0 weight=1\n",
+                ParseError,
+                "line 1, column 6: invalid game name '3bad'",
+            ),
+            (
+                "game g\n  branch reward=0 weight=1\ngame  g\n",
+                DuplicateNameError,
+                "line 3, column 7: duplicate game name 'g'",
+            ),
+            (
+                "agent a kind=dtbr\nagent a kind=stoic\n",
+                DuplicateNameError,
+                "line 2, column 7: duplicate agent name 'a'",
+            ),
+            (
+                "agent a kind=dtbr\n check   frobnicate agent=a\n",
+                ParseError,
+                "line 2, column 10: unknown check kind 'frobnicate'; "
+                "expected one of compare, diachronic, continuity, dutchbook, fit",
+            ),
+            (
+                "search frob agent=a\n",
+                ParseError,
+                "line 1, column 8: unknown search kind 'frob'; "
+                "expected one of diachronic",
+            ),
+            # A tab is one column.
+            (
+                "game g\n\tbranch reward=0.5 weight=1\n",
+                ParseError,
+                "line 2, column 9: expected a rational like 3 or 1/2, got '0.5'",
+            ),
+            (
+                "game g\n\t\tbranch\treward=0\tweight=x\n",
+                ParseError,
+                "line 2, column 19: expected a rational like 3 or 1/2, got 'x'",
+            ),
+            # NO-BREAK SPACE and IDEOGRAPHIC SPACE separate tokens, one
+            # column each.
+            (
+                "game g\n  branch reward=1\u00a0weight=2\n",
+                ParseError,
+                "line 2, column 19: weight 2 outside [0, 1]",
+            ),
+            (
+                "game g\n  branch\u3000reward=1\u3000\u3000weight=-1\n",
+                ParseError,
+                "line 2, column 20: weight -1 outside [0, 1]",
+            ),
+            (
+                "game g # comment\n  branch reward=1 # weight=1\n",
+                ParseError,
+                "line 2: missing required key weight=...",
+            ),
+        ],
+    )
+    def test_error_text_names_line_and_column(self, source, exc, message):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert type(err.value) is exc
+        assert str(err.value) == message
+
     def test_weight_out_of_range_points_at_the_branch(self):
         self.assert_parse_error(
             "game g\n  branch reward=0 weight=2\n", "line 2"
@@ -479,6 +586,38 @@ class TestCommandLine:
         )
         assert code == 2
         assert "diachronic" in err
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (
+                ["frob", "agent=dtbr"],
+                "term 'frob': unknown search kind 'frob'; expected one of diachronic",
+            ),
+            (
+                ["diachronic", "agent=dtbr", "rewards=0.5"],
+                "term 'rewards=0.5': expected a rational like 3 or 1/2, got '0.5'",
+            ),
+            (
+                ["diachronic", "agent=dtbr", "colour=red"],
+                "term 'colour=red': unknown key 'colour'",
+            ),
+            (
+                ["diachronic", "agent=dtbr", "agent=stoic"],
+                "term 'agent=stoic': duplicate key 'agent'",
+            ),
+            (
+                ["diachronic", "agent=dtbr", "rewards=0,1", "weights=1",
+                 "root_branches=1"],
+                "missing required key option_branches=...",
+            ),
+        ],
+    )
+    def test_search_errors_quote_the_term(self, terms, message, capsys):
+        code, out, err = self.run_main(["search", *terms], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize(
         "term",
