@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from .agents import AGENT_KINDS, Agent, compare
+from .agents import AGENT_KINDS, Agent, compare, summary
 from .axioms import (
     DiachronicScenario,
     DiachronicWitness,
@@ -62,9 +62,6 @@ from .core import (
     GameError,
     RewardAlphabet,
     as_rational,
-    expected_value,
-    largest_reward,
-    reward_range,
     validate_game,
 )
 from .representation import (
@@ -110,10 +107,29 @@ class CheckExecutionError(Exception):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The tokens of a line, as str.split() finds them: both split on the same
+# code points.
 _TOKEN_RE = re.compile(r"\S+")
 
-# A token and its 1-based column; command-line terms have no column.
-_Token = tuple[str, Optional[int]]
+
+class _Line(NamedTuple):
+    """The tokens of one line, and how an error points at one of them."""
+
+    tokens: list[str]
+    # The line's text before any comment; None for command-line terms.
+    text: Optional[str] = None
+    number: Optional[int] = None
+
+    def error(
+        self, message: str, index: int, exc_type: type[ParseError] = ParseError
+    ) -> ParseError:
+        """An error at token ``index``: by line and column, else quoting it."""
+        if self.text is None:
+            return exc_type(f"term {self.tokens[index]!r}: {message}")
+        # Columns are worked out here rather than while splitting: only an
+        # error needs one.
+        column = list(_TOKEN_RE.finditer(self.text))[index].start() + 1
+        return exc_type(message, self.number, column)
 
 
 # -- value parsers: text to value, or ValueError ----------------------------
@@ -182,7 +198,23 @@ def _keys(*keys: _Key) -> dict[str, _Key]:
     return {key.name: key for key in keys}
 
 
-_BRANCH_KEYS = _keys(_Key("reward", as_rational), _Key("weight", _weight))
+def _tabled(parse: Callable[[str], Fraction]) -> Callable[[str], Fraction]:
+    """``parse``, run once per distinct text; a repeat is a dict lookup.
+
+    Only values enter the table: a literal that fails fails again wherever
+    it recurs.  Sharing the immutable Fractions between games is safe.
+    """
+    table: dict[str, Fraction] = {}
+
+    def lookup(text: str) -> Fraction:
+        value = table.get(text)
+        if value is None:
+            value = table[text] = parse(text)
+        return value
+
+    return lookup
+
+
 # The keys after the name of each declaration.
 _DECLARATION_KEYS = {
     "game": _keys(),
@@ -276,21 +308,10 @@ class ScenarioFile:
     checks: tuple[CheckDecl, ...]
 
 
-def _located(
-    message: str, token: str, line: Optional[int], column: Optional[int]
-) -> ParseError:
-    """An error at a token: by line and column in a file, else by quoting it."""
-    if column is None:
-        return ParseError(f"term {token!r}: {message}")
-    return ParseError(message, line, column)
-
-
-def _keyword_args(
-    tokens: Sequence[_Token], line: Optional[int], keys: dict[str, _Key]
-) -> dict[str, Any]:
-    """The parsed value of each ``key=value`` token, by key name."""
+def _keyword_args(line: _Line, start: int, keys: dict[str, _Key]) -> dict[str, Any]:
+    """The parsed value of each ``key=value`` token from ``start`` on, by key."""
     args: dict[str, Any] = {}
-    for token, column in tokens:
+    for index, token in enumerate(line.tokens[start:], start):
         name, eq, value = token.partition("=")
         try:
             if not eq:
@@ -303,27 +324,28 @@ def _keyword_args(
                 raise ValueError(f"empty value for {name!r}")
             args[name] = keys[name].parse(value)
         except ValueError as exc:
-            raise _located(str(exc), token, line, column) from None
+            raise line.error(str(exc), index) from None
     for key in keys.values():
         if key.required and key.name not in args:
-            raise ParseError(f"missing required key {key.name}=...", line)
+            raise ParseError(f"missing required key {key.name}=...", line.number)
     return args
 
 
-def _parse_check(tokens: Sequence[_Token], line: Optional[int]) -> CheckDecl:
+def _parse_check(line: _Line) -> CheckDecl:
     """A ``check <kind> key=value ...`` or ``search diachronic ...`` line."""
-    keyword = tokens[0][0]
-    if len(tokens) < 2:
-        raise ParseError(f"expected a {keyword} kind after {keyword!r}", line)
-    word, column = tokens[1]
+    keyword = line.tokens[0]
+    if len(line.tokens) < 2:
+        raise ParseError(f"expected a {keyword} kind after {keyword!r}", line.number)
+    word = line.tokens[1]
     kind = _CHECK_FORMS.get(f"{keyword} {word}")
     if kind is None:
         forms = [form.split() for form in _CHECK_FORMS]
         expected = ", ".join(w for k, w in forms if k == keyword)
-        message = f"unknown {keyword} kind {word!r}; expected one of {expected}"
-        raise _located(message, word, line, column)
-    args = _keyword_args(tokens[2:], line, kind.keys)
-    return kind.decl(**{name: args.get(name) for name in kind.keys}, line=line)
+        raise line.error(
+            f"unknown {keyword} kind {word!r}; expected one of {expected}", 1
+        )
+    args = _keyword_args(line, 2, kind.keys)
+    return kind.decl(**{name: args.get(name) for name in kind.keys}, line=line.number)
 
 
 class _Parser:
@@ -340,64 +362,65 @@ class _Parser:
             "agent": self.agents,
             "scenario": self.scenario_decls,
         }
+        # Rewards and weights keep separate literal tables: reward=2 is
+        # valid and weight=2 is not.
+        self.branch_keys = _keys(
+            _Key("reward", _tabled(as_rational)), _Key("weight", _tabled(_weight))
+        )
 
     def parse(self, text: str) -> ScenarioFile:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            content = raw.split("#", 1)[0]
-            tokens = [
-                (m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(content)
-            ]
-            if not tokens:
-                continue
-            self._line(tokens, lineno)
+        for number, raw in enumerate(text.splitlines(), start=1):
+            content = raw.partition("#")[0]
+            tokens = content.split()
+            if tokens:
+                self._line(_Line(tokens, content, number))
         self._close_blocks()
         return self._resolve()
 
     # -- declaration handling -------------------------------------------
 
-    def _line(self, tokens: list[_Token], lineno: int) -> None:
-        keyword, column = tokens[0]
-        rest = tokens[1:]
+    def _line(self, line: _Line) -> None:
+        keyword = line.tokens[0]
         if keyword not in ("branch", "arm"):
             self._close_blocks()
         if keyword == "branch":
             if self.pending_game is None:
-                raise ParseError("branch outside a game block", lineno)
-            args = _keyword_args(rest, lineno, _BRANCH_KEYS)
+                raise ParseError("branch outside a game block", line.number)
+            args = _keyword_args(line, 1, self.branch_keys)
             self.pending_game[2].append(Branch(args["reward"], args["weight"]))
         elif keyword == "arm":
             if self.pending_scenario is None:
-                raise ParseError("arm outside a scenario block", lineno)
-            if len(rest) != 3 or rest[1][0] != "vs":
-                raise ParseError("expected: arm <game> vs <game>", lineno)
-            self.pending_scenario[3].append((rest[0][0], rest[2][0], lineno))
+                raise ParseError("arm outside a scenario block", line.number)
+            tokens = line.tokens
+            if len(tokens) != 4 or tokens[2] != "vs":
+                raise ParseError("expected: arm <game> vs <game>", line.number)
+            self.pending_scenario[3].append((tokens[1], tokens[3], line.number))
         elif keyword in _DECLARATION_KEYS:
-            self._declaration(keyword, rest, lineno)
+            self._declaration(keyword, line)
         elif keyword in _CHECK_KEYWORDS:
-            self.checks.append(_parse_check(tokens, lineno))
+            self.checks.append(_parse_check(line))
         else:
-            raise ParseError(f"unknown keyword {keyword!r}", lineno, column)
+            raise line.error(f"unknown keyword {keyword!r}", 0)
 
-    def _declaration(self, keyword: str, rest: list[_Token], lineno: int) -> None:
-        if not rest:
-            raise ParseError(f"expected a name after {keyword!r}", lineno)
-        name, column = rest[0]
+    def _declaration(self, keyword: str, line: _Line) -> None:
+        if len(line.tokens) < 2:
+            raise ParseError(f"expected a name after {keyword!r}", line.number)
+        name = line.tokens[1]
         if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"invalid {keyword} name {name!r}", lineno, column)
+            raise line.error(f"invalid {keyword} name {name!r}", 1)
         if name in self.namespaces[keyword]:
-            raise DuplicateNameError(
-                f"duplicate {keyword} name {name!r}", lineno, column
-            )
-        args = _keyword_args(rest[1:], lineno, _DECLARATION_KEYS[keyword])
+            message = f"duplicate {keyword} name {name!r}"
+            raise line.error(message, 1, DuplicateNameError)
+        args = _keyword_args(line, 2, _DECLARATION_KEYS[keyword])
         if keyword == "game":
-            self.pending_game = (name, lineno, [])
+            self.pending_game = (name, line.number, [])
         elif keyword == "scenario":
-            self.pending_scenario = (name, args["root"], lineno, [])
+            self.pending_scenario = (name, args["root"], line.number, [])
         else:
             try:
                 self.agents[name] = Agent(name, args["kind"], args.get("max_reward"))
             except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                raise ParseError(str(exc), line.number) from None
 
     # -- block closing and reference resolution --------------------------
 
@@ -460,7 +483,7 @@ def _parse_search_terms(terms: Sequence[str]) -> ScenarioFile:
     for term in terms:
         if not _TOKEN_RE.fullmatch(term):
             raise ParseError(f"term {term!r}: not a single token")
-    check = _parse_check([("search", None), *((term, None) for term in terms)], None)
+    check = _parse_check(_Line(["search", *terms]))
     if check.agent not in AGENT_KINDS:
         raise ParseError(
             f"agent must be one of {', '.join(AGENT_KINDS)} (got {check.agent!r})"
@@ -592,13 +615,15 @@ def _execute_compare(check: CompareCheck, sf: ScenarioFile, record: dict) -> str
     right = sf.games[check.right]
     record["inputs"]["kind"] = agent.kind
     record["verdict"] = compare(agent, left, right).value
+    left_value, left_low, left_high = summary(left)
+    right_value, right_low, right_high = summary(right)
     record["values"] = {
-        "left_expected_value": str(expected_value(left)),
-        "right_expected_value": str(expected_value(right)),
-        "left_largest_reward": str(largest_reward(left)),
-        "right_largest_reward": str(largest_reward(right)),
-        "left_reward_range": str(reward_range(left)),
-        "right_reward_range": str(reward_range(right)),
+        "left_expected_value": str(left_value),
+        "right_expected_value": str(right_value),
+        "left_largest_reward": str(left_high),
+        "right_largest_reward": str(right_high),
+        "left_reward_range": str(left_high - left_low),
+        "right_reward_range": str(right_high - right_low),
     }
     return f"compare {check.agent} {check.left} {check.right} -> {record['verdict']}"
 

@@ -62,10 +62,9 @@ def as_rational(value: RationalLike) -> Fraction:
     exact model.
     """
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.fullmatch(text):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ValueError(f"expected a rational like 3 or 1/2, got {value!r}")
-        numerator, slash, denominator = text.partition("/")
+        numerator, slash, denominator = value.partition("/")
         if slash:
             bottom = int(denominator)
             if bottom == 0:
@@ -111,7 +110,7 @@ class Game:
 
     def support(self) -> tuple[Branch, ...]:
         """Branches with strictly positive weight."""
-        return tuple(b for b in self.branches if b.weight > 0)
+        return tuple(b for b in self.branches if b.weight.numerator > 0)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{b.reward}@{b.weight}" for b in self.branches)
@@ -186,14 +185,22 @@ def validate_game(game: Game) -> None:
     """
     if not game.branches:
         raise EmptyGameError(f"game {game.name!r} has no branches")
-    total = ZERO
+    # Integers over a running common denominator, as in expected_value: a
+    # Fraction is built only to word an error.
+    numerator, denominator = 0, 1
     for b in game.branches:
-        if b.weight < 0 or b.weight > 1:
+        top, bottom = b.weight.numerator, b.weight.denominator
+        if top < 0 or top > bottom:
             raise WeightRangeError(
                 f"game {game.name!r}: weight {b.weight} outside [0, 1]"
             )
-        total += b.weight
-    if total != 1:
+        if denominator % bottom:
+            numerator = numerator * bottom + top * denominator
+            denominator *= bottom
+        else:
+            numerator += top * (denominator // bottom)
+    if numerator != denominator:
+        total = Fraction(numerator, denominator)
         raise WeightSumError(
             f"game {game.name!r}: weights sum to {total}, expected 1"
         )

@@ -5,12 +5,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from branchgames import Preference, Verdict
+from branchgames import (
+    AGENT_KINDS,
+    Agent,
+    Preference,
+    Verdict,
+    compare,
+    expected_value,
+    largest_reward,
+    reward_range,
+)
 from branchgames.cli import (
+    _TOKEN_RE,
     CheckExecutionError,
+    CompareCheck,
     DuplicateNameError,
     ParseError,
+    ScenarioFile,
     UnknownReferenceError,
     emit,
     gallery_source,
@@ -20,6 +34,7 @@ from branchgames.cli import (
     run_file,
     run_gallery,
 )
+from conftest import games
 
 F = Fraction
 
@@ -242,6 +257,21 @@ class TestParseErrors:
         assert type(err.value) is exc
         assert str(err.value) == message
 
+    def test_a_literal_valid_as_a_reward_is_still_checked_as_a_weight(self):
+        source = (
+            "game g\n  branch reward=2 weight=1\n"
+            "game h\n  branch reward=0 weight=2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == "line 4, column 19: weight 2 outside [0, 1]"
+
+    def test_whitespace_splits_tokens_as_the_column_scan_does(self):
+        # Error columns come from re-scanning a line with _TOKEN_RE, so its
+        # tokens must be those of str.split() on every code point.
+        every = "".join(map(chr, range(0x110000)))
+        assert every.split() == _TOKEN_RE.findall(every)
+
     def test_weight_out_of_range_points_at_the_branch(self):
         self.assert_parse_error(
             "game g\n  branch reward=0 weight=2\n", "line 2"
@@ -361,6 +391,28 @@ class TestExecution:
         assert record["values"]["left_expected_value"] == "2"
         assert record["values"]["right_expected_value"] == "5/2"
         assert not outcomes[0].violation
+
+    @given(
+        games(name="left"), games(name="right"), st.sampled_from(AGENT_KINDS)
+    )
+    def test_compare_record_matches_the_core_statistics(self, left, right, kind):
+        sf = ScenarioFile(
+            games={"left": left, "right": right},
+            agents={kind: Agent.of(kind, kind)},
+            scenarios={},
+            checks=(CompareCheck(kind, "left", "right"),),
+        )
+        (outcome,) = run_file(sf)
+        assert outcome.record["verdict"] == compare(sf.agents[kind], left, right).value
+        assert outcome.record["values"] == {
+            f"{side}_{name}": str(statistic(game))
+            for name, statistic in (
+                ("expected_value", expected_value),
+                ("largest_reward", largest_reward),
+                ("reward_range", reward_range),
+            )
+            for side, game in (("left", left), ("right", right))
+        }
 
     def test_diachronic_violation_is_flagged(self):
         outcomes = run_file(parse(SMALL_SOURCE))

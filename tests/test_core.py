@@ -103,6 +103,11 @@ class TestRationalParsing:
         with pytest.raises(ValueError):
             as_rational(text)
 
+    @pytest.mark.parametrize("text", [" 1", "1\n", " 1\n", "1 /2", "\u00a01"])
+    def test_whitespace_is_not_part_of_a_literal(self, text):
+        with pytest.raises(ValueError):
+            as_rational(text)
+
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             as_rational(0.5)

@@ -64,6 +64,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.of(rewards=[0], weights=[1], max_root_branches=0, max_option_branches=1)
 
+    def test_menu_literals_take_no_whitespace(self):
+        with pytest.raises(ValueError):
+            GridSpec.of(rewards=[" 1"], weights=[1], max_root_branches=1, max_option_branches=1)
+        with pytest.raises(ValueError):
+            GridSpec.of(rewards=[0], weights=["1\n"], max_root_branches=1, max_option_branches=1)
+
 
 class TestEnumeration:
     def test_single_cell_grid(self):
