@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import Game, RationalLike, as_rational, expected_value, largest_reward
+from .core import (
+    EmptyGameError,
+    Game,
+    RationalLike,
+    as_rational,
+    expected_value,
+    largest_reward,
+)
 
 
 class Preference(enum.Enum):
@@ -79,6 +86,8 @@ Summary = tuple
 def summary(game: Game) -> Summary:
     """Every statistic any kind ranks by, for one valid game."""
     rewards = [b.reward for b in game.support()]
+    if not rewards:
+        raise EmptyGameError(f"game {game.name!r} has empty support")
     return (expected_value(game), min(rewards), max(rewards))
 
 

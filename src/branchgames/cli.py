@@ -20,6 +20,15 @@ ambiguity into an exact model.
     search diachronic agent=<a> rewards=<...> weights=<...>
                       root_branches=<n> option_branches=<n>
 
+A line is split on whitespace by ``str.split()``.  A token's 1-based
+column (a tab counts as one) is worked out only when an error names it,
+by scanning that line again with ``_TOKEN_RE``, which splits on the same
+code points.  Each parse keeps one table of reward literals and one of
+weight literals, so ``core.as_rational`` and the weight range check run
+once per distinct literal text; the tables are separate because
+``reward=2`` is valid and ``weight=2`` is not.  A game is validated by
+``core.validate_game`` when its block closes.
+
 A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
 first two words of its line, its dataclass and its executor.  The
 dataclass's fields, in order, are the keys of the line, each with a value
