@@ -135,8 +135,6 @@ class _Line(NamedTuple):
         """An error at token ``index``: by line and column, else quoting it."""
         if self.text is None:
             return exc_type(f"term {self.tokens[index]!r}: {message}")
-        # Columns are worked out here rather than while splitting: only an
-        # error needs one.
         column = list(_TOKEN_RE.finditer(self.text))[index].start() + 1
         return exc_type(message, self.number, column)
 
