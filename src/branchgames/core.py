@@ -14,10 +14,11 @@ branches with strictly positive weight; it is nonempty for every valid game.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -279,6 +280,12 @@ def combine_on_shared_event(first: Game, second: Game, name: str | None = None) 
         for a, b in zip(first.branches, second.branches)
     )
     return Game(name if name is not None else f"{first.name}+{second.name}", branches)
+
+
+def scale_to_integers(values: Sequence[Fraction]) -> list[int]:
+    """The values times the least common multiple of their denominators."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values]
 
 
 def weight_vector(game: Game, alphabet: RewardAlphabet) -> tuple[Fraction, ...]:

@@ -8,7 +8,10 @@ E_u(g) > E_u(h), where E_u weights u(reward) by branch weight.
 Strict comparisons become gap constraints E_u(winner) - E_u(loser) >= 1
 rather than open inequalities: feasible utilities are closed under positive
 scaling, so the unit gap loses nothing and keeps the system solvable by
-exact rational variable elimination.  Indifference becomes equality.  On
+exact variable elimination.  Indifference becomes equality.  Rows are
+integers from the start: the instance's weight vectors are scaled once, over
+one common denominator D, so an indifference reads +-diff.u <= 0 and a
+strict comparison's unit gap reads -diff.u <= -D.  On
 infeasible instances the solver returns an irreducible certificate: a
 subset of the recorded comparisons that is itself unsatisfiable and stays
 unsatisfiable under no further deletion.
@@ -21,8 +24,8 @@ Three reductions keep the elimination small without changing any output:
   n(n-1)/2 of them.  Only those rows are eliminated.
 - Equality substitution.  A variable that an equality (a row and its
   negation) mentions is substituted out through it instead of pairing
-  upper with lower rows, which is still an exact projection.  Rows are
-  kept in integers, divided by the gcd of their entries.
+  upper with lower rows, which is still an exact projection.  Each row
+  is divided by the gcd of its entries, so scaling by D changes no row.
 - History sets (Imbert 1993).  Each row carries the comparisons it was
   derived from, so a contradiction names an infeasible subset, the core.
   The backward deletion filter (Chinneck & Dravnieks 1991) still scans
@@ -48,13 +51,20 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .agents import Agent, Preference, compare
-from .core import Game, GameError, RewardAlphabet, validate_game, weight_vector
+from .core import (
+    ONE,
+    Game,
+    GameError,
+    RewardAlphabet,
+    scale_to_integers,
+    validate_game,
+    weight_vector,
+)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class InconsistentPreorderError(GameError):
@@ -172,11 +182,10 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     raise AssertionError("a total preorder always agrees with its win counts")
 
 
-Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . u <= bound
-# An integer row and its history: a bitmask of the constraint_list()
-# positions it was derived from.
+# An integer row (coeffs . u <= bound) and its history: a bitmask of the
+# constraint_list() positions it was derived from.
 _Tracked = tuple[tuple[int, ...], int, int]
-_Vectors = Sequence[tuple[Fraction, ...]]
+_Vectors = Sequence[tuple[int, ...]]
 
 
 class _Infeasible(Exception):
@@ -185,17 +194,6 @@ class _Infeasible(Exception):
     def __init__(self, core: int) -> None:
         super().__init__(core)
         self.core = core
-
-
-def _integral(row: Row, history: int) -> _Tracked:
-    """The row scaled by the least common denominator of its entries."""
-    coeffs, bound = row
-    den = math.lcm(*(x.denominator for x in coeffs), bound.denominator)
-    return (
-        tuple(x.numerator * (den // x.denominator) for x in coeffs),
-        bound.numerator * (den // bound.denominator),
-        history,
-    )
 
 
 def _clean(rows: list[_Tracked]) -> list[_Tracked]:
@@ -311,66 +309,44 @@ def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
     return values
 
 
-def _solve_rows(rows: list[Row], nvars: int) -> Optional[list[Fraction]]:
-    """Exact feasibility by variable elimination; a witness point or None."""
-    try:
-        snapshots = _project([_integral(row, 0) for row in rows], nvars)
-    except _Infeasible:
-        return None
-    return _back_substitute(snapshots)
-
-
-def _weight_vectors(instance: PreferenceInstance) -> list[tuple[Fraction, ...]]:
-    return [weight_vector(g, instance.alphabet) for g in instance.games]
-
-
-def _comparison_rows(vectors: _Vectors, c: ComparisonConstraint) -> list[Row]:
-    diff = tuple(a - b for a, b in zip(vectors[c.left], vectors[c.right]))
-    if c.preference is Preference.Indifferent:
-        return [(diff, _ZERO), (tuple(-d for d in diff), _ZERO)]
-    if c.preference is Preference.PrefersLeft:
-        return [(tuple(-d for d in diff), -_ONE)]
-    return [(diff, -_ONE)]
-
-
-def _constraint_rows(
-    instance: PreferenceInstance, constraints: Sequence[ComparisonConstraint]
-) -> list[Row]:
-    vectors = _weight_vectors(instance)
-    return [row for c in constraints for row in _comparison_rows(vectors, c)]
-
-
 def _tracked_rows(
-    vectors: _Vectors, constraints: Sequence[ComparisonConstraint], i: int
+    vectors: _Vectors, gap: int, constraints: Sequence[ComparisonConstraint], i: int
 ) -> list[_Tracked]:
     """The integer rows of ``constraints[i]``, with history bit ``i`` set."""
-    rows = _comparison_rows(vectors, constraints[i])
-    return [_integral(row, 1 << i) for row in rows]
+    c = constraints[i]
+    diff = tuple(a - b for a, b in zip(vectors[c.left], vectors[c.right]))
+    negated = tuple(-d for d in diff)
+    if c.preference is Preference.Indifferent:
+        return [(diff, 0, 1 << i), (negated, 0, 1 << i)]
+    if c.preference is Preference.PrefersLeft:
+        return [(negated, -gap, 1 << i)]
+    return [(diff, -gap, 1 << i)]
 
 
 def _equality_rank(
     vectors: _Vectors, constraints: Sequence[ComparisonConstraint]
 ) -> int:
-    pivots: dict[int, list[Fraction]] = {}
+    """Rank of the indifference rows, by fraction-free elimination."""
+    pivots: dict[int, list[int]] = {}
     for c in constraints:
         if c.preference is not Preference.Indifferent:
             continue
         row = [a - b for a, b in zip(vectors[c.left], vectors[c.right])]
-        while True:
-            lead = next((i for i, x in enumerate(row) if x != 0), None)
-            if lead is None:
-                break
-            if lead not in pivots:
+        while any(row):
+            lead = next(k for k, x in enumerate(row) if x)
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = row
                 break
-            pivot = pivots[lead]
-            factor = row[lead] / pivot[lead]
-            row = [x - factor * y for x, y in zip(row, pivot)]
+            g = math.gcd(row[lead], pivot[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            row = [x * a - y * b for x, y in zip(row, pivot)]
     return len(pivots)
 
 
 def _irreducible_certificate(
     vectors: _Vectors,
+    gap: int,
     constraints: tuple[ComparisonConstraint, ...],
     core: int,
     nvars: int,
@@ -384,7 +360,9 @@ def _irreducible_certificate(
     infeasible without a solve.  Only candidates inside the core are
     solved for, and each infeasible trial hands back a new core.
     """
-    rows = [_tracked_rows(vectors, constraints, i) for i in range(len(constraints))]
+    rows = [
+        _tracked_rows(vectors, gap, constraints, i) for i in range(len(constraints))
+    ]
     kept = list(range(len(constraints)))
     for candidate in reversed(range(len(constraints))):
         trial = [i for i in kept if i != candidate]
@@ -404,14 +382,22 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
     constraints = instance.constraint_list()
     nvars = len(instance.alphabet)
     n = len(instance.games)
-    vectors = _weight_vectors(instance)
+    # Every weight vector and the unit gap, over one common denominator D.
+    flat = scale_to_integers(
+        [x for g in instance.games for x in weight_vector(g, instance.alphabet)]
+        + [ONE]
+    )
+    gap = flat.pop()
+    vectors = [tuple(flat[k : k + nvars]) for k in range(0, len(flat), nvars)]
     # Comparisons between games adjacent in the order imply all the others;
     # pair (i, j) with i < j sits at this position in constraint_list().
     chain = [
         i * n - i * (i + 1) // 2 + j - i - 1
         for i, j in (sorted(pair) for pair in zip(order, order[1:]))
     ]
-    rows = [row for i in chain for row in _tracked_rows(vectors, constraints, i)]
+    rows = [
+        row for i in chain for row in _tracked_rows(vectors, gap, constraints, i)
+    ]
     try:
         snapshots = _project(rows, nvars)
     except _Infeasible as exc:
@@ -419,7 +405,7 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
             verdict=INFEASIBLE,
             u=None,
             certificate=_irreducible_certificate(
-                vectors, constraints, exc.core, nvars
+                vectors, gap, constraints, exc.core, nvars
             ),
             unique=None,
         )

@@ -31,12 +31,13 @@ is built, and :func:`check_diachronic` replays it for the witness.
 The projected scenario count is computed in polynomial time, from
 partial-sum counts of the weight tuples, and checked against a cap before
 any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
+No tuple longer than 1 / (least menu weight) sums to 1, so every walk over
+tuple lengths stops there, whatever the branch limits.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .axioms import (
     broken_clause,
     check_diachronic,
 )
-from .core import Branch, Game, GameError, RationalLike, as_rational
+from .core import Branch, Game, GameError, RationalLike, as_rational, scale_to_integers
 
 DEFAULT_SCENARIO_CAP = 2_000_000
 CAP_ENV_VAR = "BRANCHGAMES_SCENARIO_CAP"
@@ -152,9 +153,14 @@ def _weight_tuple_counts(grid: tuple[Fraction, ...], longest: int) -> list[int]:
     return counts
 
 
+def _lengths(spec: GridSpec, limit: int) -> range:
+    """Tuple lengths 1 to ``limit`` that are short enough to sum to 1."""
+    return range(1, min(limit, 1 // min(spec.weight_grid)) + 1)
+
+
 def _option_pool(spec: GridSpec) -> list[Game]:
     pool = []
-    for size in range(1, spec.max_option_branches + 1):
+    for size in _lengths(spec, spec.max_option_branches):
         for weights in _weight_tuples(spec.weight_grid, size):
             for rewards in itertools.product(spec.reward_grid, repeat=size):
                 pool.append(
@@ -169,7 +175,7 @@ def _option_pool(spec: GridSpec) -> list[Game]:
 def _root_games(spec: GridSpec) -> list[Game]:
     zero = Fraction(0)
     roots = []
-    for size in range(1, spec.max_root_branches + 1):
+    for size in _lengths(spec, spec.max_root_branches):
         for weights in _weight_tuples(spec.weight_grid, size):
             roots.append(
                 Game(
@@ -182,17 +188,13 @@ def _root_games(spec: GridSpec) -> list[Game]:
 
 def scenario_count(spec: GridSpec) -> int:
     """Exact size of the stream, computed without enumerating it."""
-    tuples = _weight_tuple_counts(
-        spec.weight_grid, max(spec.max_root_branches, spec.max_option_branches)
-    )
+    roots = _lengths(spec, spec.max_root_branches)
+    options = _lengths(spec, spec.max_option_branches)
+    tuples = _weight_tuple_counts(spec.weight_grid, max(len(roots), len(options)))
     option_count = sum(
-        tuples[size] * len(spec.reward_grid) ** size
-        for size in range(1, spec.max_option_branches + 1)
+        tuples[size] * len(spec.reward_grid) ** size for size in options
     )
-    return sum(
-        tuples[size] * option_count ** (2 * size)
-        for size in range(1, spec.max_root_branches + 1)
-    )
+    return sum(tuples[size] * option_count ** (2 * size) for size in roots)
 
 
 def _cap() -> int:
@@ -231,17 +233,11 @@ def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
             yield DiachronicScenario(root, pairs)
 
 
-def _scaled(values: Sequence[Fraction]) -> list[int]:
-    """The values times the least common multiple of their denominators."""
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values]
-
-
 def _pool_summaries(pool: Sequence[Game]) -> list[Summary]:
     """Each pool game's summary, every field over one pool-wide denominator."""
     summaries = [summary(game) for game in pool]
-    values = _scaled([s[0] for s in summaries])
-    bounds = _scaled([s[1] for s in summaries] + [s[2] for s in summaries])
+    values = scale_to_integers([s[0] for s in summaries])
+    bounds = scale_to_integers([s[1] for s in summaries] + [s[2] for s in summaries])
     return list(zip(values, bounds[: len(pool)], bounds[len(pool) :]))
 
 
@@ -297,7 +293,7 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     ]
     index = 0
     for root in _root_games(spec):
-        weights = _scaled([b.weight for b in root.branches])
+        weights = scale_to_integers([b.weight for b in root.branches])
         # Arms in odometer order put the slots in odometer order: within an
         # arm the second slot varies fastest.
         for chosen in itertools.product(arms, repeat=len(weights)):

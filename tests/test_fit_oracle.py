@@ -218,11 +218,17 @@ def _named(games: Sequence[Game]) -> tuple[Game, ...]:
 # -- exhaustive small grid ----------------------------------------------------
 
 
-def _pool(rewards: Sequence[Fraction]) -> list[Game]:
-    """Sure rewards and every two-branch split in halves and thirds."""
+_HALVES_AND_THIRDS = (F(1, 3), F(1, 2), F(2, 3))
+# Fifths and sevenths beside them: one instance can mix coprime
+# denominators, so its common denominator is no game's own.
+_MIXED = _HALVES_AND_THIRDS + (F(2, 5), F(3, 7))
+
+
+def _pool(rewards: Sequence[Fraction], splits: Sequence[Fraction]) -> list[Game]:
+    """Sure rewards and two-branch splits; ``splits`` lists the lower reward's weights."""
     pool = [Game("p", (Branch(r, _ONE),)) for r in rewards]
     for lo, hi in itertools.combinations(rewards, 2):
-        for w in (F(1, 3), F(1, 2), F(2, 3)):
+        for w in splits:
             pool.append(Game("p", (Branch(lo, w), Branch(hi, 1 - w))))
     return pool
 
@@ -232,13 +238,15 @@ def test_exhaustive_small_grid_agrees_with_the_reference():
     for size in (1, 2, 3):
         rewards = tuple(F(r) for r in range(size))
         alphabet = RewardAlphabet(rewards)
-        pool = _pool(rewards)
-        # every multiset of at most three pool games, then every set of four
+        # every multiset of at most three games from the mixed pool, then
+        # every set of four from the halves-and-thirds pool
         combos = [
             combo
             for count in (1, 2, 3)
-            for combo in itertools.combinations_with_replacement(pool, count)
-        ] + list(itertools.combinations(pool, 4))
+            for combo in itertools.combinations_with_replacement(
+                _pool(rewards, _MIXED), count
+            )
+        ] + list(itertools.combinations(_pool(rewards, _HALVES_AND_THIRDS), 4))
         for combo in combos:
             games = _named(combo)
             for kind in KINDS:
@@ -267,8 +275,18 @@ def test_pinned_optimist_certificate_is_unchanged():
 _REWARD_MENU = tuple(F(r) for r in range(-2, 6))
 _SPLITS = {
     1: ((_ONE,),),
-    2: ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))),
-    3: ((F(1, 3), F(1, 3), F(1, 3)),),
+    2: (
+        (F(1, 2), F(1, 2)),
+        (F(1, 3), F(2, 3)),
+        (F(2, 3), F(1, 3)),
+        (F(2, 5), F(3, 5)),
+        (F(4, 7), F(3, 7)),
+    ),
+    3: (
+        (F(1, 3), F(1, 3), F(1, 3)),
+        (F(1, 5), F(2, 5), F(2, 5)),
+        (F(1, 7), F(2, 7), F(4, 7)),
+    ),
 }
 
 

@@ -23,13 +23,12 @@ from branchgames import (
     normalize_fit,
     verify_fit,
 )
-from branchgames.representation import (
-    _constraint_rows,
-    _equality_rank,
-    _solve_rows,
-    _weight_vectors,
-)
 from conftest import games
+from test_fit_oracle import (
+    reference_constraint_rows,
+    reference_equality_rank,
+    reference_solve_rows,
+)
 
 F = Fraction
 
@@ -132,8 +131,8 @@ class TestInfeasibleFits:
     def test_certificate_is_infeasible_on_its_own(self):
         inst = build_instance(OPT, (WIN, WIN_AT_ZERO, WIN_AT_HALF), ALPHA01)
         fit = fit_utility(inst)
-        rows = _constraint_rows(inst, fit.certificate)
-        assert _solve_rows(rows, len(ALPHA01)) is None
+        rows = reference_constraint_rows(inst, fit.certificate)
+        assert reference_solve_rows(rows, len(ALPHA01)) is None
 
     def test_certificate_is_minimal(self):
         inst = build_instance(OPT, (WIN, WIN_AT_ZERO, WIN_AT_HALF), ALPHA01)
@@ -142,8 +141,8 @@ class TestInfeasibleFits:
             kept = tuple(
                 c for k, c in enumerate(fit.certificate) if k != dropped
             )
-            rows = _constraint_rows(inst, kept)
-            assert _solve_rows(rows, len(ALPHA01)) is not None
+            rows = reference_constraint_rows(inst, kept)
+            assert reference_solve_rows(rows, len(ALPHA01)) is not None
 
     def test_no_constant_utility_matches_a_strict_preference(self):
         inst = build_instance(DTBR, (SURE0, SURE2), ALPHA012)
@@ -225,7 +224,7 @@ class TestFitProperties:
             max_size=4,
         ),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_fit_outcomes_are_self_certifying(self, agent, game_list):
         named = tuple(
             Game(f"g{i}", g.branches) for i, g in enumerate(game_list)
@@ -237,14 +236,14 @@ class TestFitProperties:
             assert fit.certificate is None
         else:
             assert fit.certificate
-            rows = _constraint_rows(inst, fit.certificate)
-            assert _solve_rows(rows, len(ALPHA012)) is None
+            rows = reference_constraint_rows(inst, fit.certificate)
+            assert reference_solve_rows(rows, len(ALPHA012)) is None
             for dropped in range(len(fit.certificate)):
                 kept = tuple(
                     c for k, c in enumerate(fit.certificate) if k != dropped
                 )
-                assert _solve_rows(
-                    _constraint_rows(inst, kept), len(ALPHA012)
+                assert reference_solve_rows(
+                    reference_constraint_rows(inst, kept), len(ALPHA012)
                 ) is not None
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
@@ -298,7 +297,7 @@ class TestLargeInstances:
             c.preference is not Preference.Indifferent for c in constraints
         )
         expected_rank = len(alphabet) - (2 if has_strict else 1)
-        rank = _equality_rank(_weight_vectors(inst), constraints)
+        rank = reference_equality_rank(inst, constraints)
         assert fit.unique == (rank == expected_rank)
 
     def test_optimist_six_by_sixteen_certificate_is_irreducible(self):
@@ -308,8 +307,9 @@ class TestLargeInstances:
         fit = fit_utility(inst)
         assert not fit.feasible
         certificate = fit.certificate
-        assert _solve_rows(_constraint_rows(inst, certificate), len(alphabet)) is None
+        rows = reference_constraint_rows(inst, certificate)
+        assert reference_solve_rows(rows, len(alphabet)) is None
         for dropped in range(len(certificate)):
             kept = certificate[:dropped] + certificate[dropped + 1 :]
-            rows = _constraint_rows(inst, kept)
-            assert _solve_rows(rows, len(alphabet)) is not None
+            rows = reference_constraint_rows(inst, kept)
+            assert reference_solve_rows(rows, len(alphabet)) is not None

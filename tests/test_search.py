@@ -131,6 +131,15 @@ class TestCap:
         monkeypatch.setenv(CAP_ENV_VAR, str(scenario_count(SMALL)))
         assert sum(1 for _ in enumerate_scenarios(SMALL)) == scenario_count(SMALL)
 
+    def test_huge_branch_limits_cost_no_more_than_the_menu_allows(self):
+        # no tuple from {1/2, 1} longer than 2 sums to 1, so a limit of a
+        # million branches projects and scans the same 20,880 scenarios as 2
+        huge = 10**6
+        for roots, options in ((huge, 2), (2, huge), (huge, huge)):
+            spec = GridSpec.of([0, 1, 2], ["1/2", 1], roots, options)
+            assert scenario_count(spec) == 20_880
+            assert find_violation(DTBR, spec) is None
+
     def test_cap_env_var_must_be_a_positive_integer(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "many")
         with pytest.raises(ValueError):
