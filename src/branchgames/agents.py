@@ -14,10 +14,14 @@ Each agent kind defines a total preorder on valid games via
 
 Every kind ranks by at most three statistics of a game: its expected
 value, and the smallest and largest reward on its support.  :data:`RULES`
-holds each kind's rule on such summaries; :func:`compare` feeds it just the
-statistics the kind reads, and the grid search feeds it summaries composed
-along branches.  Comparisons return one of three verdicts and never raise
-on valid input, so every kind is a total preorder by construction.
+holds each kind's rule on such summaries, and :data:`STATISTICS` each
+kind's partial summary of one game: just the fields its rule reads.
+:func:`compare` ranks two games through both tables.  Callers that rank
+several games, such as the comparison matrix and the continuity and
+Dutch-book checks, read ``STATISTICS`` once per game and then rank with
+``RULES``; the grid search feeds ``RULES`` summaries composed along
+branches.  Comparisons return one of three verdicts and never raise on
+valid input, so every kind is a total preorder by construction.
 """
 
 from __future__ import annotations
@@ -120,8 +124,8 @@ def _indifferent(left: Summary, right: Summary) -> Preference:
     return Preference.Indifferent
 
 
-# Each kind's ranking rule on two summaries.  Both :func:`compare` and the
-# grid search rank through this table.
+# Each kind's ranking rule on two summaries.  Every ranking in the package
+# goes through this table.
 RULES: dict[str, Callable[[Summary, Summary], Preference]] = {
     "dtbr": _by_value,
     "egalitarian": _by_value_then_spread,
@@ -130,7 +134,7 @@ RULES: dict[str, Callable[[Summary, Summary], Preference]] = {
 }
 
 # Per kind, the partial summary holding just the fields its rule reads.
-_STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
+STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
     "dtbr": lambda game: (expected_value(game), None, None),
     "egalitarian": summary,
     "optimist": lambda game: (None, None, largest_reward(game)),
@@ -140,7 +144,7 @@ _STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
 
 def compare(agent: Agent, left: Game, right: Game) -> Preference:
     """Rank two valid games under the agent's preference order."""
-    statistics = _STATISTICS[agent.kind]
+    statistics = STATISTICS[agent.kind]
     return RULES[agent.kind](statistics(left), statistics(right))
 
 

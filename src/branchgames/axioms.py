@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .agents import Agent, Preference, compare
+from .agents import RULES, STATISTICS, Agent, Preference, compare
 from .core import (
     Branch,
     CompoundGame,
@@ -36,7 +36,7 @@ from .core import (
     RewardAlphabet,
     combine_on_shared_event,
     flatten,
-    game_distance,
+    game_distance,  # unused here; perfbench/tracing.py wraps this binding
     validate_game,
     weight_vector,
 )
@@ -204,15 +204,6 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     return AxiomReport("diachronic", Verdict.SATISFIED, None)
 
 
-def _game_from_vector(
-    name: str, alphabet: RewardAlphabet, vector: Sequence[Fraction]
-) -> Game:
-    return Game(
-        name,
-        tuple(Branch(r, w) for r, w in zip(alphabet.rewards, vector)),
-    )
-
-
 def _perturbations(
     game: Game,
     alphabet: RewardAlphabet,
@@ -227,37 +218,30 @@ def _perturbations(
     ``samples`` seeded random two-component moves.  All candidates stay on
     the alphabet and remain valid games.
     """
-    vector = list(weight_vector(game, alphabet))
+    vector = weight_vector(game, alphabet)
     size = len(vector)
-    candidates = [game]
     if size < 2:
-        return candidates
-    for i in range(size):
-        if vector[i] <= 0:
-            continue
-        amount = min(delta, vector[i])
-        for j in range(size):
-            if j == i:
-                continue
-            moved = list(vector)
-            moved[i] -= amount
-            moved[j] += amount
-            candidates.append(
-                _game_from_vector(
-                    f"{game.name}[{i}->{j}@{delta}]", alphabet, moved
-                )
-            )
+        return [game]
     support = [i for i in range(size) if vector[i] > 0]
+    # (label, from, to, amount) per move.
+    moves = [
+        (f"{i}->{j}", i, j, min(delta, vector[i]))
+        for i in support
+        for j in range(size)
+        if j != i
+    ]
     for s in range(samples):
         i = rng.choice(support)
         j = rng.choice([m for m in range(size) if m != i])
         amount = min(delta, vector[i]) * Fraction(rng.randint(1, 8), 8)
+        moves.append((f"rand{s}", i, j, amount))
+    candidates = [game]
+    for label, i, j, amount in moves:
         moved = list(vector)
         moved[i] -= amount
         moved[j] += amount
-        candidates.append(
-            _game_from_vector(f"{game.name}[rand{s}@{delta}]", alphabet, moved)
-        )
+        branches = tuple(Branch(r, w) for r, w in zip(alphabet.rewards, moved))
+        candidates.append(Game(f"{game.name}[{label}@{delta}]", branches))
     return candidates
 
 
@@ -266,8 +250,10 @@ def _check_radius(
 ) -> None:
     # Every candidate moves at most delta of weight, so this never fires; a
     # candidate that did not would make a falsified radius meaningless.
+    origin = weight_vector(game, alphabet)
     for candidate in candidates:
-        distance = game_distance(game, candidate, alphabet)
+        vector = weight_vector(candidate, alphabet)
+        distance = max(abs(a - b) for a, b in zip(origin, vector))
         if distance > delta:
             raise RuntimeError(
                 f"perturbation {candidate.name!r} lies {distance} from "
@@ -312,6 +298,7 @@ def check_continuity(
             f"to {right.name!r}"
         )
 
+    statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
     levels = []
     for delta in deltas:
         # One RNG per radius, seeded by a stable string, so results do not
@@ -325,19 +312,16 @@ def check_continuity(
         )
         _check_radius(left, left_candidates, alphabet, delta)
         _check_radius(right, right_candidates, alphabet, delta)
-        hit = None
-        for lp in left_candidates:
-            for rp in right_candidates:
-                verdict = compare(agent, lp, rp)
-                if verdict is not Preference.PrefersLeft:
-                    hit = (lp, rp, verdict)
-                    break
-            if hit:
-                break
-        if hit:
-            levels.append(ContinuityLevel(delta, hit[0], hit[1], hit[2]))
-        else:
-            levels.append(ContinuityLevel(delta, None, None, None))
+        # Each candidate's statistics once; the first pair in left-major
+        # order that the agent no longer strictly ranks falsifies the radius.
+        right_ranked = [(rp, statistics(rp)) for rp in right_candidates]
+        pairs = (
+            ContinuityLevel(delta, lp, rp, verdict)
+            for lp, s in zip(left_candidates, map(statistics, left_candidates))
+            for rp, t in right_ranked
+            if (verdict := rule(s, t)) is not Preference.PrefersLeft
+        )
+        levels.append(next(pairs, ContinuityLevel(delta, None, None, None)))
 
     witness = ContinuityWitness(tuple(levels))
     if all(level.falsified for level in levels):
@@ -396,8 +380,10 @@ def analyze_dutch_book(
     for g in games[1:]:
         combined = combine_on_shared_event(combined, g)
 
-    individual = tuple(compare(agent, g, null) for g in games)
-    combined_pref = compare(agent, combined, null)
+    statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
+    null_statistics = statistics(null)
+    individual = tuple(rule(statistics(g), null_statistics) for g in games)
+    combined_pref = rule(statistics(combined), null_statistics)
     sure_loss = all(b.reward < 0 for b in combined.support())
     accepts_each = all(p is Preference.PrefersLeft for p in individual)
     weakly_accepts_each = all(p is not Preference.PrefersRight for p in individual)

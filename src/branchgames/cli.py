@@ -56,7 +56,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from .agents import AGENT_KINDS, Agent, compare, summary
+from .agents import AGENT_KINDS, RULES, Agent, summary
+from .agents import compare  # unused here; perfbench/tracing.py wraps this binding
 from .axioms import (
     DiachronicScenario,
     DiachronicWitness,
@@ -621,9 +622,10 @@ def _execute_compare(check: CompareCheck, sf: ScenarioFile, record: dict) -> str
     left = sf.games[check.left]
     right = sf.games[check.right]
     record["inputs"]["kind"] = agent.kind
-    record["verdict"] = compare(agent, left, right).value
-    left_value, left_low, left_high = summary(left)
-    right_value, right_low, right_high = summary(right)
+    left_summary, right_summary = summary(left), summary(right)
+    record["verdict"] = RULES[agent.kind](left_summary, right_summary).value
+    left_value, left_low, left_high = left_summary
+    right_value, right_low, right_high = right_summary
     record["values"] = {
         "left_expected_value": str(left_value),
         "right_expected_value": str(right_value),
@@ -976,7 +978,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(args.file, encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             outcomes = run_file(parse(text))

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .agents import Agent, Preference, compare
+from .agents import RULES, STATISTICS, Agent, Preference
+from .agents import compare  # unused here; perfbench/tracing.py wraps this binding
 from .core import (
     ONE,
     Game,
@@ -116,14 +117,14 @@ class UtilityFit:
 def build_instance(
     agent: Agent, games: Sequence[Game], alphabet: RewardAlphabet
 ) -> PreferenceInstance:
-    """Fill the comparison matrix by running the agent on every pair."""
+    """Fill the comparison matrix by ranking every pair with the agent's rule."""
     games = tuple(games)
     for g in games:
         validate_game(g)
         weight_vector(g, alphabet)  # raises AlphabetMismatchError if outside
-    matrix = tuple(
-        tuple(compare(agent, g, h) for h in games) for g in games
-    )
+    statistics = [STATISTICS[agent.kind](g) for g in games]
+    rule = RULES[agent.kind]
+    matrix = tuple(tuple(rule(s, t) for t in statistics) for s in statistics)
     return PreferenceInstance(alphabet, games, matrix)
 
 

@@ -563,6 +563,14 @@ class TestCommandLine:
         assert out == ""
         assert "error" in err
 
+    def test_file_that_is_not_utf8_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.game"
+        path.write_bytes(b"game A\n  branch reward=1 weight=1\xff\n")
+        code, out, err = self.run_main(["run", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "utf-8" in err
+
     def test_parse_errors_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.game"
         path.write_text("game g\n  branch reward=0.5 weight=1\n", encoding="utf-8")
