@@ -36,7 +36,7 @@ from .core import (
     RewardAlphabet,
     combine_on_shared_event,
     flatten,
-    game_distance,  # unused here; perfbench/tracing.py wraps this binding
+    game_distance,
     validate_game,
     weight_vector,
 )
@@ -250,10 +250,8 @@ def _check_radius(
 ) -> None:
     # Every candidate moves at most delta of weight, so this never fires; a
     # candidate that did not would make a falsified radius meaningless.
-    origin = weight_vector(game, alphabet)
     for candidate in candidates:
-        vector = weight_vector(candidate, alphabet)
-        distance = max(abs(a - b) for a, b in zip(origin, vector))
+        distance = game_distance(game, candidate, alphabet)
         if distance > delta:
             raise RuntimeError(
                 f"perturbation {candidate.name!r} lies {distance} from "

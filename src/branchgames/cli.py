@@ -56,8 +56,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from .agents import AGENT_KINDS, RULES, Agent, summary
-from .agents import compare  # unused here; perfbench/tracing.py wraps this binding
+from .agents import AGENT_KINDS, Agent, compare, summary
 from .axioms import (
     DiachronicScenario,
     DiachronicWitness,
@@ -622,10 +621,9 @@ def _execute_compare(check: CompareCheck, sf: ScenarioFile, record: dict) -> str
     left = sf.games[check.left]
     right = sf.games[check.right]
     record["inputs"]["kind"] = agent.kind
-    left_summary, right_summary = summary(left), summary(right)
-    record["verdict"] = RULES[agent.kind](left_summary, right_summary).value
-    left_value, left_low, left_high = left_summary
-    right_value, right_low, right_high = right_summary
+    record["verdict"] = compare(agent, left, right).value
+    left_value, left_low, left_high = summary(left)
+    right_value, right_low, right_high = summary(right)
     record["values"] = {
         "left_expected_value": str(left_value),
         "right_expected_value": str(right_value),
