@@ -1,4 +1,4 @@
-"""Golden output: the gallery, the shipped scenario files and two grid
+"""Golden output: the gallery, the shipped scenario files and three grid
 searches, byte for byte.
 
 Each ``.txt`` or ``.jsonl`` file under ``tests/golden/`` is the stdout of
@@ -36,6 +36,11 @@ SEARCHES = {
     "search_none": [
         "diachronic", "agent=dtbr", "rewards=0,1,2", "weights=1/2,1",
         "root_branches=2", "option_branches=2",
+    ],
+    # a clean scan over three root branches: 1,020,100 scenarios, no hit
+    "search_three_roots": [
+        "diachronic", "agent=dtbr", "rewards=0,1", "weights=1/3,2/3,1",
+        "root_branches=3", "option_branches=2",
     ],
 }
 
