@@ -22,15 +22,28 @@ The search builds no game for a scenario it rejects.  Every kind ranks by
 expected value, support min and support max, and all three compose along
 a branch: with positive root weights w_i over continuations c_i, the
 compound has expected value sum_i w_i*EV(c_i), support min min_i lo(c_i) and
-support max max_i hi(c_i).  So :func:`find_violation` summarises each
-option-pool game once, as integers over a common denominator, ranks every
-pool pair once with the agent's rule, and decides each scenario from those
-tables and its two compound summaries.  Only the first violating scenario
-is built, and :func:`check_diachronic` replays it for the witness.
+support max max_i hi(c_i).  Call a root branch's pair of options an arm.
+A scenario's verdict depends only on its root weights and, per arm, on the
+fields of the two summaries that the kind's rule reads: the kind's partial
+summary, ``agents.STATISTICS``.  So :func:`find_violation` groups the pool
+games by that partial summary and the arms by their pair of game classes,
+and decides each tuple of arm classes once, on the summaries of the class's
+first arm in odometer order (as integers over a pool-wide denominator).
+So the work grows with the class tuples, not with the stream.  A class whose descendant prefers its second
+option is dropped, because no clause binds on such a scenario.
+
+Within a root group of k branches over A arms, the scenario with arms
+a_1..a_k has index sum_i a_i*A^(k-i), which rises with each slot on its
+own.  Class tuples walked in product order, classes sorted by first arm,
+put those first arms in lexicographic order; so the first violating tuple,
+each slot at its class's first arm, is the group's first violating
+scenario.  Only that scenario is built, and :func:`check_diachronic`
+replays it for the witness.
 
 The projected scenario count is computed in polynomial time, from
 partial-sum counts of the weight tuples, and checked against a cap before
 any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
+The cap bounds the projected stream, not the class tuples decided.
 No tuple longer than 1 / (least menu weight) sums to 1, so every walk over
 tuple lengths stops there, whatever the branch limits.
 """
@@ -43,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .agents import RULES, Agent, Preference, Summary, summary
+from .agents import RULES, STATISTICS, Agent, Preference, Summary, summary
 from .axioms import (
     AxiomReport,
     DiachronicScenario,
@@ -115,41 +128,46 @@ def _weight_tuples(
 ) -> list[tuple[Fraction, ...]]:
     """Menu tuples of the given length summing exactly to 1, in product order.
 
-    A depth-first walk with the rightmost position varying fastest.  Menu
-    weights are positive, so a prefix summing past 1 is dropped with every
-    tuple it starts.
+    A depth-first walk with the rightmost position varying fastest, on the
+    menu scaled to integers with 1 alongside it.  Menu weights are
+    positive, so a prefix summing past 1 is dropped with every tuple it
+    starts.
     """
+    *steps, unit = scale_to_integers([*grid, Fraction(1)])
+    menu = list(zip(grid, steps))
     tuples: list[tuple[Fraction, ...]] = []
 
-    def extend(prefix: tuple[Fraction, ...], total: Fraction) -> None:
+    def extend(prefix: tuple[Fraction, ...], total: int) -> None:
         if len(prefix) == length:
-            if total == 1:
+            if total == unit:
                 tuples.append(prefix)
             return
-        for weight in grid:
-            if total + weight <= 1:
-                extend(prefix + (weight,), total + weight)
+        for weight, step in menu:
+            if total + step <= unit:
+                extend(prefix + (weight,), total + step)
 
-    extend((), Fraction(0))
+    extend((), 0)
     return tuples
 
 
 def _weight_tuple_counts(grid: tuple[Fraction, ...], longest: int) -> list[int]:
     """``counts[n]``: how many menu tuples of length n sum exactly to 1.
 
-    A dictionary over partial sums, grown one position at a time; sums past
-    1 are dropped, because menu weights are positive.
+    A dictionary over partial sums, in integers over the menu's common
+    denominator, grown one position at a time; sums past 1 are dropped,
+    because menu weights are positive.
     """
+    *steps, unit = scale_to_integers([*grid, Fraction(1)])
     counts = [0]
-    sums = {Fraction(0): 1}
+    sums = {0: 1}
     for _ in range(longest):
-        grown: dict[Fraction, int] = {}
+        grown: dict[int, int] = {}
         for total, ways in sums.items():
-            for weight in grid:
-                if total + weight <= 1:
-                    grown[total + weight] = grown.get(total + weight, 0) + ways
+            for step in steps:
+                if total + step <= unit:
+                    grown[total + step] = grown.get(total + step, 0) + ways
         sums = grown
-        counts.append(sums.get(Fraction(1), 0))
+        counts.append(sums.get(unit, 0))
     return counts
 
 
@@ -241,12 +259,44 @@ def _pool_summaries(pool: Sequence[Game]) -> list[Summary]:
     return list(zip(values, bounds[: len(pool)], bounds[len(pool) :]))
 
 
-class _Arm(NamedTuple):
-    """A root branch's two options, their summaries, and the descendant's verdict."""
+class _ArmClass(NamedTuple):
+    """Arms alike to the kind's rule, held by their first arm in odometer
+    order: its position, options and summaries, and the descendant's verdict."""
 
+    first: int
     options: tuple[Game, Game]
     summaries: tuple[Summary, Summary]
     preference: Preference
+
+
+def _arm_classes(agent: Agent, pool: Sequence[Game]) -> list[_ArmClass]:
+    """The classes of arms that can take part in a violation, by first arm.
+
+    Pool games fall into one class per partial summary of the kind; an arm
+    class is a pair of game classes, and its first arm pairs their first
+    games.  Classes whose descendant prefers the second option are dropped.
+    """
+    statistics = STATISTICS[agent.kind]
+    rule = RULES[agent.kind]
+    firsts: dict[Optional[Summary], int] = {}
+    for position, game in enumerate(pool):
+        firsts.setdefault(statistics(game), position)
+    summaries = _pool_summaries(pool)
+    classes = []
+    for left in firsts.values():
+        for right in firsts.values():
+            pair = (summaries[left], summaries[right])
+            preference = rule(*pair)
+            if preference is not Preference.PrefersRight:
+                classes.append(
+                    _ArmClass(
+                        left * len(pool) + right,
+                        (pool[left], pool[right]),
+                        pair,
+                        preference,
+                    )
+                )
+    return classes
 
 
 def _compound(weights: Sequence[int], continuations: Sequence[Summary]) -> Summary:
@@ -260,47 +310,37 @@ def _compound(weights: Sequence[int], continuations: Sequence[Summary]) -> Summa
 def _violates(
     rule: Callable[[Summary, Summary], Preference],
     weights: Sequence[int],
-    arms: Sequence[_Arm],
+    chosen: Sequence[_ArmClass],
 ) -> bool:
-    """Decide one scenario from its arms and its root weights, scaled to integers."""
-    descendant = [arm.preference for arm in arms]
-    # No clause binds once a descendant prefers its second option; skip the
-    # compounds, which is most of the work, for those scenarios.
-    if Preference.PrefersRight in descendant:
-        return False
+    """Decide a tuple of arm classes from its root weights, scaled to integers."""
     forward = rule(
-        _compound(weights, [arm.summaries[0] for arm in arms]),
-        _compound(weights, [arm.summaries[1] for arm in arms]),
+        _compound(weights, [arm.summaries[0] for arm in chosen]),
+        _compound(weights, [arm.summaries[1] for arm in chosen]),
     )
-    return broken_clause(descendant, forward) is not None
+    return broken_clause([arm.preference for arm in chosen], forward) is not None
 
 
 def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     """First scenario in the stream the agent violates, or None when clean.
 
-    Each scenario is decided from summaries (see the module docstring); the
-    first hit is built and replayed by :func:`check_diachronic`, whose
-    report the hit carries.
+    Each class of arms is decided once, from summaries (see the module
+    docstring); the first hit is built and replayed by
+    :func:`check_diachronic`, whose report the hit carries.
     """
     _check_cap(spec)
     pool = _option_pool(spec)
-    summarised = list(zip(pool, _pool_summaries(pool)))
+    classes = _arm_classes(agent, pool)
     rule = RULES[agent.kind]
-    arms = [
-        _Arm((first, second), (left, right), rule(left, right))
-        for first, left in summarised
-        for second, right in summarised
-    ]
-    index = 0
+    arm_count = len(pool) ** 2
+    offset = 0
     for root in _root_games(spec):
         weights = scale_to_integers([b.weight for b in root.branches])
-        # Arms in odometer order put the slots in odometer order: within an
-        # arm the second slot varies fastest.
-        for chosen in itertools.product(arms, repeat=len(weights)):
+        for chosen in itertools.product(classes, repeat=len(weights)):
             if _violates(rule, weights, chosen):
-                scenario = DiachronicScenario(
-                    root, tuple(arm.options for arm in chosen)
-                )
+                index = offset
+                for position, arm in enumerate(reversed(chosen)):
+                    index += arm.first * arm_count**position
+                scenario = DiachronicScenario(root, tuple(arm.options for arm in chosen))
                 report = check_diachronic(agent, scenario)
                 if report.verdict is not Verdict.VIOLATED:
                     raise RuntimeError(
@@ -308,5 +348,5 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
                         f"check_diachronic says {report.verdict.value}"
                     )
                 return ViolationHit(index, scenario, report)
-            index += 1
+        offset += arm_count ** len(weights)
     return None

@@ -6,6 +6,7 @@ import pytest
 
 from branchgames import (
     Agent,
+    AxiomReport,
     GridSpec,
     GridTooLargeError,
     Verdict,
@@ -14,6 +15,7 @@ from branchgames import (
     find_violation,
     scenario_count,
 )
+from branchgames import search
 from branchgames.search import CAP_ENV_VAR, DEFAULT_SCENARIO_CAP, _option_pool
 
 F = Fraction
@@ -214,3 +216,13 @@ class TestFindViolation:
         # 2 one-branch games, then one even weight profile x 4 reward pairs
         assert sizes.count(1) == 2
         assert sizes.count(2) == 4
+
+    def test_a_replay_that_disagrees_with_the_summaries_raises(self, monkeypatch):
+        index = find_violation(OPT, SMALL).index
+
+        def satisfied(agent, scenario):
+            return AxiomReport("diachronic", Verdict.SATISFIED, None)
+
+        monkeypatch.setattr(search, "check_diachronic", satisfied)
+        with pytest.raises(RuntimeError, match=f"scenario {index}: summaries say violated"):
+            find_violation(OPT, SMALL)

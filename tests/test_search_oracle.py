@@ -1,11 +1,13 @@
-"""The summary-based grid search against the scenario-by-scenario reference.
+"""The class-by-class grid search against two slower references.
 
 ``reference_find_violation`` is the search as it was before it decided
 scenarios on summaries: build every scenario of the stream and run
-``check_diachronic`` on it.  The fast search must return the same first
-hit (index, scenario and report) or the same None, on fixed grids chosen to
-cover thirds, quarters, three-branch games and negative rewards, and on
-random small grids.
+``check_diachronic`` on it.  ``reference_arm_walk`` is the search as it was
+before it grouped arms into classes: decide every scenario of the stream
+from its arms' summaries.  The fast search must return the same first hit
+(index, scenario and report) or the same None, on fixed grids chosen to
+cover thirds, quarters, three-branch games, three root branches and
+negative rewards, and on random small grids.
 """
 
 import itertools
@@ -26,7 +28,19 @@ from branchgames import (
     find_violation,
     scenario_count,
 )
-from branchgames.search import ViolationHit, _weight_tuple_counts, _weight_tuples
+from branchgames.agents import RULES, Preference, Summary
+from branchgames.axioms import DiachronicScenario, broken_clause
+from branchgames.core import scale_to_integers
+from branchgames.search import (
+    CAP_ENV_VAR,
+    ViolationHit,
+    _check_cap,
+    _option_pool,
+    _pool_summaries,
+    _root_games,
+    _weight_tuple_counts,
+    _weight_tuples,
+)
 
 F = Fraction
 
@@ -43,6 +57,48 @@ def reference_find_violation(agent: Agent, spec: GridSpec) -> Optional[Violation
     return None
 
 
+def _compound(weights, continuations: list[Summary]) -> Summary:
+    return (
+        sum(w * c[0] for w, c in zip(weights, continuations)),
+        min(c[1] for c in continuations),
+        max(c[2] for c in continuations),
+    )
+
+
+def reference_arm_walk(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
+    """First violated scenario, deciding every scenario in stream order from
+    its arms: per root branch, the two options, their summaries and the
+    descendant's verdict."""
+    _check_cap(spec)
+    pool = _option_pool(spec)
+    summarised = list(zip(pool, _pool_summaries(pool)))
+    rule = RULES[agent.kind]
+    arms = [
+        ((first, second), (left, right), rule(left, right))
+        for first, left in summarised
+        for second, right in summarised
+    ]
+    index = 0
+    for root in _root_games(spec):
+        weights = scale_to_integers([b.weight for b in root.branches])
+        # Arms in odometer order put the slots in odometer order: within an
+        # arm the second slot varies fastest.
+        for chosen in itertools.product(arms, repeat=len(weights)):
+            descendant = [preference for _, _, preference in chosen]
+            if Preference.PrefersRight not in descendant:
+                forward = rule(
+                    _compound(weights, [pair[0] for _, pair, _ in chosen]),
+                    _compound(weights, [pair[1] for _, pair, _ in chosen]),
+                )
+                if broken_clause(descendant, forward) is not None:
+                    scenario = DiachronicScenario(
+                        root, tuple(options for options, _, _ in chosen)
+                    )
+                    return ViolationHit(index, scenario, check_diachronic(agent, scenario))
+            index += 1
+    return None
+
+
 GRIDS = {
     # name: (rewards, weights, max root branches, max option branches)
     "thirds_negative": ([-1, 0, 2], ["1/3", "2/3", 1], 2, 2),
@@ -54,6 +110,8 @@ GRIDS = {
     "three_branch_pool": ([0, 1], ["1/3", "2/3"], 2, 3),
     "three_branch_roots": ([-1, 1], ["1/3", 1], 3, 1),
     "negative_pair": ([-1, 0], ["1/2", 1], 2, 2),
+    "three_roots": ([0, 1], ["1/4", "1/2"], 3, 2),
+    "three_roots_signed": ([-1, 0, 1], ["1/4", "1/2"], 3, 2),
 }
 
 # (grid, kind, first-hit index or None).  Each pair costs the reference one
@@ -68,6 +126,9 @@ CASES = [
     ("three_branch_pool", "optimist", 4113),
     ("three_branch_roots", "optimist", 15),
     ("negative_pair", "optimist", 259),
+    ("three_roots", "optimist", 69),
+    ("three_roots_signed", "egalitarian", 1658),
+    ("three_roots_signed", "optimist", 739),
     ("quarters_negative", "dtbr", None),
     ("negative_pair", "dtbr", None),
     ("negative_pair", "egalitarian", None),
@@ -75,6 +136,8 @@ CASES = [
     ("three_branch_roots", "dtbr", None),
     ("three_branch_roots", "egalitarian", None),
     ("three_branch_roots", "stoic", None),
+    ("three_roots", "dtbr", None),
+    ("three_roots", "stoic", None),
 ]
 
 
@@ -93,6 +156,33 @@ def _assert_same_hit(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
 def test_first_hit_matches_the_reference(grid, kind, index):
     hit = _assert_same_hit(AGENTS[kind], _spec(grid))
     assert (hit.index if hit else None) == index
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_arm_walk_agrees_on_a_four_reward_grid(kind):
+    # 160,400 scenarios: the arm walk decides every one of them on a clean scan.
+    spec = GridSpec.of([0, 1, 2, 3], ["1/2", 1], 2, 2)
+    assert scenario_count(spec) == 160_400
+    assert find_violation(AGENTS[kind], spec) == reference_arm_walk(AGENTS[kind], spec)
+
+
+def test_a_three_root_grid_past_the_default_cap(monkeypatch):
+    spec = GridSpec.of([0, 1, 2], ["1/4", "1/2", "3/4", 1], 3, 2)
+    assert scenario_count(spec) == 2_189_430_900
+    monkeypatch.setenv(CAP_ENV_VAR, str(scenario_count(spec)))
+    assert find_violation(AGENTS["stoic"], spec) is None
+    for kind, index in (("optimist", 27_931), ("egalitarian", 1_415)):
+        hit = find_violation(AGENTS[kind], spec)
+        assert hit.index == index
+        # Both references stop at the hit.
+        assert hit == reference_find_violation(AGENTS[kind], spec)
+        assert hit == reference_arm_walk(AGENTS[kind], spec)
+
+
+def test_an_empty_pool_has_no_violation():
+    spec = GridSpec.of([-2], ["1/2"], 1, 1)
+    for agent in AGENTS.values():
+        assert find_violation(agent, spec) is None
 
 
 @pytest.mark.parametrize("grid", ["negative_pair", "three_branch_roots"])
@@ -137,6 +227,19 @@ def test_random_small_grids_match_the_reference(spec, kind):
     assert hit == reference_find_violation(agent, spec)
     if count <= 400:
         assert count == len(list(enumerate_scenarios(spec)))
+
+
+@settings(max_examples=100)
+@given(small_grids(), st.sampled_from(KINDS))
+def test_random_small_grids_match_the_arm_walk(spec, kind):
+    # The arm walk decides every scenario up to the hit, or the whole grid
+    # when there is none: keep that short enough for the example deadline.
+    count = scenario_count(spec)
+    assume(count <= 2_000_000)
+    agent = AGENTS[kind]
+    hit = find_violation(agent, spec)
+    assume((hit.index + 1 if hit else count) <= 10_000)
+    assert hit == reference_arm_walk(agent, spec)
 
 
 @given(
