@@ -28,9 +28,10 @@ fields of the two summaries that the kind's rule reads: the kind's partial
 summary, ``agents.STATISTICS``.  So :func:`find_violation` groups the pool
 games by that partial summary and the arms by their pair of game classes,
 and decides each tuple of arm classes once, on the summaries of the class's
-first arm in odometer order (as integers over a pool-wide denominator).
-So the work grows with the class tuples, not with the stream.  A class whose descendant prefers its second
-option is dropped, because no clause binds on such a scenario.
+first arm in odometer order (as integers over a pool-wide denominator), so
+the work grows with the class tuples, not with the stream.  A class whose
+descendant prefers its second option is dropped, because no clause binds
+on such a scenario.
 
 Within a root group of k branches over A arms, the scenario with arms
 a_1..a_k has index sum_i a_i*A^(k-i), which rises with each slot on its
@@ -335,6 +336,9 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     offset = 0
     for root in _root_games(spec):
         weights = scale_to_integers([b.weight for b in root.branches])
+        # Classes are listed by first arm, so product order is the stream
+        # order of the scenarios the tuples stand for: the first hit is the
+        # group's earliest.
         for chosen in itertools.product(classes, repeat=len(weights)):
             if _violates(rule, weights, chosen):
                 index = offset

@@ -179,12 +179,6 @@ def test_a_three_root_grid_past_the_default_cap(monkeypatch):
         assert hit == reference_arm_walk(AGENTS[kind], spec)
 
 
-def test_an_empty_pool_has_no_violation():
-    spec = GridSpec.of([-2], ["1/2"], 1, 1)
-    for agent in AGENTS.values():
-        assert find_violation(agent, spec) is None
-
-
 @pytest.mark.parametrize("grid", ["negative_pair", "three_branch_roots"])
 def test_projected_count_matches_the_stream_on_fixed_grids(grid):
     spec = _spec(grid)
@@ -275,10 +269,16 @@ def test_a_grid_far_over_the_cap_is_counted_and_refused_without_enumeration():
 
 
 def test_a_menu_with_no_unit_sums_has_an_empty_stream():
-    spec = GridSpec.of(
-        rewards=[0, 1], weights=["1/3"], max_root_branches=2, max_option_branches=2
-    )
-    assert scenario_count(spec) == 0
-    assert list(enumerate_scenarios(spec)) == []
-    for agent in AGENTS.values():
-        assert find_violation(agent, spec) is None
+    # Neither grid has an option game, so the search has no arm to class.
+    for spec in (
+        GridSpec.of(
+            rewards=[0, 1], weights=["1/3"], max_root_branches=2, max_option_branches=2
+        ),
+        GridSpec.of(
+            rewards=[-2], weights=["1/2"], max_root_branches=1, max_option_branches=1
+        ),
+    ):
+        assert scenario_count(spec) == 0
+        assert list(enumerate_scenarios(spec)) == []
+        for agent in AGENTS.values():
+            assert find_violation(agent, spec) is None
