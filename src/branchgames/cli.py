@@ -49,6 +49,7 @@ found a violation or exposure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -205,23 +206,6 @@ def _keys(*keys: _Key) -> dict[str, _Key]:
     return {key.name: key for key in keys}
 
 
-def _tabled(parse: Callable[[str], Fraction]) -> Callable[[str], Fraction]:
-    """``parse``, run once per distinct text; a repeat is a dict lookup.
-
-    Only values enter the table: a literal that fails fails again wherever
-    it recurs.  Sharing the immutable Fractions between games is safe.
-    """
-    table: dict[str, Fraction] = {}
-
-    def lookup(text: str) -> Fraction:
-        value = table.get(text)
-        if value is None:
-            value = table[text] = parse(text)
-        return value
-
-    return lookup
-
-
 # The keys after the name of each declaration.
 _DECLARATION_KEYS = {
     "game": _keys(),
@@ -370,9 +354,11 @@ class _Parser:
             "scenario": self.scenario_decls,
         }
         # Rewards and weights keep separate literal tables: reward=2 is
-        # valid and weight=2 is not.
+        # valid and weight=2 is not.  A literal that fails is not cached,
+        # so it fails again wherever it recurs.
         self.branch_keys = _keys(
-            _Key("reward", _tabled(as_rational)), _Key("weight", _tabled(_weight))
+            _Key("reward", functools.cache(as_rational)),
+            _Key("weight", functools.cache(_weight)),
         )
 
     def parse(self, text: str) -> ScenarioFile:

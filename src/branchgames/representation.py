@@ -40,7 +40,12 @@ Uniqueness is meant up to positive affine rescaling.  The fit is flagged
 unique exactly when the indifference equations pin the solution space down
 to that rescaling freedom: rank |alphabet| - 2 with strict comparisons
 present (free scale and shift around a non-constant solution), or rank
-|alphabet| - 1 without (constants only).
+|alphabet| - 1 without (constants only).  That rank is the number of
+variables the elimination substitutes through an equality: an equality
+it meets sums with its negation to bound 0, and strict rows have
+negative bounds, so it is built from indifference rows alone.  Each
+substitution takes one dimension off their span, pairing rows takes
+none, and every variable is eliminated, so the count is exactly that rank.
 """
 
 from __future__ import annotations
@@ -219,12 +224,13 @@ def _clean(rows: list[_Tracked]) -> list[_Tracked]:
     return [(coeffs, bound, history) for (coeffs, bound), history in seen.items()]
 
 
-def _eliminate(rows: list[_Tracked], var: int) -> list[_Tracked]:
+def _eliminate(rows: list[_Tracked], var: int) -> tuple[list[_Tracked], bool]:
     """Project variable ``var`` out of clean rows, exactly.
 
     When an equality (a row and its negation) mentions ``var``, the
-    variable is substituted through it.  Otherwise every upper row is
-    combined with every lower row (Fourier-Motzkin).
+    variable is substituted through it, and the flag returned is True.
+    Otherwise every upper row is combined with every lower row
+    (Fourier-Motzkin).
     """
     present = {(coeffs, bound) for coeffs, bound, _ in rows}
     for pcoeffs, pbound, phistory in rows:
@@ -239,7 +245,7 @@ def _eliminate(rows: list[_Tracked], var: int) -> list[_Tracked]:
                     bound = bound * scale - f * pbound
                     history = history | phistory
                 out.append((coeffs, bound, history))
-            return out
+            return out, True
     upper = []
     lower = []
     kept = []
@@ -257,22 +263,26 @@ def _eliminate(rows: list[_Tracked], var: int) -> list[_Tracked]:
             b = -lcoeffs[var]
             coeffs = tuple(u * b + l * a for u, l in zip(ucoeffs, lcoeffs))
             kept.append((coeffs, ubound * b + lbound * a, uhistory | lhistory))
-    return kept
+    return kept, False
 
 
-def _project(rows: list[_Tracked], nvars: int) -> list[list[_Tracked]]:
+def _project(rows: list[_Tracked], nvars: int) -> tuple[list[list[_Tracked]], int]:
     """Eliminate variables from the highest index down; raise if infeasible.
 
-    Entry ``k`` of the result, kept just before variable ``k`` is
+    Entry ``k`` of the snapshots, kept just before variable ``k`` is
     eliminated, is the exact projection of the system onto variables
-    ``0..k``.
+    ``0..k``.  The count returned with them is how many variables were
+    substituted through an equality.
     """
     current = _clean(rows)
     snapshots = [current] * nvars
+    substitutions = 0
     for k in range(nvars - 1, -1, -1):
         snapshots[k] = current
-        current = _clean(_eliminate(current, k))
-    return snapshots
+        current, substituted = _eliminate(current, k)
+        current = _clean(current)
+        substitutions += substituted
+    return snapshots, substitutions
 
 
 def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
@@ -322,27 +332,6 @@ def _tracked_rows(
     if c.preference is Preference.PrefersLeft:
         return [(negated, -gap, 1 << i)]
     return [(diff, -gap, 1 << i)]
-
-
-def _equality_rank(
-    vectors: _Vectors, constraints: Sequence[ComparisonConstraint]
-) -> int:
-    """Rank of the indifference rows, by fraction-free elimination."""
-    pivots: dict[int, list[int]] = {}
-    for c in constraints:
-        if c.preference is not Preference.Indifferent:
-            continue
-        row = [a - b for a, b in zip(vectors[c.left], vectors[c.right])]
-        while any(row):
-            lead = next(k for k, x in enumerate(row) if x)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            g = math.gcd(row[lead], pivot[lead])
-            a, b = pivot[lead] // g, row[lead] // g
-            row = [x * a - y * b for x, y in zip(row, pivot)]
-    return len(pivots)
 
 
 def _irreducible_certificate(
@@ -400,7 +389,7 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
         row for i in chain for row in _tracked_rows(vectors, gap, constraints, i)
     ]
     try:
-        snapshots = _project(rows, nvars)
+        snapshots, rank = _project(rows, nvars)
     except _Infeasible as exc:
         return UtilityFit(
             verdict=INFEASIBLE,
@@ -412,12 +401,10 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
         )
     solution = _back_substitute(snapshots)
     u = {r: solution[i] for i, r in enumerate(instance.alphabet.rewards)}
-    chain_constraints = [constraints[i] for i in chain]
     has_strict = any(
-        c.preference is not Preference.Indifferent for c in chain_constraints
+        constraints[i].preference is not Preference.Indifferent for i in chain
     )
-    expected_rank = nvars - 2 if has_strict else nvars - 1
-    unique = _equality_rank(vectors, chain_constraints) == expected_rank
+    unique = rank == (nvars - 2 if has_strict else nvars - 1)
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)
 
 

@@ -177,32 +177,25 @@ def _lengths(spec: GridSpec, limit: int) -> range:
     return range(1, min(limit, 1 // min(spec.weight_grid)) + 1)
 
 
-def _option_pool(spec: GridSpec) -> list[Game]:
-    pool = []
-    for size in _lengths(spec, spec.max_option_branches):
+def _grid_games(
+    spec: GridSpec, limit: int, rewards: Sequence[Fraction], prefix: str
+) -> list[Game]:
+    """Every game of at most ``limit`` branches over the menus, in pool order.
+
+    Called with the reward menu and prefix ``O`` for the option pool, and
+    with the pinned root reward 0 and prefix ``R`` for the root games.
+    """
+    games = []
+    for size in _lengths(spec, limit):
         for weights in _weight_tuples(spec.weight_grid, size):
-            for rewards in itertools.product(spec.reward_grid, repeat=size):
-                pool.append(
+            for chosen in itertools.product(rewards, repeat=size):
+                games.append(
                     Game(
-                        f"O{len(pool)}",
-                        tuple(Branch(r, w) for r, w in zip(rewards, weights)),
+                        f"{prefix}{len(games)}",
+                        tuple(Branch(r, w) for r, w in zip(chosen, weights)),
                     )
                 )
-    return pool
-
-
-def _root_games(spec: GridSpec) -> list[Game]:
-    zero = Fraction(0)
-    roots = []
-    for size in _lengths(spec, spec.max_root_branches):
-        for weights in _weight_tuples(spec.weight_grid, size):
-            roots.append(
-                Game(
-                    f"R{len(roots)}",
-                    tuple(Branch(zero, w) for w in weights),
-                )
-            )
-    return roots
+    return games
 
 
 def scenario_count(spec: GridSpec) -> int:
@@ -242,8 +235,8 @@ def _check_cap(spec: GridSpec) -> None:
 def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
     """Yield every grid scenario exactly once, in the documented order."""
     _check_cap(spec)
-    options = _option_pool(spec)
-    for root in _root_games(spec):
+    options = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    for root in _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R"):
         size = len(root.branches)
         for slots in itertools.product(options, repeat=2 * size):
             pairs = tuple(
@@ -329,12 +322,12 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     :func:`check_diachronic`, whose report the hit carries.
     """
     _check_cap(spec)
-    pool = _option_pool(spec)
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     classes = _arm_classes(agent, pool)
     rule = RULES[agent.kind]
     arm_count = len(pool) ** 2
     offset = 0
-    for root in _root_games(spec):
+    for root in _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R"):
         weights = scale_to_integers([b.weight for b in root.branches])
         # Classes are listed by first arm, so product order is the stream
         # order of the scenarios the tuples stand for: the first hit is the

@@ -158,9 +158,11 @@ def test_criterion_05_universal_indifference_satisfies_every_scenario():
             checked += 1
         assert checked == 160400
         # and no strict preference exists on any pair of grid games
-        from branchgames.search import _option_pool, _root_games
+        from branchgames.search import _grid_games
 
-        pool = _option_pool(STOIC_GRID) + _root_games(STOIC_GRID)
+        pool = _grid_games(
+            STOIC_GRID, STOIC_GRID.max_option_branches, STOIC_GRID.reward_grid, "O"
+        ) + _grid_games(STOIC_GRID, STOIC_GRID.max_root_branches, (F(0),), "R")
         for left, right in itertools.combinations(pool, 2):
             assert compare(STOIC, left, right) is Preference.Indifferent
 

@@ -252,6 +252,32 @@ class TestParseErrors:
                 ParseError,
                 "line 2: missing required key weight=...",
             ),
+            (
+                "game g\n  branch reward=0 weight=1\nagent a kind=dtbr\n"
+                "check continuity agent=a left=g right=g alphabet=0,,1 "
+                "deltas=1/2 samples=2 seed=1\n",
+                ParseError,
+                "line 4, column 41: malformed list '0,,1'",
+            ),
+            (
+                "agent a kind=dtbr\ncheck dutchbook agent=a games=g,h-1\n",
+                ParseError,
+                "line 2, column 25: malformed name list 'g,h-1'",
+            ),
+            (
+                "game g\n  branch reward=0 weight=1\nagent a kind=dtbr\n"
+                "check continuity agent=a left=g right=g alphabet=0,1 "
+                "deltas=1/2 samples=0 seed=1\n",
+                ParseError,
+                "line 4, column 65: expected a positive integer, got '0'",
+            ),
+            ("check\n", ParseError, "line 1: expected a check kind after 'check'"),
+            (
+                "game g\n  branch reward=0 weight=1\nscenario s root=g\n  arm g g\n",
+                ParseError,
+                "line 4: expected: arm <game> vs <game>",
+            ),
+            ("game\n", ParseError, "line 1: expected a name after 'game'"),
         ],
     )
     def test_error_text_names_line_and_column(self, source, exc, message):
@@ -590,6 +616,31 @@ class TestCommandLine:
         code, _, err = self.run_main(["run", str(path)], capsys)
         assert code == 2
         assert "execution error" in err
+
+    def test_continuity_over_a_one_reward_alphabet_names_the_stray_reward(
+        self, tmp_path, capsys
+    ):
+        # A one-reward alphabet leaves no weight to move, so the sure game
+        # on it is its own only perturbation; the other game's reward then
+        # falls outside the alphabet and is reported, not sampled from.
+        check = (
+            "check continuity agent=ev left=high right=low alphabet=5 "
+            "deltas=1/2 samples=2 seed=1"
+        )
+        path = tmp_path / "one_reward.game"
+        path.write_text(
+            "game high\n  branch reward=5 weight=1\n"
+            "game low\n  branch reward=1 weight=1\n"
+            f"agent ev kind=dtbr\n{check}\n",
+            encoding="utf-8",
+        )
+        code, out, err = self.run_main(["run", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"execution error: check at line 6 ({check}): "
+            "reward 1 not in alphabet {5}\n"
+        )
 
     def test_gallery_machine_output_is_byte_identical(self, capsys):
         code_one, out_one, _ = self.run_main(["gallery", "--machine"], capsys)

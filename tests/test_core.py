@@ -140,6 +140,12 @@ class TestStatistics:
         assert reward_range(B0) == F(0)
         assert reward_range(CERTAIN1) == F(0)
 
+    def test_reward_range_without_support_raises(self):
+        # Game.of validates, so only a hand-built game lacks support.
+        empty = Game("empty", (Branch(F(1), F(0)),))
+        with pytest.raises(EmptyGameError, match="'empty' has empty support"):
+            reward_range(empty)
+
 
 class TestFlatten:
     def test_rewards_add_and_weights_multiply(self):

@@ -16,7 +16,7 @@ from branchgames import (
     scenario_count,
 )
 from branchgames import search
-from branchgames.search import CAP_ENV_VAR, DEFAULT_SCENARIO_CAP, _option_pool
+from branchgames.search import CAP_ENV_VAR, DEFAULT_SCENARIO_CAP, _grid_games
 
 F = Fraction
 
@@ -210,7 +210,7 @@ class TestFindViolation:
         assert trap in stream
 
     def test_option_pool_lists_small_games_first(self):
-        pool = _option_pool(SMALL)
+        pool = _grid_games(SMALL, SMALL.max_option_branches, SMALL.reward_grid, "O")
         sizes = [len(g.branches) for g in pool]
         assert sizes == sorted(sizes)
         # 2 one-branch games, then one even weight profile x 4 reward pairs

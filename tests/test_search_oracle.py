@@ -35,9 +35,8 @@ from branchgames.search import (
     CAP_ENV_VAR,
     ViolationHit,
     _check_cap,
-    _option_pool,
+    _grid_games,
     _pool_summaries,
-    _root_games,
     _weight_tuple_counts,
     _weight_tuples,
 )
@@ -70,7 +69,7 @@ def reference_arm_walk(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     its arms: per root branch, the two options, their summaries and the
     descendant's verdict."""
     _check_cap(spec)
-    pool = _option_pool(spec)
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     summarised = list(zip(pool, _pool_summaries(pool)))
     rule = RULES[agent.kind]
     arms = [
@@ -79,7 +78,7 @@ def reference_arm_walk(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
         for second, right in summarised
     ]
     index = 0
-    for root in _root_games(spec):
+    for root in _grid_games(spec, spec.max_root_branches, (F(0),), "R"):
         weights = scale_to_integers([b.weight for b in root.branches])
         # Arms in odometer order put the slots in odometer order: within an
         # arm the second slot varies fastest.
