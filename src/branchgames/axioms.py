@@ -136,11 +136,6 @@ class AxiomReport:
     witness: object | None
 
 
-def _flatten_with(root: Game, continuations: Sequence[Game], name: str) -> Game:
-    # Caller has already validated root and continuations.
-    return flatten(CompoundGame(root, tuple(continuations)), name=name, validate=False)
-
-
 def broken_clause(
     descendant: Sequence[Preference], forward: Preference
 ) -> Optional[str]:
@@ -170,21 +165,19 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
       strictly above L;
     * clause ii: if additionally some p_i is PrefersLeft, the agent must
       rank L strictly above R.
-    """
-    validate_game(scenario.root)
-    for first, second in scenario.options:
-        validate_game(first)
-        validate_game(second)
 
-    descendant = tuple(
-        compare(agent, first, second) for first, second in scenario.options
+    Building L and R validates the root and every option (see
+    :func:`flatten`), so an invalid game raises its own
+    :class:`GameError` before anything is ranked.
+    """
+    root, options = scenario.root, scenario.options
+    left = flatten(
+        CompoundGame(root, tuple(first for first, _ in options)), "compound_first"
     )
-    left = _flatten_with(
-        scenario.root, [pair[0] for pair in scenario.options], "compound_first"
+    right = flatten(
+        CompoundGame(root, tuple(second for _, second in options)), "compound_second"
     )
-    right = _flatten_with(
-        scenario.root, [pair[1] for pair in scenario.options], "compound_second"
-    )
+    descendant = tuple(compare(agent, first, second) for first, second in options)
     strict = tuple(
         i for i, p in enumerate(descendant) if p is Preference.PrefersLeft
     )
@@ -340,14 +333,13 @@ class DutchBookReport:
     weak_exposure: bool
 
 
-def analyze_dutch_book(
-    agent: Agent, games: Sequence[Game], null: Game | None = None
-) -> DutchBookReport:
+def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
     """Check whether accepting every game in the package is a sure loss.
 
     All games must share one branching event (identical weight lists).
-    ``null`` is the zero-reward game on that event and is built when not
-    supplied.  ``sure_loss`` holds when every support reward of the
+    Each game is ranked against ``null``, built to pay 0 on every branch
+    of that event; any other such game would differ from it only in its
+    name.  ``sure_loss`` holds when every support reward of the
     combined game is negative.  ``exposure`` requires the agent to accept
     each game strictly (preferred to null), to weakly accept the combined
     game, and sure_loss.  ``weak_exposure`` relaxes individual acceptance
@@ -363,16 +355,7 @@ def analyze_dutch_book(
             raise EventMismatchError(
                 f"{g.name!r} does not ride the same event as {games[0].name!r}"
             )
-    if null is None:
-        null = Game("null", tuple(Branch(Fraction(0), w) for w in weights))
-    else:
-        validate_game(null)
-        if [b.weight for b in null.branches] != weights:
-            raise EventMismatchError(
-                f"null game {null.name!r} does not ride the shared event"
-            )
-        if any(b.reward != 0 for b in null.branches):
-            raise ValueError(f"null game {null.name!r} must pay 0 on every branch")
+    null = Game("null", tuple(Branch(Fraction(0), w) for w in weights))
 
     combined = games[0]
     for g in games[1:]:

@@ -362,7 +362,11 @@ class _Parser:
         )
 
     def parse(self, text: str) -> ScenarioFile:
-        for number, raw in enumerate(text.splitlines(), start=1):
+        # Lines end only where text-mode open() ends them; str.splitlines()
+        # would also end one at \f, \v, U+2028 and others, which
+        # misnumbers every later line.  Those stay token separators.
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for number, raw in enumerate(lines, start=1):
             content = raw.partition("#")[0]
             tokens = content.split()
             if tokens:

@@ -238,20 +238,18 @@ def reward_range(game: Game) -> Fraction:
     return max(rewards) - min(rewards)
 
 
-def flatten(
-    compound: CompoundGame, name: str | None = None, *, validate: bool = True
-) -> Game:
+def flatten(compound: CompoundGame, name: str | None = None) -> Game:
     """Collapse a root game plus per-branch continuations into one game.
 
     Produces one branch per (root branch i, continuation branch j) pair
     with reward ``root_i + cont_j`` and weight ``root_i * cont_j``.  The
-    result is always a valid game when the inputs are.  ``validate=False``
-    skips re-validating inputs a caller has already validated.
+    root and every continuation are validated first, which is what makes
+    the result valid: each product lies in [0, 1], and continuation i's
+    products sum to ``root_i``, so all of them sum to 1.
     """
-    if validate:
-        validate_game(compound.root)
-        for cont in compound.continuations:
-            validate_game(cont)
+    validate_game(compound.root)
+    for cont in compound.continuations:
+        validate_game(cont)
     branches = []
     for root_branch, cont in zip(compound.root.branches, compound.continuations):
         for b in cont.branches:

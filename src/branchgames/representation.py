@@ -144,10 +144,12 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     """Prove the matrix is a total preorder; return the game indices best first.
 
     In a total preorder a game strictly beats more games than any game
-    below it and exactly as many as every game tied with it, so sorting by
-    strict wins and checking every entry against that order decides the
-    question in O(n^2).  Only a matrix that fails pays for the scan that
-    names the offending entries.
+    below it and exactly as many as every game tied with it, so every
+    entry ranks its two games by their strict win counts.  Conversely a
+    matrix whose every entry does so is the order of those counts, which
+    is total and transitive.  Checking each entry against the counts
+    therefore decides the question in O(n^2), and the first entry that
+    disagrees is the error.
     """
     games = instance.games
     m = instance.comparisons
@@ -155,37 +157,16 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     if len(m) != n or any(len(row) != n for row in m):
         raise InconsistentPreorderError("comparison matrix is not square")
     wins = [sum(p is Preference.PrefersLeft for p in row) for row in m]
-    if all(
-        m[i][j] is _IMPLIED[(wins[i] > wins[j]) - (wins[i] < wins[j])]
-        for i in range(n)
-        for j in range(n)
-    ):
-        return sorted(range(n), key=lambda i: -wins[i])
-    for i in range(n):
-        if m[i][i] is not Preference.Indifferent:
-            raise InconsistentPreorderError(
-                f"game {games[i].name!r} is not indifferent to itself"
-            )
-        for j in range(n):
-            if m[i][j] is not m[j][i].flipped():
+    for i, row in enumerate(m):
+        for j, verdict in enumerate(row):
+            implied = _IMPLIED[(wins[i] > wins[j]) - (wins[i] < wins[j])]
+            if verdict is not implied:
                 raise InconsistentPreorderError(
-                    f"asymmetric entries for {games[i].name!r} and {games[j].name!r}"
+                    f"{games[i].name!r} vs {games[j].name!r} reads "
+                    f"{verdict.value}, but their strict win counts "
+                    f"{wins[i]} and {wins[j]} call for {implied.value}"
                 )
-    # Transitivity of the weak relation (i at-least-as-good-as j).
-    at_least = [
-        [m[i][j] is not Preference.PrefersRight for j in range(n)] for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if not at_least[i][j]:
-                continue
-            for k in range(n):
-                if at_least[j][k] and not at_least[i][k]:
-                    raise InconsistentPreorderError(
-                        f"intransitive ranking among {games[i].name!r}, "
-                        f"{games[j].name!r}, {games[k].name!r}"
-                    )
-    raise AssertionError("a total preorder always agrees with its win counts")
+    return sorted(range(n), key=lambda i: -wins[i])
 
 
 # An integer row (coeffs . u <= bound) and its history: a bitmask of the

@@ -10,6 +10,7 @@ from branchgames import (
     Agent,
     CompoundGame,
     DiachronicScenario,
+    EmptyGameError,
     EventMismatchError,
     Game,
     NotStrictPreferenceError,
@@ -151,6 +152,17 @@ class TestDiachronic:
         bad = Game("bad", (Branch(F(1), F(1, 2)),))
         scenario = DiachronicScenario(FLIP, ((bad, PRIZE2), (PRIZE3, PRIZE3)))
         with pytest.raises(WeightSumError):
+            check_diachronic(OPT, scenario)
+
+    def test_invalid_second_option_is_reported(self):
+        bad = Game("bad", (Branch(F(1), F(1, 2)),))
+        scenario = DiachronicScenario(FLIP, ((PRIZE2, PRIZE2), (PRIZE3, bad)))
+        with pytest.raises(WeightSumError, match="'bad'"):
+            check_diachronic(OPT, scenario)
+
+    def test_root_without_branches_is_an_empty_game(self):
+        scenario = DiachronicScenario(Game("e", ()), ())
+        with pytest.raises(EmptyGameError, match="^game 'e' has no branches$"):
             check_diachronic(OPT, scenario)
 
     @given(st.data())
@@ -331,19 +343,9 @@ class TestDutchBook:
 
     def test_null_game_is_synthesised_on_the_shared_event(self):
         report = analyze_dutch_book(OPT, (HEADS_BET, TAILS_BET))
+        assert report.null.name == "null"
         assert [b.weight for b in report.null.branches] == [F(1, 2), F(1, 2)]
         assert all(b.reward == 0 for b in report.null.branches)
-
-    def test_supplied_null_must_ride_the_event_and_pay_zero(self):
-        good_null = Game.of("null", (0, F(1, 2)), (0, F(1, 2)))
-        report = analyze_dutch_book(OPT, (HEADS_BET,), null=good_null)
-        assert report.null is good_null
-        skewed = Game.of("skewed", (0, F(1, 3)), (0, F(2, 3)))
-        with pytest.raises(EventMismatchError):
-            analyze_dutch_book(OPT, (HEADS_BET,), null=skewed)
-        paying = Game.of("paying", (1, F(1, 2)), (0, F(1, 2)))
-        with pytest.raises(ValueError):
-            analyze_dutch_book(OPT, (HEADS_BET,), null=paying)
 
     def test_games_must_share_the_event(self):
         lopsided = Game.of("lop", (1, F(1, 3)), (-2, F(2, 3)))

@@ -295,6 +295,22 @@ class TestParseErrors:
             parse(source)
         assert str(err.value) == "line 4, column 19: weight 2 outside [0, 1]"
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # \f and U+2028 separate tokens but do not end a line.
+            ("game A\f\n", "  branch reward=1 weight=1\n"),
+            ("game A\n", "  branch reward=1 weight=1\u2028\n"),
+            ("game A\r", "  branch reward=1 weight=1\r"),
+        ],
+    )
+    def test_only_line_breaks_count_as_lines(self, first, second):
+        ending = first[-1]
+        source = first + second + f"game B{ending}  branch reward=1 weight=2{ending}"
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == "line 4, column 19: weight 2 outside [0, 1]"
+
     def test_whitespace_splits_tokens_as_the_column_scan_does(self):
         # Error columns come from re-scanning a line with _TOKEN_RE, so its
         # tokens must be those of str.split() on every code point.
@@ -596,6 +612,19 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "utf-8" in err
+
+    def test_run_numbers_lines_as_parse_does(self, tmp_path, capsys):
+        source = (
+            "game A\f\n  branch reward=1 weight=1\r\n"
+            "game B\r  branch reward=1 weight=2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        path = tmp_path / "breaks.game"
+        path.write_bytes(source.encode("utf-8"))
+        code, out, err_text = self.run_main(["run", str(path)], capsys)
+        assert code == 2
+        assert str(err.value) in err_text
 
     def test_parse_errors_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.game"

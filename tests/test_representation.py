@@ -1,5 +1,6 @@
 """Utility representability: exact feasibility, certificates, normalization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from branchgames import (
     normalize_fit,
     verify_fit,
 )
+from branchgames.representation import _check_preorder
 from conftest import games
 from test_fit_oracle import (
     reference_constraint_rows,
@@ -158,7 +160,11 @@ class TestPreorderValidation:
     def test_non_indifferent_diagonal_is_rejected(self):
         matrix = ((Preference.PrefersLeft,),)
         inst = PreferenceInstance(ALPHA01, (WIN,), matrix)
-        with pytest.raises(InconsistentPreorderError):
+        message = (
+            "'win' vs 'win' reads PrefersLeft, but their strict win counts "
+            "1 and 1 call for Indifferent"
+        )
+        with pytest.raises(InconsistentPreorderError, match=f"^{message}$"):
             fit_utility(inst)
 
     def test_asymmetric_matrix_is_rejected(self):
@@ -167,7 +173,11 @@ class TestPreorderValidation:
             (Preference.PrefersLeft, Preference.Indifferent),
         )
         inst = PreferenceInstance(ALPHA01, (WIN, WIN_AT_HALF), matrix)
-        with pytest.raises(InconsistentPreorderError):
+        message = (
+            "'win' vs 'win_at_half' reads PrefersLeft, but their strict win "
+            "counts 1 and 1 call for Indifferent"
+        )
+        with pytest.raises(InconsistentPreorderError, match=f"^{message}$"):
             fit_utility(inst)
 
     def test_intransitive_matrix_is_rejected(self):
@@ -185,14 +195,55 @@ class TestPreorderValidation:
         inst = PreferenceInstance(
             ALPHA01, (WIN, WIN_AT_HALF, WIN_AT_ZERO), matrix
         )
-        with pytest.raises(InconsistentPreorderError):
+        # every game wins once, so the counts call every pair a tie
+        message = (
+            "'win' vs 'win_at_half' reads PrefersLeft, but their strict win "
+            "counts 1 and 1 call for Indifferent"
+        )
+        with pytest.raises(InconsistentPreorderError, match=f"^{message}$"):
             fit_utility(inst)
 
     def test_non_square_matrix_is_rejected(self):
         matrix = ((Preference.Indifferent,),)
         inst = PreferenceInstance(ALPHA01, (WIN, WIN_AT_HALF), matrix)
-        with pytest.raises(InconsistentPreorderError):
+        with pytest.raises(
+            InconsistentPreorderError, match="^comparison matrix is not square$"
+        ):
             fit_utility(inst)
+
+
+def reference_is_total_preorder(m) -> bool:
+    """The preorder laws, checked one by one."""
+    n = len(m)
+    at_least = [[p is not Preference.PrefersRight for p in row] for row in m]
+    return (
+        all(m[i][i] is Preference.Indifferent for i in range(n))
+        and all(m[i][j] is m[j][i].flipped() for i in range(n) for j in range(n))
+        and all(
+            at_least[i][k]
+            for i, j, k in itertools.product(range(n), repeat=3)
+            if at_least[i][j] and at_least[j][k]
+        )
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_win_counts_decide_every_small_matrix(n):
+    # The one win-count check accepts exactly the matrices that satisfy the
+    # preorder laws, and orders the games by the relation they define.
+    trio = (WIN, WIN_AT_HALF, WIN_AT_ZERO)[:n]
+    for entries in itertools.product(Preference, repeat=n * n):
+        m = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        expected = reference_is_total_preorder(m)
+        try:
+            order = _check_preorder(PreferenceInstance(ALPHA01, trio, m))
+        except InconsistentPreorderError:
+            assert not expected, m
+            continue
+        assert expected, m
+        assert sorted(order) == list(range(n))
+        for a, b in zip(order, order[1:]):
+            assert m[a][b] is not Preference.PrefersRight, m
 
 
 class TestNormalizeErrors:
