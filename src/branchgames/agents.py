@@ -19,9 +19,12 @@ kind's partial summary of one game: just the fields its rule reads.
 :func:`compare` ranks two games through both tables.  Callers that rank
 several games, such as the comparison matrix and the continuity and
 Dutch-book checks, read ``STATISTICS`` once per game and then rank with
-``RULES``; the grid search feeds ``RULES`` summaries composed along
-branches.  Comparisons return one of three verdicts and never raise on
-valid input, so every kind is a total preorder by construction.
+``RULES``.  All three statistics compose along branches, and
+:func:`compose` is the one rule that does it: the diachronic check and the
+grid search both rank compounds on summaries it composes from the
+partial summaries of their continuations.  Comparisons return one of three
+verdicts and never raise on valid input, so every kind is a total preorder
+by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from operator import add, itemgetter
+from typing import Any, Callable, Optional, Sequence
 
 from .core import (
     EmptyGameError,
@@ -140,6 +144,41 @@ STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
     "optimist": lambda game: (None, None, largest_reward(game)),
     "stoic": lambda game: None,
 }
+
+
+_LOW, _HIGH = itemgetter(1), itemgetter(2)
+
+
+def compose(
+    weights: Sequence[Any],
+    rewards: Sequence[Any],
+    parts: Sequence[Optional[Summary]],
+) -> Optional[Summary]:
+    """The partial summary of a compound, from its root branches.
+
+    Root branch i has weight ``weights[i]`` and reward ``rewards[i]`` and
+    continues into a game whose partial summary is ``parts[i]``.  With
+    every root weight positive the compound has expected value
+    sum_i w_i*(r_i + EV_i), support min min_i (r_i + lo_i) and support max
+    max_i (r_i + hi_i), which is the summary of the game ``core.flatten``
+    builds.  A field the parts leave None stays None, so a stoic compound
+    composes to None and a dtbr one composes only its expected value.
+    """
+    shape = parts[0]
+    if shape is None:
+        return None
+    value, low, high = shape
+    # The grid search calls this once per compound it decides: a plain loop
+    # and maps over operator functions are its fastest forms here.
+    if value is not None:
+        value = 0
+        for w, r, p in zip(weights, rewards, parts):
+            value += w * (r + p[0])
+    if low is not None:
+        low = min(map(add, rewards, map(_LOW, parts)))
+    if high is not None:
+        high = max(map(add, rewards, map(_HIGH, parts)))
+    return value, low, high
 
 
 def compare(agent: Agent, left: Game, right: Game) -> Preference:

@@ -4,8 +4,9 @@ Two axioms are mechanized over the game model:
 
 * Diachronic consistency ties an agent's ranking of two compound games to
   the branch-local rankings of the agent's descendants, who share the
-  agent's kind.  The checker decides each scenario exactly and returns a
-  replayable witness on violation.
+  agent's kind.  The checker decides each scenario exactly, on summaries
+  composed by ``agents.compose``, and returns a replayable witness on
+  violation.
 
 * Solution continuity demands that a strict preference survive all
   sufficiently small perturbations of either game.  A sampler cannot
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .agents import RULES, STATISTICS, Agent, Preference, compare
+from .agents import RULES, STATISTICS, Agent, Preference, compare, compose
 from .core import (
     Branch,
     CompoundGame,
@@ -87,8 +88,10 @@ class DiachronicWitness:
     """Everything needed to replay a diachronic verdict by hand.
 
     ``descendant_preferences[i]`` is the branch-i comparison of the first
-    option against the second; the two compounds are the flattened games
-    the senior agent actually ranks.
+    option against the second.  The two compounds are the flattened games
+    the senior agent ranks; :func:`check_diachronic` ranks them on their
+    composed summaries (``agents.compose``) and builds them only here, so
+    ``compound_preference`` is what ``compare`` returns on them.
     """
 
     clause: str
@@ -166,35 +169,53 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     * clause ii: if additionally some p_i is PrefersLeft, the agent must
       rank L strictly above R.
 
-    Building L and R validates the root and every option (see
-    :func:`flatten`), so an invalid game raises its own
-    :class:`GameError` before anything is ranked.
+    The root is validated first, then every first option, then every
+    second option, so an invalid game raises its own :class:`GameError`
+    before anything is ranked.  Each option's partial summary
+    (``agents.STATISTICS``) is read once; the descendants rank their pairs
+    with ``agents.RULES``, and the agent ranks L against R on the
+    summaries :func:`compose` builds from the root branches, without
+    building either game.  Only a broken clause flattens L and R, for the
+    witness.
     """
     root, options = scenario.root, scenario.options
+    validate_game(root)
+    for first, _ in options:
+        validate_game(first)
+    for _, second in options:
+        validate_game(second)
+    statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
+    firsts = [statistics(first) for first, _ in options]
+    seconds = [statistics(second) for _, second in options]
+    descendant = tuple(map(rule, firsts, seconds))
+    if Preference.PrefersRight in descendant:
+        return AxiomReport("diachronic", Verdict.SATISFIED, None)
+
+    weights = [b.weight for b in root.branches]
+    rewards = [b.reward for b in root.branches]
+    forward = rule(
+        compose(weights, rewards, firsts), compose(weights, rewards, seconds)
+    )
+    clause = broken_clause(descendant, forward)
+    if clause is None:
+        return AxiomReport("diachronic", Verdict.SATISFIED, None)
     left = flatten(
         CompoundGame(root, tuple(first for first, _ in options)), "compound_first"
     )
     right = flatten(
         CompoundGame(root, tuple(second for _, second in options)), "compound_second"
     )
-    descendant = tuple(compare(agent, first, second) for first, second in options)
-    strict = tuple(
-        i for i, p in enumerate(descendant) if p is Preference.PrefersLeft
+    witness = DiachronicWitness(
+        clause=clause,
+        descendant_preferences=descendant,
+        strict_branches=tuple(
+            i for i, p in enumerate(descendant) if p is Preference.PrefersLeft
+        ),
+        left_compound=left,
+        right_compound=right,
+        compound_preference=forward,
     )
-
-    forward = compare(agent, left, right)
-    clause = broken_clause(descendant, forward)
-    if clause is not None:
-        witness = DiachronicWitness(
-            clause=clause,
-            descendant_preferences=descendant,
-            strict_branches=strict,
-            left_compound=left,
-            right_compound=right,
-            compound_preference=forward,
-        )
-        return AxiomReport("diachronic", Verdict.VIOLATED, witness)
-    return AxiomReport("diachronic", Verdict.SATISFIED, None)
+    return AxiomReport("diachronic", Verdict.VIOLATED, witness)
 
 
 def _perturbations(

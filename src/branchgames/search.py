@@ -19,19 +19,21 @@ and lets a returned violation be identified by its index:
   weight tuple, then reward tuple, in the same product order.
 
 The search builds no game for a scenario it rejects.  Every kind ranks by
-expected value, support min and support max, and all three compose along
-a branch: with positive root weights w_i over continuations c_i, the
-compound has expected value sum_i w_i*EV(c_i), support min min_i lo(c_i) and
-support max max_i hi(c_i).  Call a root branch's pair of options an arm.
-A scenario's verdict depends only on its root weights and, per arm, on the
-fields of the two summaries that the kind's rule reads: the kind's partial
-summary, ``agents.STATISTICS``.  So :func:`find_violation` groups the pool
-games by that partial summary and the arms by their pair of game classes,
-and decides each tuple of arm classes once, on the summaries of the class's
-first arm in odometer order (as integers over a pool-wide denominator), so
-the work grows with the class tuples, not with the stream.  A class whose
-descendant prefers its second option is dropped, because no clause binds
-on such a scenario.
+expected value, support min and support max, and ``agents.compose`` is the
+one rule that composes them along branches, here with every root reward 0:
+with positive root weights w_i over continuations c_i, the compound has
+expected value sum_i w_i*EV(c_i), support min min_i lo(c_i) and support max
+max_i hi(c_i).  :func:`check_diachronic` ranks its compounds by the same
+rule.  Call a root branch's pair of options an arm.  A scenario's verdict
+depends only on its root weights and, per arm, on the fields of the two
+summaries that the kind's rule reads: the kind's partial summary,
+``agents.STATISTICS``.  So :func:`find_violation` groups the pool games by
+that partial summary and the arms by their pair of game classes, and
+decides each tuple of arm classes once, on the partial summaries of the
+class's first arm in odometer order (as integers over a pool-wide
+denominator), so the work grows with the class tuples, not with the
+stream.  A class whose descendant prefers its second option is dropped,
+because no clause binds on such a scenario.
 
 Within a root group of k branches over A arms, the scenario with arms
 a_1..a_k has index sum_i a_i*A^(k-i), which rises with each slot on its
@@ -57,7 +59,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .agents import RULES, STATISTICS, Agent, Preference, Summary, summary
+from .agents import (
+    RULES,
+    STATISTICS,
+    Agent,
+    Preference,
+    Summary,
+    compose,
+    summary,
+)
 from .axioms import (
     AxiomReport,
     DiachronicScenario,
@@ -255,11 +265,12 @@ def _pool_summaries(pool: Sequence[Game]) -> list[Summary]:
 
 class _ArmClass(NamedTuple):
     """Arms alike to the kind's rule, held by their first arm in odometer
-    order: its position, options and summaries, and the descendant's verdict."""
+    order: its position, options and partial summaries, and the
+    descendant's verdict."""
 
     first: int
     options: tuple[Game, Game]
-    summaries: tuple[Summary, Summary]
+    summaries: tuple[Optional[Summary], Optional[Summary]]
     preference: Preference
 
 
@@ -268,7 +279,10 @@ def _arm_classes(agent: Agent, pool: Sequence[Game]) -> list[_ArmClass]:
 
     Pool games fall into one class per partial summary of the kind; an arm
     class is a pair of game classes, and its first arm pairs their first
-    games.  Classes whose descendant prefers the second option are dropped.
+    games.  Each class keeps just the integer summary fields the kind's
+    partial summary holds, so :func:`compose` does no work the rule
+    ignores.  Classes whose descendant prefers the second option are
+    dropped.
     """
     statistics = STATISTICS[agent.kind]
     rule = RULES[agent.kind]
@@ -276,10 +290,17 @@ def _arm_classes(agent: Agent, pool: Sequence[Game]) -> list[_ArmClass]:
     for position, game in enumerate(pool):
         firsts.setdefault(statistics(game), position)
     summaries = _pool_summaries(pool)
+    partial: dict[int, Optional[Summary]] = {}
+    for fields, position in firsts.items():
+        if fields is not None:
+            fields = tuple(
+                None if f is None else x for f, x in zip(fields, summaries[position])
+            )
+        partial[position] = fields
     classes = []
     for left in firsts.values():
         for right in firsts.values():
-            pair = (summaries[left], summaries[right])
+            pair = (partial[left], partial[right])
             preference = rule(*pair)
             if preference is not Preference.PrefersRight:
                 classes.append(
@@ -293,23 +314,16 @@ def _arm_classes(agent: Agent, pool: Sequence[Game]) -> list[_ArmClass]:
     return classes
 
 
-def _compound(weights: Sequence[int], continuations: Sequence[Summary]) -> Summary:
-    return (
-        sum(w * c[0] for w, c in zip(weights, continuations)),
-        min(c[1] for c in continuations),
-        max(c[2] for c in continuations),
-    )
-
-
 def _violates(
     rule: Callable[[Summary, Summary], Preference],
     weights: Sequence[int],
+    rewards: Sequence[int],
     chosen: Sequence[_ArmClass],
 ) -> bool:
-    """Decide a tuple of arm classes from its root weights, scaled to integers."""
+    """Decide a tuple of arm classes from its root branches, scaled to integers."""
     forward = rule(
-        _compound(weights, [arm.summaries[0] for arm in chosen]),
-        _compound(weights, [arm.summaries[1] for arm in chosen]),
+        compose(weights, rewards, [arm.summaries[0] for arm in chosen]),
+        compose(weights, rewards, [arm.summaries[1] for arm in chosen]),
     )
     return broken_clause([arm.preference for arm in chosen], forward) is not None
 
@@ -329,11 +343,12 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     offset = 0
     for root in _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R"):
         weights = scale_to_integers([b.weight for b in root.branches])
+        rewards = (0,) * len(weights)
         # Classes are listed by first arm, so product order is the stream
         # order of the scenarios the tuples stand for: the first hit is the
         # group's earliest.
         for chosen in itertools.product(classes, repeat=len(weights)):
-            if _violates(rule, weights, chosen):
+            if _violates(rule, weights, rewards, chosen):
                 index = offset
                 for position, arm in enumerate(reversed(chosen)):
                     index += arm.first * arm_count**position

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from branchgames import (
     AGENT_KINDS,
     Agent,
+    CompoundGame,
     Game,
     Preference,
     compare,
+    flatten,
     strictly_prefers,
     weakly_prefers,
 )
-from branchgames.agents import RULES, summary
+from branchgames.agents import RULES, STATISTICS, compose, summary
 from conftest import games
 
 F = Fraction
@@ -175,3 +177,23 @@ def test_compare_is_the_rule_on_full_summaries(agent, left, right):
     assert compare(agent, left, right) is RULES[agent.kind](
         summary(left), summary(right)
     )
+
+
+@given(
+    st.sampled_from(AGENT_KINDS),
+    games(name="root", max_branches=3, allow_zero_weight=False),
+    st.data(),
+)
+def test_compose_is_the_partial_summary_of_the_flattened_game(kind, root, data):
+    # Root rewards are drawn like option rewards: nonzero and fractional too.
+    continuations = tuple(
+        data.draw(games(name=f"c{i}", max_branches=3))
+        for i in range(len(root.branches))
+    )
+    statistics = STATISTICS[kind]
+    composed = compose(
+        [b.weight for b in root.branches],
+        [b.reward for b in root.branches],
+        [statistics(c) for c in continuations],
+    )
+    assert composed == statistics(flatten(CompoundGame(root, continuations)))

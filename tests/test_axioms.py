@@ -160,6 +160,31 @@ class TestDiachronic:
         with pytest.raises(WeightSumError, match="'bad'"):
             check_diachronic(OPT, scenario)
 
+    def test_an_invalid_root_is_reported_before_an_invalid_first_option(self):
+        root = Game("root", (Branch(F(0), F(1, 2)), Branch(F(0), F(1, 4))))
+        bad = Game("bad", (Branch(F(1), F(2)),))
+        scenario = DiachronicScenario(root, ((bad, PRIZE2), (PRIZE3, PRIZE3)))
+        with pytest.raises(WeightSumError, match="'root'"):
+            check_diachronic(OPT, scenario)
+
+    def test_every_first_option_is_validated_before_any_second(self):
+        # The invalid second option sits on an earlier branch than the
+        # invalid first option, and still loses.
+        first = Game("bad_first", (Branch(F(1), F(1, 2)),))
+        second = Game("bad_second", (Branch(F(1), F(2)),))
+        scenario = DiachronicScenario(FLIP, ((PRIZE2, second), (first, PRIZE3)))
+        with pytest.raises(WeightSumError, match="'bad_first'"):
+            check_diachronic(OPT, scenario)
+
+    def test_a_settled_verdict_does_not_skip_validation(self):
+        # Branch 0's descendant prefers its second option, which settles the
+        # verdict; branch 1's invalid second option must still raise.
+        bad = Game("bad", (Branch(F(1), F(1, 2)),))
+        scenario = DiachronicScenario(FLIP, ((CERTAIN1, PRIZE3), (PRIZE2, bad)))
+        assert compare(OPT, CERTAIN1, PRIZE3) is Preference.PrefersRight
+        with pytest.raises(WeightSumError, match="'bad'"):
+            check_diachronic(OPT, scenario)
+
     def test_root_without_branches_is_an_empty_game(self):
         scenario = DiachronicScenario(Game("e", ()), ())
         with pytest.raises(EmptyGameError, match="^game 'e' has no branches$"):
@@ -376,20 +401,31 @@ class TestDutchBook:
         assert not analyze_dutch_book(agent, package).exposure
 
 
-def test_diachronic_ranks_the_compounds_once(monkeypatch):
+def test_diachronic_flattens_only_for_a_witness(monkeypatch):
     import branchgames.axioms as axioms
 
-    calls = []
+    flattened, validated = [], []
 
-    def counting_compare(agent, left, right):
-        calls.append((left.name, right.name))
-        return compare(agent, left, right)
+    def counting_flatten(compound, name=None):
+        flattened.append(name)
+        return flatten(compound, name)
 
-    monkeypatch.setattr(axioms, "compare", counting_compare)
-    check_diachronic(OPT, TIE_AT_THE_TOP)
-    # one comparison per descendant, then one of the two compounds
-    assert len(calls) == len(TIE_AT_THE_TOP.options) + 1
-    assert calls[-1] == ("compound_first", "compound_second")
+    def counting_validate(game):
+        validated.append(game.name)
+        validate_game(game)
+
+    def no_compare(agent, left, right):
+        raise AssertionError("check_diachronic ranks on composed summaries")
+
+    monkeypatch.setattr(axioms, "flatten", counting_flatten)
+    monkeypatch.setattr(axioms, "validate_game", counting_validate)
+    monkeypatch.setattr(axioms, "compare", no_compare)
+    assert check_diachronic(DTBR, TIE_AT_THE_TOP).verdict is Verdict.SATISFIED
+    assert flattened == []
+    # The root once, then every first option, then every second option.
+    assert validated == ["flip", "prize2", "prize3", "certain1", "prize3"]
+    assert check_diachronic(OPT, TIE_AT_THE_TOP).verdict is Verdict.VIOLATED
+    assert flattened == ["compound_first", "compound_second"]
 
 
 def test_continuity_refuses_a_candidate_outside_the_radius(monkeypatch):

@@ -2,12 +2,14 @@
 
 ``reference_find_violation`` is the search as it was before it decided
 scenarios on summaries: build every scenario of the stream and run
-``check_diachronic`` on it.  ``reference_arm_walk`` is the search as it was
-before it grouped arms into classes: decide every scenario of the stream
-from its arms' summaries.  The fast search must return the same first hit
-(index, scenario and report) or the same None, on fixed grids chosen to
-cover thirds, quarters, three-branch games, three root branches and
-negative rewards, and on random small grids.
+``reference_check_diachronic`` on it, which flattens both compounds and
+ranks them with ``compare`` rather than composing summaries.
+``reference_arm_walk`` is the search as it was before it grouped arms into
+classes: decide every scenario of the stream from its arms' summaries.
+The fast search must return the same first hit (index, scenario and
+report) or the same None, on fixed grids chosen to cover thirds, quarters,
+three-branch games, three root branches and negative rewards, and on
+random small grids.
 """
 
 import itertools
@@ -40,6 +42,7 @@ from branchgames.search import (
     _weight_tuple_counts,
     _weight_tuples,
 )
+from test_diachronic_oracle import reference_check_diachronic
 
 F = Fraction
 
@@ -50,7 +53,7 @@ AGENTS = {kind: Agent.of(kind, kind) for kind in KINDS}
 def reference_find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     """First violated scenario, found by checking every scenario in stream order."""
     for index, scenario in enumerate(enumerate_scenarios(spec)):
-        report = check_diachronic(agent, scenario)
+        report = reference_check_diachronic(agent, scenario)
         if report.verdict is Verdict.VIOLATED:
             return ViolationHit(index, scenario, report)
     return None
