@@ -17,9 +17,12 @@ value, and the smallest and largest reward on its support.  :data:`RULES`
 holds each kind's rule on such summaries, and :data:`STATISTICS` each
 kind's partial summary of one game: just the fields its rule reads.
 :func:`compare` ranks two games through both tables.  Callers that rank
-several games, such as the comparison matrix and the continuity and
-Dutch-book checks, read ``STATISTICS`` once per game and then rank with
-``RULES``.  All three statistics compose along branches, and
+several games read each game's statistics once and then rank with
+``RULES``: the continuity and Dutch-book checks read ``STATISTICS``, and
+the comparison matrix and the grid search read :func:`scaled_statistics`,
+the one helper that puts every field in integers over a denominator
+shared by all the games, so their rules compare integers instead of
+``Fraction``s.  All three statistics compose along branches, and
 :func:`compose` is the one rule that does it: the diachronic check and the
 grid search both rank compounds on summaries it composes from the
 partial summaries of their continuations.  Comparisons return one of three
@@ -30,6 +33,7 @@ by construction.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
@@ -86,7 +90,8 @@ class Agent:
 
 
 # (expected value, support min, support max).  Any exact ordered numbers
-# will do: Fractions, or integers scaled by one positive factor per field.
+# will do: Fractions, or integers scaled by one positive factor per field,
+# with the min and max sharing theirs.
 # A field that a kind's rule never reads may be None.
 Summary = tuple
 
@@ -144,6 +149,36 @@ STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
     "optimist": lambda game: (None, None, largest_reward(game)),
     "stoic": lambda game: None,
 }
+
+
+def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Optional[Summary]]:
+    """Each game's ``STATISTICS[kind]`` partial summary, in integers.
+
+    Each field is multiplied by the least common multiple of its
+    denominators across the games, so it becomes an integer.  The support
+    min and max share one multiplier, because the egalitarian rule
+    subtracts them.  A positive multiplier per field keeps every ``RULES``
+    verdict between the games and maps distinct values to distinct
+    integers, so equal summaries stay equal and no others become so.
+    """
+    parts = [STATISTICS[kind](game) for game in games]
+    if not parts or parts[0] is None:
+        return parts
+    values, lows, highs = zip(*parts)
+    value_scale = _common_denominator(values)
+    bound_scale = _common_denominator(lows + highs)
+    scales = (value_scale, bound_scale, bound_scale)
+    return [
+        tuple(
+            None if x is None else x.numerator * (scale // x.denominator)
+            for x, scale in zip(part, scales)
+        )
+        for part in parts
+    ]
+
+
+def _common_denominator(column: Sequence[Optional[Fraction]]) -> int:
+    return math.lcm(*(x.denominator for x in column if x is not None))
 
 
 _LOW, _HIGH = itemgetter(1), itemgetter(2)

@@ -9,23 +9,31 @@ Strict comparisons become gap constraints E_u(winner) - E_u(loser) >= 1
 rather than open inequalities: feasible utilities are closed under positive
 scaling, so the unit gap loses nothing and keeps the system solvable by
 exact variable elimination.  Indifference becomes equality.  Rows are
-integers from the start: the instance's weight vectors are scaled once, over
-one common denominator D, so an indifference reads +-diff.u <= 0 and a
-strict comparison's unit gap reads -diff.u <= -D.  On
-infeasible instances the solver returns an irreducible certificate: a
-subset of the recorded comparisons that is itself unsatisfiable and stays
-unsatisfiable under no further deletion.
+integers from the start.  D is the least common multiple of the
+instance's branch-weight denominators, and each game's vector is built in
+one pass over its branches: a branch of weight w adds w*D at its reward's
+alphabet index.  An indifference then reads +-diff.u <= 0 and a strict
+comparison's unit gap reads -diff.u <= -D.  Any other common denominator,
+such as the least one of the merged per-reward weight totals, scales every
+vector and the gap by one positive factor, and each row is divided by the
+gcd of its entries before it is used, so the rows, and with them ``u``, the
+certificate and the uniqueness flag, do not depend on which one is taken.
+The comparison matrix is ranked on integer statistics
+(``agents.scaled_statistics``).  On infeasible instances the solver
+returns an irreducible certificate: a subset of the recorded comparisons
+that is itself unsatisfiable and stays unsatisfiable under no further
+deletion.
 
 Three reductions keep the elimination small without changing any output:
 
 - Chain reduction.  The matrix is a total preorder, so sorting the games
   by strict wins orders them, and the at most n - 1 comparisons between
   games adjacent in that order describe the same polytope as all
-  n(n-1)/2 of them.  Only those rows are eliminated.
+  n(n-1)/2 of them.  Only those rows are eliminated, read straight off
+  the matrix; the full comparison list is built only for a certificate.
 - Equality substitution.  A variable that an equality (a row and its
   negation) mentions is substituted out through it instead of pairing
-  upper with lower rows, which is still an exact projection.  Each row
-  is divided by the gcd of its entries, so scaling by D changes no row.
+  upper with lower rows, which is still an exact projection.
 - History sets (Imbert 1993).  Each row carries the comparisons it was
   derived from, so a contradiction names an infeasible subset, the core.
   The backward deletion filter (Chinneck & Dravnieks 1991) still scans
@@ -55,17 +63,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .agents import RULES, STATISTICS, Agent, Preference
-from .agents import compare  # unused here; perfbench/tracing.py wraps this binding
-from .core import (
-    ONE,
-    Game,
-    GameError,
-    RewardAlphabet,
-    scale_to_integers,
-    validate_game,
-    weight_vector,
-)
+from .agents import RULES, Agent, Preference, scaled_statistics
+from .core import Game, GameError, RewardAlphabet, validate_game
+
+# Unused here; perfbench/tracing.py wraps these bindings by name.
+from .agents import compare  # noqa: F401
+from .core import weight_vector  # noqa: F401
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -122,12 +125,17 @@ class UtilityFit:
 def build_instance(
     agent: Agent, games: Sequence[Game], alphabet: RewardAlphabet
 ) -> PreferenceInstance:
-    """Fill the comparison matrix by ranking every pair with the agent's rule."""
+    """Fill the comparison matrix by ranking every pair with the agent's rule.
+
+    Each game is validated and then checked against the alphabet, zero-weight
+    branches included, before the next game is looked at.
+    """
     games = tuple(games)
     for g in games:
         validate_game(g)
-        weight_vector(g, alphabet)  # raises AlphabetMismatchError if outside
-    statistics = [STATISTICS[agent.kind](g) for g in games]
+        for b in g.branches:
+            alphabet.index(b.reward)  # raises AlphabetMismatchError if outside
+    statistics = scaled_statistics(agent.kind, games)
     rule = RULES[agent.kind]
     matrix = tuple(tuple(rule(s, t) for t in statistics) for s in statistics)
     return PreferenceInstance(alphabet, games, matrix)
@@ -172,7 +180,7 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
 # An integer row (coeffs . u <= bound) and its history: a bitmask of the
 # constraint_list() positions it was derived from.
 _Tracked = tuple[tuple[int, ...], int, int]
-_Vectors = Sequence[tuple[int, ...]]
+_Vectors = Sequence[Sequence[int]]
 
 
 class _Infeasible(Exception):
@@ -302,17 +310,22 @@ def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
 
 
 def _tracked_rows(
-    vectors: _Vectors, gap: int, constraints: Sequence[ComparisonConstraint], i: int
+    vectors: _Vectors,
+    gap: int,
+    left: int,
+    right: int,
+    preference: Preference,
+    position: int,
 ) -> list[_Tracked]:
-    """The integer rows of ``constraints[i]``, with history bit ``i`` set."""
-    c = constraints[i]
-    diff = tuple(a - b for a, b in zip(vectors[c.left], vectors[c.right]))
+    """The integer rows of one comparison, with history bit ``position`` set."""
+    diff = tuple(a - b for a, b in zip(vectors[left], vectors[right]))
     negated = tuple(-d for d in diff)
-    if c.preference is Preference.Indifferent:
-        return [(diff, 0, 1 << i), (negated, 0, 1 << i)]
-    if c.preference is Preference.PrefersLeft:
-        return [(negated, -gap, 1 << i)]
-    return [(diff, -gap, 1 << i)]
+    history = 1 << position
+    if preference is Preference.Indifferent:
+        return [(diff, 0, history), (negated, 0, history)]
+    if preference is Preference.PrefersLeft:
+        return [(negated, -gap, history)]
+    return [(diff, -gap, history)]
 
 
 def _irreducible_certificate(
@@ -332,7 +345,8 @@ def _irreducible_certificate(
     solved for, and each infeasible trial hands back a new core.
     """
     rows = [
-        _tracked_rows(vectors, gap, constraints, i) for i in range(len(constraints))
+        _tracked_rows(vectors, gap, c.left, c.right, c.preference, i)
+        for i, c in enumerate(constraints)
     ]
     kept = list(range(len(constraints)))
     for candidate in reversed(range(len(constraints))):
@@ -350,24 +364,29 @@ def _irreducible_certificate(
 def fit_utility(instance: PreferenceInstance) -> UtilityFit:
     """Decide representability; return a witness utility or a certificate."""
     order = _check_preorder(instance)
-    constraints = instance.constraint_list()
-    nvars = len(instance.alphabet)
-    n = len(instance.games)
+    alphabet = instance.alphabet
+    games = instance.games
+    m = instance.comparisons
+    nvars = len(alphabet)
+    n = len(games)
     # Every weight vector and the unit gap, over one common denominator D.
-    flat = scale_to_integers(
-        [x for g in instance.games for x in weight_vector(g, instance.alphabet)]
-        + [ONE]
-    )
-    gap = flat.pop()
-    vectors = [tuple(flat[k : k + nvars]) for k in range(0, len(flat), nvars)]
+    gap = math.lcm(*(b.weight.denominator for g in games for b in g.branches))
+    vectors = []
+    for g in games:
+        vector = [0] * nvars
+        for b in g.branches:
+            w = b.weight
+            vector[alphabet.index(b.reward)] += w.numerator * (gap // w.denominator)
+        vectors.append(vector)
     # Comparisons between games adjacent in the order imply all the others;
     # pair (i, j) with i < j sits at this position in constraint_list().
-    chain = [
-        i * n - i * (i + 1) // 2 + j - i - 1
-        for i, j in (sorted(pair) for pair in zip(order, order[1:]))
-    ]
+    chain = [(i, j, m[i][j]) for i, j in map(sorted, zip(order, order[1:]))]
     rows = [
-        row for i in chain for row in _tracked_rows(vectors, gap, constraints, i)
+        row
+        for i, j, preference in chain
+        for row in _tracked_rows(
+            vectors, gap, i, j, preference, i * n - i * (i + 1) // 2 + j - i - 1
+        )
     ]
     try:
         snapshots, rank = _project(rows, nvars)
@@ -376,15 +395,13 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
             verdict=INFEASIBLE,
             u=None,
             certificate=_irreducible_certificate(
-                vectors, gap, constraints, exc.core, nvars
+                vectors, gap, instance.constraint_list(), exc.core, nvars
             ),
             unique=None,
         )
     solution = _back_substitute(snapshots)
-    u = {r: solution[i] for i, r in enumerate(instance.alphabet.rewards)}
-    has_strict = any(
-        constraints[i].preference is not Preference.Indifferent for i in chain
-    )
+    u = {r: solution[i] for i, r in enumerate(alphabet.rewards)}
+    has_strict = any(p is not Preference.Indifferent for _, _, p in chain)
     unique = rank == (nvars - 2 if has_strict else nvars - 1)
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)
 

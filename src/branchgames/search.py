@@ -28,12 +28,12 @@ rule.  Call a root branch's pair of options an arm.  A scenario's verdict
 depends only on its root weights and, per arm, on the fields of the two
 summaries that the kind's rule reads: the kind's partial summary,
 ``agents.STATISTICS``.  So :func:`find_violation` groups the pool games by
-that partial summary and the arms by their pair of game classes, and
-decides each tuple of arm classes once, on the partial summaries of the
-class's first arm in odometer order (as integers over a pool-wide
-denominator), so the work grows with the class tuples, not with the
-stream.  A class whose descendant prefers its second option is dropped,
-because no clause binds on such a scenario.
+that partial summary, read in integers over pool-wide denominators by
+``agents.scaled_statistics``, and the arms by their pair of game classes,
+and decides each tuple of arm classes once, on the partial summaries of
+the class's first arm in odometer order, so the work grows with the class
+tuples, not with the stream.  A class whose descendant prefers its second
+option is dropped, because no clause binds on such a scenario.
 
 Within a root group of k branches over A arms, the scenario with arms
 a_1..a_k has index sum_i a_i*A^(k-i), which rises with each slot on its
@@ -61,12 +61,11 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .agents import (
     RULES,
-    STATISTICS,
     Agent,
     Preference,
     Summary,
     compose,
-    summary,
+    scaled_statistics,
 )
 from .axioms import (
     AxiomReport,
@@ -255,14 +254,6 @@ def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
             yield DiachronicScenario(root, pairs)
 
 
-def _pool_summaries(pool: Sequence[Game]) -> list[Summary]:
-    """Each pool game's summary, every field over one pool-wide denominator."""
-    summaries = [summary(game) for game in pool]
-    values = scale_to_integers([s[0] for s in summaries])
-    bounds = scale_to_integers([s[1] for s in summaries] + [s[2] for s in summaries])
-    return list(zip(values, bounds[: len(pool)], bounds[len(pool) :]))
-
-
 class _ArmClass(NamedTuple):
     """Arms alike to the kind's rule, held by their first arm in odometer
     order: its position, options and partial summaries, and the
@@ -277,30 +268,24 @@ class _ArmClass(NamedTuple):
 def _arm_classes(agent: Agent, pool: Sequence[Game]) -> list[_ArmClass]:
     """The classes of arms that can take part in a violation, by first arm.
 
-    Pool games fall into one class per partial summary of the kind; an arm
-    class is a pair of game classes, and its first arm pairs their first
-    games.  Each class keeps just the integer summary fields the kind's
-    partial summary holds, so :func:`compose` does no work the rule
-    ignores.  Classes whose descendant prefers the second option are
-    dropped.
+    Pool games fall into one class per partial summary of the kind, read
+    in integers by :func:`agents.scaled_statistics`; scaling is injective
+    field by field, so the integer summaries group the games as the
+    rational ones would.  An arm class is a pair of game classes, and its
+    first arm pairs their first games.  Each class holds just the fields
+    the kind's partial summary holds, so :func:`compose` does no work the
+    rule ignores.  The root rewards the search composes with are 0, which
+    reads the same at every scale.  Classes whose descendant prefers the
+    second option are dropped.
     """
-    statistics = STATISTICS[agent.kind]
     rule = RULES[agent.kind]
     firsts: dict[Optional[Summary], int] = {}
-    for position, game in enumerate(pool):
-        firsts.setdefault(statistics(game), position)
-    summaries = _pool_summaries(pool)
-    partial: dict[int, Optional[Summary]] = {}
-    for fields, position in firsts.items():
-        if fields is not None:
-            fields = tuple(
-                None if f is None else x for f, x in zip(fields, summaries[position])
-            )
-        partial[position] = fields
+    for position, fields in enumerate(scaled_statistics(agent.kind, pool)):
+        firsts.setdefault(fields, position)
     classes = []
-    for left in firsts.values():
-        for right in firsts.values():
-            pair = (partial[left], partial[right])
+    for left_fields, left in firsts.items():
+        for right_fields, right in firsts.items():
+            pair = (left_fields, right_fields)
             preference = rule(*pair)
             if preference is not Preference.PrefersRight:
                 classes.append(

@@ -253,6 +253,15 @@ def test_exhaustive_small_grid_agrees_with_the_reference():
                 assert_same_fit(build_instance(Agent(kind, kind), games, alphabet))
                 cases += 1
     assert cases > 1000
+    # Branch denominators 4, 2 and 3 clear at 12, but the merged weight
+    # totals, 1/2 and 1/2 against 1/3 and 2/3, clear at 6.
+    games = (
+        Game.of("quarters", (1, F(1, 4)), (1, F(1, 4)), (0, F(1, 2))),
+        Game.of("thirds", (0, F(1, 3)), (1, F(2, 3))),
+    )
+    alphabet = RewardAlphabet.of([0, 1])
+    for kind in KINDS:
+        assert_same_fit(build_instance(Agent(kind, kind), games, alphabet))
 
 
 def test_pinned_optimist_certificate_is_unchanged():
@@ -284,6 +293,7 @@ _SPLITS = {
     ),
     3: (
         (F(1, 3), F(1, 3), F(1, 3)),
+        (F(1, 4), F(1, 4), F(1, 2)),
         (F(1, 5), F(2, 5), F(2, 5)),
         (F(1, 7), F(2, 7), F(4, 7)),
     ),
@@ -297,10 +307,16 @@ def _instances(draw):
     count = draw(st.integers(1, 6))
     games = []
     for i in range(count):
-        size = draw(st.integers(1, min(3, len(rewards))))
-        chosen = draw(st.permutations(rewards))[:size]
+        size = draw(st.integers(1, 3))
+        # Rewards may repeat across branches, so merged weight totals can
+        # clear at a smaller denominator than the branch weights.
+        chosen = draw(st.lists(st.sampled_from(rewards), min_size=size, max_size=size))
         weights = draw(st.sampled_from(_SPLITS[size]))
-        games.append(Game(f"g{i}", tuple(map(Branch, chosen, weights))))
+        branches = list(map(Branch, chosen, weights))
+        if draw(st.booleans()):
+            ghost = Branch(draw(st.sampled_from(rewards)), _ZERO)
+            branches.insert(draw(st.integers(0, size)), ghost)
+        games.append(Game(f"g{i}", tuple(branches)))
     kind = draw(st.sampled_from(KINDS))
     return Agent(kind, kind), tuple(games), RewardAlphabet(tuple(rewards))
 

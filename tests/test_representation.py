@@ -19,6 +19,7 @@ from branchgames import (
     Preference,
     PreferenceInstance,
     RewardAlphabet,
+    WeightSumError,
     build_instance,
     fit_utility,
     normalize_fit,
@@ -71,6 +72,33 @@ class TestBuildInstance:
     def test_rewards_outside_the_alphabet_are_rejected(self):
         with pytest.raises(AlphabetMismatchError):
             build_instance(DTBR, (SURE0, SURE2), ALPHA01)
+        message = r"^reward 7 not in alphabet \{0, 1\}$"
+        # A zero-weight branch still names its reward.
+        ghost = Game.of("ghost", (0, 1), (7, 0))
+        with pytest.raises(AlphabetMismatchError, match=message):
+            build_instance(DTBR, (SURE0, ghost), ALPHA01)
+        # fit_utility checks the alphabet itself, on an instance built by
+        # hand whose matrix is a valid preorder.
+        same, right, left = (
+            Preference.Indifferent,
+            Preference.PrefersRight,
+            Preference.PrefersLeft,
+        )
+        for game, matrix in (
+            (Game.of("sure7", (7, 1)), ((same, right), (left, same))),
+            (ghost, ((same, same), (same, same))),
+        ):
+            inst = PreferenceInstance(ALPHA01, (SURE0, game), matrix)
+            with pytest.raises(AlphabetMismatchError, match=message):
+                fit_utility(inst)
+        # The preorder is checked before the alphabet.
+        inst = PreferenceInstance(ALPHA01, (SURE0, ghost), ((same, left), (left, same)))
+        with pytest.raises(InconsistentPreorderError):
+            fit_utility(inst)
+        # An invalid game's own error comes before its alphabet error.
+        broken = Game("broken", (Branch(F(7), F(1, 2)),))
+        with pytest.raises(WeightSumError):
+            build_instance(DTBR, (SURE0, broken), ALPHA01)
 
 
 class TestFeasibleFits:

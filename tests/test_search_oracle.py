@@ -30,7 +30,7 @@ from branchgames import (
     find_violation,
     scenario_count,
 )
-from branchgames.agents import RULES, Preference, Summary
+from branchgames.agents import RULES, Preference, Summary, summary
 from branchgames.axioms import DiachronicScenario, broken_clause
 from branchgames.core import scale_to_integers
 from branchgames.search import (
@@ -38,7 +38,6 @@ from branchgames.search import (
     ViolationHit,
     _check_cap,
     _grid_games,
-    _pool_summaries,
     _weight_tuple_counts,
     _weight_tuples,
 )
@@ -65,6 +64,14 @@ def _compound(weights, continuations: list[Summary]) -> Summary:
         min(c[1] for c in continuations),
         max(c[2] for c in continuations),
     )
+
+
+def _pool_summaries(pool) -> list[Summary]:
+    """Each pool game's full summary, every field over one pool-wide denominator."""
+    summaries = [summary(game) for game in pool]
+    values = scale_to_integers([s[0] for s in summaries])
+    bounds = scale_to_integers([s[1] for s in summaries] + [s[2] for s in summaries])
+    return list(zip(values, bounds[: len(pool)], bounds[len(pool) :]))
 
 
 def reference_arm_walk(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:

@@ -1,15 +1,17 @@
 """Checks that rank many games against ``compare`` on every pair.
 
-``build_instance``, ``check_continuity`` and ``analyze_dutch_book`` read
-each game's statistics once from ``agents.STATISTICS`` and rank them with
-``agents.RULES``.  Each test here ranks the same games pairwise with
+``check_continuity`` and ``analyze_dutch_book`` read each game's
+statistics once from ``agents.STATISTICS``, and ``build_instance`` reads
+them in integers from ``agents.scaled_statistics``; all three rank them
+with ``agents.RULES``.  Each test here ranks the same games pairwise with
 ``compare`` instead and expects the same verdicts.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -21,12 +23,15 @@ from branchgames import (
     Game,
     Preference,
     RewardAlphabet,
+    UtilityFit,
     analyze_dutch_book,
     build_instance,
     check_continuity,
     compare,
+    fit_utility,
 )
 from branchgames.axioms import _perturbations
+from branchgames.representation import FEASIBLE
 from conftest import REWARD_POOL, games
 
 AGENTS = tuple(Agent.of(kind, kind) for kind in AGENT_KINDS)
@@ -45,6 +50,36 @@ def test_build_instance_matrix_is_compare_on_every_pair(agent, drawn):
     for i, left in enumerate(pool):
         for j, right in enumerate(pool):
             assert instance.comparisons[i][j] is compare(agent, left, right)
+
+
+# Sure games and even splits of two and three branches: dense in
+# expected-value ties between games of differing spread.  Halves on one end
+# of a support and integers on the other make a pair whose support mins and
+# maxes have different least common denominators, such as
+# {0, 0, 2} against {-1, 3/2, 3/2}; the egalitarian rule ranks that pair
+# correctly only if the min and max share one denominator.
+_TIE_REWARDS = tuple(Fraction(r) for r in ("-1", "0", "1/2", "1", "3/2", "2"))
+_TIE_POOL = tuple(
+    Game("g", tuple(Branch(r, Fraction(1, size)) for r in rewards))
+    for size in (1, 2, 3)
+    for rewards in combinations_with_replacement(_TIE_REWARDS, size)
+    if size == 1 or len(set(rewards)) > 1
+)
+
+
+@pytest.mark.parametrize("agent", AGENTS, ids=AGENT_KINDS)
+def test_build_instance_matrix_is_compare_on_every_pool_pair(agent):
+    alphabet = RewardAlphabet(_TIE_REWARDS)
+    for pair in combinations_with_replacement(_TIE_POOL, 2):
+        matrix = build_instance(agent, pair, alphabet).comparisons
+        assert matrix == tuple(
+            tuple(compare(agent, g, h) for h in pair) for g in pair
+        )
+    empty = build_instance(agent, (), alphabet)
+    assert empty.comparisons == ()
+    assert fit_utility(empty) == UtilityFit(
+        FEASIBLE, {r: Fraction(0) for r in _TIE_REWARDS}, None, False
+    )
 
 
 def reference_levels(agent, left, right, alphabet, seed):
