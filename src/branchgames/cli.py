@@ -44,6 +44,11 @@ across runs of the same file.  A violated axiom is a reported result, not
 a failure: the exit code is 0 whenever every check executed, 2 on parse
 or execution errors, and 1 only under --fail-on-violation when some check
 found a violation or exposure.
+
+``main(argv)`` returns that exit code rather than exiting, so it can be
+called repeatedly in one process.  It builds its argparse parser on the
+first call and reuses it after; argparse itself still exits, with 0 after
+``--help`` and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -924,7 +929,9 @@ def run_gallery() -> list[CheckOutcome]:
 # -- command line ----------------------------------------------------------
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="branchgames",
         description=(
@@ -959,7 +966,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             action="store_true",
             help="exit 1 when any check reports a violation or exposure",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _argument_parser().parse_args(argv)
 
     try:
         if args.command == "run":

@@ -1,5 +1,6 @@
 """Scenario files end to end: parsing, canonical rendering, execution, CLI."""
 
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,7 @@ from branchgames.cli import (
     ParseError,
     ScenarioFile,
     UnknownReferenceError,
+    _argument_parser,
     emit,
     gallery_source,
     main,
@@ -676,6 +678,55 @@ class TestCommandLine:
         code_two, out_two, _ = self.run_main(["gallery", "--machine"], capsys)
         assert code_one == code_two == 0
         assert out_one.encode() == out_two.encode()
+
+    def test_repeated_calls_reuse_one_parser(self, capsys, monkeypatch):
+        # Help text wraps to the terminal width, read at each call.
+        monkeypatch.setenv("COLUMNS", "80")
+        search = ["search", "diachronic", "agent=egalitarian", "rewards=0,3,4,5",
+                  "weights=1/2,1", "root_branches=2", "option_branches=2"]
+        calls = [
+            (["--help"], 0),
+            (["run", "--help"], 0),
+            (["search", "--help"], 0),
+            ([], 2),
+            (["run"], 2),
+            (["gallery", "--fail-on-violation"], 2),
+            (["search"], 2),
+            (search, 0),
+            (["gallery", "--machine"], 0),
+        ]
+        builds = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        # Start cold, so the first round shows that the count sees a build.
+        _argument_parser.cache_clear()
+
+        def one_round():
+            results = []
+            for argv, expected in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                assert code == expected, argv
+                results.append((code, captured.out, captured.err))
+            return results
+
+        first = one_round()
+        assert builds > 0
+        builds = 0
+        assert one_round() == first
+        assert builds == 0
+        assert first[0][1].startswith("usage: branchgames ")
+        for _, out, err in first[3:7]:
+            assert out == "" and err.startswith("usage: branchgames")
 
     def test_search_subcommand_finds_the_best_outcome_trap(self, capsys):
         code, out, _ = self.run_main(
