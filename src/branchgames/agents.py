@@ -40,12 +40,12 @@ from operator import add, itemgetter
 from typing import Any, Callable, Optional, Sequence
 
 from .core import (
-    EmptyGameError,
     Game,
     RationalLike,
     as_rational,
     expected_value,
     largest_reward,
+    support_bounds,
 )
 
 
@@ -98,10 +98,7 @@ Summary = tuple
 
 def summary(game: Game) -> Summary:
     """Every statistic any kind ranks by, for one valid game."""
-    rewards = [b.reward for b in game.support()]
-    if not rewards:
-        raise EmptyGameError(f"game {game.name!r} has empty support")
-    return (expected_value(game), min(rewards), max(rewards))
+    return (expected_value(game), *support_bounds(game))
 
 
 def _order(left: object, right: object) -> Preference:

@@ -38,6 +38,7 @@ from .core import (
     combine_on_shared_event,
     flatten,
     game_distance,
+    support_bounds,
     validate_game,
     weight_vector,
 )
@@ -386,7 +387,7 @@ def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
     null_statistics = statistics(null)
     individual = tuple(rule(statistics(g), null_statistics) for g in games)
     combined_pref = rule(statistics(combined), null_statistics)
-    sure_loss = all(b.reward < 0 for b in combined.support())
+    sure_loss = support_bounds(combined)[1] < 0
     accepts_each = all(p is Preference.PrefersLeft for p in individual)
     weakly_accepts_each = all(p is not Preference.PrefersRight for p in individual)
     accepts_package = combined_pref is not Preference.PrefersRight

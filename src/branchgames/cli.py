@@ -23,10 +23,13 @@ ambiguity into an exact model.
 A line is split on whitespace by ``str.split()``.  A token's 1-based
 column (a tab counts as one) is worked out only when an error names it,
 by scanning that line again with ``_TOKEN_RE``, which splits on the same
-code points.  Each parse keeps one table of reward literals and one of
-weight literals, so ``core.as_rational`` and the weight range check run
-once per distinct literal text; the tables are separate because
-``reward=2`` is valid and ``weight=2`` is not.  A game is validated by
+code points.  Each ``parse`` call keeps one table from the text of a
+branch line before any comment to the ``Branch`` it parsed to, and looks
+every line up there before splitting it.  A line found there inside an
+open game block adds that shared, frozen ``Branch`` and is not split or
+parsed again.  Every other line, a known branch line outside a game block
+included, is parsed in full, so its errors keep their text, line and
+column; a line that fails is never stored.  A game is validated by
 ``core.validate_game`` when its block closes.
 
 A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
@@ -184,7 +187,7 @@ def _anchors(text: str) -> tuple[Fraction, ...]:
 
 def _weight(text: str) -> Fraction:
     weight = as_rational(text)
-    if weight < 0 or weight > 1:
+    if weight.numerator < 0 or weight.numerator > weight.denominator:
         raise ValueError(f"weight {weight} outside [0, 1]")
     return weight
 
@@ -210,6 +213,9 @@ class _Key(NamedTuple):
 def _keys(*keys: _Key) -> dict[str, _Key]:
     return {key.name: key for key in keys}
 
+
+# The keys of a branch line, after its keyword.
+_BRANCH_KEYS = _keys(_Key("reward", as_rational), _Key("weight", _weight))
 
 # The keys after the name of each declaration.
 _DECLARATION_KEYS = {
@@ -358,21 +364,25 @@ class _Parser:
             "agent": self.agents,
             "scenario": self.scenario_decls,
         }
-        # Rewards and weights keep separate literal tables: reward=2 is
-        # valid and weight=2 is not.  A literal that fails is not cached,
-        # so it fails again wherever it recurs.
-        self.branch_keys = _keys(
-            _Key("reward", functools.cache(as_rational)),
-            _Key("weight", functools.cache(_weight)),
-        )
+        # A branch line's text before any comment -> its Branch.  Only
+        # lines that parsed are stored, so a bad one fails again wherever
+        # it recurs.
+        self.branch_lines: dict[str, Branch] = {}
 
     def parse(self, text: str) -> ScenarioFile:
         # Lines end only where text-mode open() ends them; str.splitlines()
         # would also end one at \f, \v, U+2028 and others, which
         # misnumbers every later line.  Those stay token separators.
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        branch_lines = self.branch_lines
         for number, raw in enumerate(lines, start=1):
             content = raw.partition("#")[0]
+            branch = branch_lines.get(content)
+            # Outside a game block a known branch line takes the path below,
+            # which raises.
+            if branch is not None and self.pending_game is not None:
+                self.pending_game[2].append(branch)
+                continue
             tokens = content.split()
             if tokens:
                 self._line(_Line(tokens, content, number))
@@ -388,8 +398,10 @@ class _Parser:
         if keyword == "branch":
             if self.pending_game is None:
                 raise ParseError("branch outside a game block", line.number)
-            args = _keyword_args(line, 1, self.branch_keys)
-            self.pending_game[2].append(Branch(args["reward"], args["weight"]))
+            args = _keyword_args(line, 1, _BRANCH_KEYS)
+            branch = Branch(args["reward"], args["weight"])
+            self.branch_lines[line.text] = branch
+            self.pending_game[2].append(branch)
         elif keyword == "arm":
             if self.pending_scenario is None:
                 raise ParseError("arm outside a scenario block", line.number)
@@ -837,11 +849,17 @@ def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
     return outcomes
 
 
+# One encoder for every record: json.dumps(record, sort_keys=True) writes
+# the same bytes but builds an encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def emit(outcomes: Sequence[CheckOutcome], machine: bool) -> str:
     if machine:
-        return "\n".join(
-            json.dumps(o.record, sort_keys=True) for o in outcomes
-        ) + ("\n" if outcomes else "")
+        encode = _RECORD_ENCODER.encode
+        return "\n".join(encode(o.record) for o in outcomes) + (
+            "\n" if outcomes else ""
+        )
     return "\n".join(o.text for o in outcomes) + ("\n" if outcomes else "")
 
 

@@ -221,21 +221,48 @@ def expected_value(game: Game) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
+    """The smallest and largest reward on the support, as the branches hold them.
+
+    Rewards are compared as integers over a running common denominator,
+    which ends as the lcm of the support rewards' denominators, as in
+    validate_game: no Fraction is compared or built.
+    """
+    branches = iter(game.branches)
+    for b in branches:
+        if b.weight.numerator > 0:
+            break
+    else:
+        raise EmptyGameError(f"game {game.name!r} has empty support")
+    low = high = b.reward
+    denominator = low.denominator
+    least = most = low.numerator
+    for b in branches:
+        if b.weight.numerator > 0:
+            reward = b.reward
+            bottom = reward.denominator
+            if denominator % bottom:
+                step = bottom // math.gcd(denominator, bottom)
+                denominator *= step
+                least *= step
+                most *= step
+            scaled = reward.numerator * (denominator // bottom)
+            if scaled < least:
+                low, least = reward, scaled
+            elif scaled > most:
+                high, most = reward, scaled
+    return low, high
+
+
 def largest_reward(game: Game) -> Fraction:
     """Largest reward on the support (branches with weight > 0 only)."""
-    sup = game.support()
-    if not sup:
-        raise EmptyGameError(f"game {game.name!r} has empty support")
-    return max(b.reward for b in sup)
+    return support_bounds(game)[1]
 
 
 def reward_range(game: Game) -> Fraction:
     """Spread of the support rewards: largest minus smallest."""
-    sup = game.support()
-    if not sup:
-        raise EmptyGameError(f"game {game.name!r} has empty support")
-    rewards = [b.reward for b in sup]
-    return max(rewards) - min(rewards)
+    low, high = support_bounds(game)
+    return high - low
 
 
 def flatten(compound: CompoundGame, name: str | None = None) -> Game:

@@ -23,9 +23,11 @@ from branchgames import (
     game_distance,
     largest_reward,
     reward_range,
+    support_bounds,
     validate_game,
     weight_vector,
 )
+from branchgames.agents import summary
 from conftest import REWARD_POOL, compounds, games
 
 F = Fraction
@@ -336,3 +338,76 @@ def test_expected_value_matches_the_fraction_sum(game):
     assert expected_value(game) == sum(
         (b.weight * b.reward for b in game.branches), Fraction(0)
     )
+
+
+# Reward literals over small numerators and denominators, each also written
+# scaled up, so equal values arrive as distinct Fraction objects.
+_REWARD_LITERALS = st.builds(
+    lambda top, bottom, scale: as_rational(f"{top * scale}/{bottom * scale}"),
+    st.integers(-6, 6),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def _support_games(draw):
+    """Games of one to five support branches, with zero-weight branches
+    whose rewards may lie beyond the support's own extremes."""
+    support = draw(st.lists(_REWARD_LITERALS, min_size=1, max_size=5))
+    size = len(support)
+    parts = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    outside = st.sampled_from([F(-100), F(100), F(-201, 4), F(201, 4)])
+    zeros = draw(st.lists(_REWARD_LITERALS | outside, max_size=3))
+    branches = [Branch(r, F(p, sum(parts))) for r, p in zip(support, parts)]
+    branches += [Branch(r, F(0)) for r in zeros]
+    return Game("g", tuple(draw(st.permutations(branches))))
+
+
+class TestSupportBounds:
+    @given(_support_games())
+    def test_bounds_are_min_and_max_over_the_support(self, game):
+        rewards = [b.reward for b in game.support()]
+        low, high = support_bounds(game)
+        # The first smallest and first largest, as the branches hold them.
+        assert low is min(rewards)
+        assert high is max(rewards)
+        assert summary(game) == (expected_value(game), low, high)
+        assert largest_reward(game) is high
+        assert reward_range(game) == high - low
+
+    @pytest.mark.parametrize(
+        "branches, low, high",
+        [
+            (((F(-7, 3), 1),), F(-7, 3), F(-7, 3)),
+            (((F(1), 0), (F(2), 1), (F(-5), 0)), F(2), F(2)),
+            (((F(9), 0), (F(-1, 2), F(1, 2)), (F(3, 4), F(1, 2))), F(-1, 2), F(3, 4)),
+            (
+                ((F(1, 3), F(1, 3)), (F(-2, 6), F(1, 3)), (F(2, 6), F(1, 3))),
+                F(-1, 3),
+                F(1, 3),
+            ),
+        ],
+    )
+    def test_pinned_bounds(self, branches, low, high):
+        game = Game.of("g", *branches)
+        assert support_bounds(game) == (low, high)
+
+    def test_equal_values_give_the_first_branch_holding_them(self):
+        first, second = as_rational("1/2"), as_rational("2/4")
+        assert first == second and first is not second
+        game = Game("g", (Branch(first, F(1, 2)), Branch(second, F(1, 2))))
+        low, high = support_bounds(game)
+        assert low is first and high is first
+
+    @pytest.mark.parametrize(
+        "statistic", [support_bounds, summary, largest_reward, reward_range]
+    )
+    @pytest.mark.parametrize(
+        "branches",
+        [(), (Branch(F(1), F(0)),), (Branch(F(1), F(0)), Branch(F(-1), F(0)))],
+    )
+    def test_empty_support_raises(self, statistic, branches):
+        with pytest.raises(EmptyGameError) as err:
+            statistic(Game("empty", branches))
+        assert str(err.value) == "game 'empty' has empty support"
