@@ -18,16 +18,16 @@ holds each kind's rule on such summaries, and :data:`STATISTICS` each
 kind's partial summary of one game: just the fields its rule reads.
 :func:`compare` ranks two games through both tables.  Callers that rank
 several games read each game's statistics once and then rank with
-``RULES``: the continuity and Dutch-book checks read ``STATISTICS``, and
-the comparison matrix and the grid search read :func:`scaled_statistics`,
-the one helper that puts every field in integers over a denominator
-shared by all the games, so their rules compare integers instead of
-``Fraction``s.  All three statistics compose along branches, and
-:func:`compose` is the one rule that does it: the diachronic check and the
-grid search both rank compounds on summaries it composes from the
-partial summaries of their continuations.  Comparisons return one of three
-verdicts and never raise on valid input, so every kind is a total preorder
-by construction.
+``RULES``: the Dutch-book check reads ``STATISTICS``, and the comparison
+matrix and the grid search read :func:`scaled_statistics`, the one helper
+that puts every field in integers over a denominator shared by all the
+games, so their rules compare integers instead of ``Fraction``s.  All
+three statistics compose along branches, and :func:`compose` is the one
+rule that does it: the diachronic check and the grid search rank compounds
+on summaries it composes from their continuations' partial summaries, and
+the continuity check ranks perturbed games as compounds of sure-zero
+continuations.  Comparisons return one of three verdicts and never raise
+on valid input, so every kind is a total preorder by construction.
 """
 
 from __future__ import annotations

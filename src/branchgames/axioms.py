@@ -10,9 +10,9 @@ Two axioms are mechanized over the game model:
 
 * Solution continuity demands that a strict preference survive all
   sufficiently small perturbations of either game.  A sampler cannot
-  certify a claim that quantifies over every nearby game, so the checker
-  is falsification-only: it reports ``violated`` when every probed radius
-  admits a counterexample, and ``no_violation_found`` otherwise.
+  certify a claim about every nearby game, so the checker is
+  falsification-only; it ranks moves of integer weight on composed
+  summaries and builds games only for the witness.
 
 The Dutch-book analyzer combines games riding on one shared branching
 event and asks whether an agent who accepts each part also accepts a
@@ -22,9 +22,11 @@ package that loses on every branch.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .agents import RULES, STATISTICS, Agent, Preference, compare, compose
@@ -37,7 +39,8 @@ from .core import (
     RewardAlphabet,
     combine_on_shared_event,
     flatten,
-    game_distance,
+    game_distance,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
+    scale_to_integers,
     support_bounds,
     validate_game,
     weight_vector,
@@ -219,28 +222,18 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     return AxiomReport("diachronic", Verdict.VIOLATED, witness)
 
 
-def _perturbations(
-    game: Game,
-    alphabet: RewardAlphabet,
-    delta: Fraction,
-    rng: random.Random,
-    samples: int,
-) -> list[Game]:
-    """Candidate games within ``delta`` of ``game``, original first.
+def _moves(
+    vector: list[int], limit: int, rng: random.Random, samples: int
+) -> list[tuple[str, int, int, int]]:
+    """Moves (label, from, to, amount) of at most ``limit`` on integer weights.
 
-    Always includes every axis-aligned extreme move (shift min(delta, w_i)
-    of weight from a support component i to another component j), then
-    ``samples`` seeded random two-component moves.  All candidates stay on
-    the alphabet and remain valid games.
+    Every extreme move, min(limit, v_i) from a support entry i to another
+    entry j, comes first, then ``samples`` seeded random eighths of one.
     """
-    vector = weight_vector(game, alphabet)
     size = len(vector)
-    if size < 2:
-        return [game]
     support = [i for i in range(size) if vector[i] > 0]
-    # (label, from, to, amount) per move.
     moves = [
-        (f"{i}->{j}", i, j, min(delta, vector[i]))
+        (f"{i}->{j}", i, j, min(limit, vector[i]))
         for i in support
         for j in range(size)
         if j != i
@@ -248,30 +241,9 @@ def _perturbations(
     for s in range(samples):
         i = rng.choice(support)
         j = rng.choice([m for m in range(size) if m != i])
-        amount = min(delta, vector[i]) * Fraction(rng.randint(1, 8), 8)
+        amount = min(limit, vector[i]) * rng.randint(1, 8) // 8
         moves.append((f"rand{s}", i, j, amount))
-    candidates = [game]
-    for label, i, j, amount in moves:
-        moved = list(vector)
-        moved[i] -= amount
-        moved[j] += amount
-        branches = tuple(Branch(r, w) for r, w in zip(alphabet.rewards, moved))
-        candidates.append(Game(f"{game.name}[{label}@{delta}]", branches))
-    return candidates
-
-
-def _check_radius(
-    game: Game, candidates: Sequence[Game], alphabet: RewardAlphabet, delta: Fraction
-) -> None:
-    # Every candidate moves at most delta of weight, so this never fires; a
-    # candidate that did not would make a falsified radius meaningless.
-    for candidate in candidates:
-        distance = game_distance(game, candidate, alphabet)
-        if distance > delta:
-            raise RuntimeError(
-                f"perturbation {candidate.name!r} lies {distance} from "
-                f"{game.name!r}, outside the radius {delta}"
-            )
+    return moves
 
 
 def check_continuity(
@@ -293,6 +265,11 @@ def check_continuity(
     ``violated`` only when every radius is falsified, and the witness
     records one counterexample per radius; otherwise the verdict is
     ``no_violation_found``.  Deterministic for a fixed seed.
+
+    Candidates are the game and one :func:`_moves` move each on its weights
+    over D (8 × the lcm of both games' weight denominators and the radii),
+    kept within delta × D and [0, D], and ranked on ``agents.compose``
+    summaries; games are built only for each radius's first falsifying pair.
     """
     validate_game(left)
     validate_game(right)
@@ -312,27 +289,49 @@ def check_continuity(
         )
 
     statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
+    vectors = [weight_vector(game, alphabet) for game in (left, right)]
+    scale = 8 * math.lcm(*(x.denominator for v in (*vectors, deltas) for x in v))
+    vectors = [[w.numerator * (scale // w.denominator) for w in v] for v in vectors]
+    # Over its support a candidate is a compound of sure-zero continuations,
+    # whose partial summary holds 0 in each field the rule reads.
+    rewards = scale_to_integers(alphabet.rewards)
+    zeros = [tuple(None if x is None else 0 for x in statistics(left))] * len(rewards)
+
+    def ranked(name: Optional[str], weights: list[int]) -> tuple:
+        support = list(filter(None, weights)), list(compress(rewards, weights))
+        return name, weights, compose(*support, zeros)
+
+    def built(game: Game, name: Optional[str], weights: list[int]) -> Game:
+        branches = map(Branch, alphabet, (Fraction(w, scale) for w in weights))
+        return game if name is None else Game(name, tuple(branches))
+
     levels = []
     for delta in deltas:
         # One RNG per radius, seeded by a stable string, so results do not
         # depend on process hash seeds or on which radii were probed before.
         rng = random.Random(f"{seed}:{delta}")
-        left_candidates = _perturbations(
-            left, alphabet, delta, rng, samples_per_delta
-        )
-        right_candidates = _perturbations(
-            right, alphabet, delta, rng, samples_per_delta
-        )
-        _check_radius(left, left_candidates, alphabet, delta)
-        _check_radius(right, right_candidates, alphabet, delta)
-        # Each candidate's statistics once; the first pair in left-major
-        # order that the agent no longer strictly ranks falsifies the radius.
-        right_ranked = [(rp, statistics(rp)) for rp in right_candidates]
+        limit = delta.numerator * (scale // delta.denominator)
+        sides = []
+        for game, vector in zip((left, right), vectors):
+            side = [ranked(None, vector)]
+            for label, i, j, amount in _moves(vector, limit, rng, samples_per_delta):
+                name = f"{game.name}[{label}@{delta}]"
+                # Never fires; a stray would make a falsified radius meaningless.
+                if not 0 <= amount <= min(limit, vector[i], scale - vector[j]):
+                    stray = f"perturbation {name!r} moves {Fraction(amount, scale)}"
+                    raise RuntimeError(f"{stray}, outside the radius {delta} or [0, 1]")
+                moved = list(vector)
+                moved[i] -= amount
+                moved[j] += amount
+                side.append(ranked(name, moved))
+            sides.append(side)
+        # The first pair in left-major order that the agent no longer
+        # strictly ranks falsifies the radius.
         pairs = (
-            ContinuityLevel(delta, lp, rp, verdict)
-            for lp, s in zip(left_candidates, map(statistics, left_candidates))
-            for rp, t in right_ranked
-            if (verdict := rule(s, t)) is not Preference.PrefersLeft
+            ContinuityLevel(delta, built(left, *lc[:2]), built(right, *rc[:2]), verdict)
+            for lc in sides[0]
+            for rc in sides[1]
+            if (verdict := rule(lc[2], rc[2])) is not Preference.PrefersLeft
         )
         levels.append(next(pairs, ContinuityLevel(delta, None, None, None)))
 

@@ -431,12 +431,51 @@ def test_diachronic_flattens_only_for_a_witness(monkeypatch):
 def test_continuity_refuses_a_candidate_outside_the_radius(monkeypatch):
     import branchgames.axioms as axioms
 
-    original = axioms._perturbations
+    original = axioms._moves
 
-    def with_a_stray(game, alphabet, delta, rng, samples):
-        far = Game("far", (Branch(F(0), F(1)), Branch(F(1), F(0))))
-        return original(game, alphabet, delta, rng, samples) + [far]
+    def with_a_stray(stray):
+        def moves(vector, limit, rng, samples):
+            return original(vector, limit, rng, samples) + [stray(limit)]
 
-    monkeypatch.setattr(axioms, "_perturbations", with_a_stray)
-    with pytest.raises(RuntimeError, match="outside the radius"):
-        check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 4, seed=7)
+        return moves
+
+    # SURE1's weights over {0, 1} are (0, D) and every radius is at most
+    # 1/2: moving limit + 1 out of entry 1 keeps both entries in [0, D] but
+    # leaves the radius; moving 1 out of the empty entry 0 stays inside the
+    # radius but drives that entry below 0.
+    strays = (lambda limit: ("far", 1, 0, limit + 1), lambda limit: ("below", 0, 1, 1))
+    for stray in strays:
+        monkeypatch.setattr(axioms, "_moves", with_a_stray(stray))
+        with pytest.raises(RuntimeError, match="outside the radius"):
+            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 4, seed=7)
+
+
+@pytest.mark.parametrize(
+    "agent, right, deltas, falsified",
+    [
+        (OPT, NEARLY_SURE0, DELTAS, [True, True, True, True]),
+        (DTBR, NEARLY_SURE0, DELTAS, [True, False, False, False]),
+        (DTBR, Game.of("sure0", (0, 1)), DELTAS[1:], [False, False, False]),
+    ],
+)
+def test_continuity_builds_games_only_for_witnesses(
+    monkeypatch, agent, right, deltas, falsified
+):
+    import branchgames.axioms as axioms
+
+    built = []
+
+    def counting_game(name, branches):
+        built.append(name)
+        return Game(name, branches)
+
+    monkeypatch.setattr(axioms, "Game", counting_game)
+    report = check_continuity(agent, SURE1, right, ALPHABET01, deltas, 4, seed=7)
+    levels = report.witness.levels
+    assert [level.falsified for level in levels] == falsified
+    for level in levels:
+        names = [name for name in built if name.endswith(f"@{level.delta}]")]
+        witnesses = (level.left_perturbed, level.right_perturbed)
+        # A falsified radius builds its witness pair, except an original game.
+        assert names == [g.name for g in witnesses if g not in (None, SURE1, right)]
+    assert len(built) <= 2 * sum(falsified)
