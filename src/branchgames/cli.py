@@ -730,6 +730,10 @@ def _execute_fit(check: FitCheck, sf: ScenarioFile, record: dict) -> str:
     instance = build_instance(
         sf.agents[check.agent], [sf.games[name] for name in check.games], alphabet
     )
+    # Checked before fitting: an infeasible fit never normalizes, so stray
+    # anchors would otherwise pass unremarked.
+    if check.anchors is not None and not all(r in alphabet for r in check.anchors):
+        raise ValueError("anchor rewards are outside the fitted alphabet")
     fit = fit_utility(instance)
     record["verdict"] = fit.verdict
     values = record["values"] = {

@@ -30,7 +30,7 @@ Three reductions keep the elimination small without changing any output:
   by strict wins orders them, and the at most n - 1 comparisons between
   games adjacent in that order describe the same polytope as all
   n(n-1)/2 of them.  Only those rows are eliminated, read straight off
-  the matrix; the full comparison list is built only for a certificate.
+  the matrix.
 - Equality substitution.  A variable that an equality (a row and its
   negation) mentions is substituted out through it instead of pairing
   upper with lower rows, which is still an exact projection.
@@ -38,11 +38,14 @@ Three reductions keep the elimination small without changing any output:
   derived from, so a contradiction names an infeasible subset, the core.
   The backward deletion filter (Chinneck & Dravnieks 1991) still scans
   every comparison, but deleting one outside the core cannot restore
-  feasibility, so only core members cost a solve.
+  feasibility, so only core members cost a solve, and a comparison's
+  rows are built only when a solve first includes it.
 
 Back substitution takes the lexicographic midpoint of the feasible set,
 which depends on that set alone, so the witness utility is the same
-rationals that elimination over every pairwise row would give.
+rationals that elimination over every pairwise row would give.  It runs
+in integers too, over one common denominator of the values assigned so
+far, and builds a ``Fraction`` per variable only at the end.
 
 Uniqueness is meant up to positive affine rescaling.  The fit is flagged
 unique exactly when the indifference equations pin the solution space down
@@ -59,6 +62,7 @@ none, and every variable is eliminated, so the count is exactly that rank.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -275,13 +279,18 @@ def _project(rows: list[_Tracked], nvars: int) -> tuple[list[list[_Tracked]], in
 
 
 def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
-    """Assign variables in ascending order from the projections.
+    """Assign variables in ascending order from the projections, in integers.
 
     Midpoint when boxed between bounds, the single bound when one-sided,
     0 when free.  Every projection is exact, so the point depends only on
-    the feasible set, not on the rows that describe it.
+    the feasible set, not on the rows that describe it.  The assigned
+    values are integer numerators over one common denominator ``den``, so
+    a row's limit on u_k is the integer pair (p, q), q > 0, standing for
+    p / q; limits are compared by cross-multiplication, and each value
+    becomes a ``Fraction`` only at the end.
     """
-    values: list[Fraction] = []
+    nums: list[int] = []
+    den = 1
     for k, rows_k in enumerate(snapshots):
         low = None
         high = None
@@ -289,24 +298,28 @@ def _back_substitute(snapshots: list[list[_Tracked]]) -> list[Fraction]:
             c = coeffs[k]
             if c == 0:
                 continue
-            rest = bound
-            for m in range(k):
-                if coeffs[m]:
-                    rest -= coeffs[m] * values[m]
-            limit = Fraction(rest, c)
+            # map stops at the k values assigned so far
+            p = bound * den - sum(map(operator.mul, coeffs, nums))
             if c > 0:
-                high = limit if high is None else min(high, limit)
+                q = c * den
+                if high is None or p * high[1] < high[0] * q:
+                    high = (p, q)
             else:
-                low = limit if low is None else max(low, limit)
+                p, q = -p, -c * den
+                if low is None or p * low[1] > low[0] * q:
+                    low = (p, q)
         if low is not None and high is not None:
-            values.append((low + high) / 2)
-        elif low is not None:
-            values.append(low)
-        elif high is not None:
-            values.append(high)
+            p, q = low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1]
         else:
-            values.append(_ZERO)
-    return values
+            p, q = low or high or (0, 1)  # the single bound, or 0 when free
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        scale = q // math.gcd(den, q)
+        if scale != 1:
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums.append(p * (den // q))
+    return [Fraction(x, den) for x in nums]
 
 
 def _tracked_rows(
@@ -331,34 +344,41 @@ def _tracked_rows(
 def _irreducible_certificate(
     vectors: _Vectors,
     gap: int,
-    constraints: tuple[ComparisonConstraint, ...],
+    comparisons: Sequence[tuple[int, int, Preference]],
     core: int,
     nvars: int,
 ) -> tuple[ComparisonConstraint, ...]:
-    """Shrink an infeasible constraint set until every member is load-bearing.
+    """Shrink an infeasible comparison set until every member is load-bearing.
 
-    Deletion scan runs from the most recently declared constraint backward,
-    so the surviving certificate favors the earliest declarations.  ``core``
-    names an infeasible subset of the kept constraints.  Deleting a
-    candidate outside it leaves the core in place, so that trial is
-    infeasible without a solve.  Only candidates inside the core are
-    solved for, and each infeasible trial hands back a new core.
+    ``comparisons`` holds ``(left, right, preference)`` in
+    ``constraint_list()`` order.  The deletion scan runs from the most
+    recently declared comparison backward, so the surviving certificate
+    favors the earliest declarations.  ``core`` names an infeasible subset
+    of the kept comparisons.  Deleting a candidate outside it leaves the
+    core in place, so that trial is infeasible without a solve.  Only
+    candidates inside the core are solved for, and each infeasible trial
+    hands back a new core.  A comparison's rows are built the first time a
+    trial includes it, so positions above the first solved candidate never
+    are.  Every position below the candidate is still kept, which makes
+    the candidate's index in ``kept`` its own position.
     """
-    rows = [
-        _tracked_rows(vectors, gap, c.left, c.right, c.preference, i)
-        for i, c in enumerate(constraints)
-    ]
-    kept = list(range(len(constraints)))
-    for candidate in reversed(range(len(constraints))):
-        trial = [i for i in kept if i != candidate]
+    rows: list[Optional[list[_Tracked]]] = [None] * len(comparisons)
+    kept = list(range(len(comparisons)))
+    for candidate in reversed(range(len(comparisons))):
         if core >> candidate & 1:
+            trial: list[_Tracked] = []
+            for i in kept:
+                if i != candidate:
+                    if rows[i] is None:
+                        rows[i] = _tracked_rows(vectors, gap, *comparisons[i], i)
+                    trial += rows[i]
             try:
-                _project([row for i in trial for row in rows[i]], nvars)
+                _project(trial, nvars)
                 continue
             except _Infeasible as exc:
                 core = exc.core
-        kept = trial
-    return tuple(constraints[i] for i in kept)
+        del kept[candidate]
+    return tuple(ComparisonConstraint(*comparisons[i]) for i in kept)
 
 
 def fit_utility(instance: PreferenceInstance) -> UtilityFit:
@@ -395,7 +415,11 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
             verdict=INFEASIBLE,
             u=None,
             certificate=_irreducible_certificate(
-                vectors, gap, instance.constraint_list(), exc.core, nvars
+                vectors,
+                gap,
+                [(i, j, m[i][j]) for i in range(n) for j in range(i + 1, n)],
+                exc.core,
+                nvars,
             ),
             unique=None,
         )

@@ -648,6 +648,31 @@ class TestCommandLine:
         assert code == 2
         assert "execution error" in err
 
+    @pytest.mark.parametrize("kind", ["dtbr", "optimist"])  # feasible, infeasible
+    def test_fit_anchors_outside_the_alphabet_exit_2_whatever_the_verdict(
+        self, kind, tmp_path, capsys
+    ):
+        check = (
+            "check fit agent=a games=win,win_at_zero,win_at_half "
+            "alphabet=0,1 anchors=7,9"
+        )
+        path = tmp_path / "anchors.game"
+        path.write_text(
+            "game win\n  branch reward=1 weight=1\n"
+            "game win_at_zero\n  branch reward=1 weight=0\n  branch reward=0 weight=1\n"
+            "game win_at_half\n  branch reward=1 weight=1/2\n"
+            "  branch reward=0 weight=1/2\n"
+            f"agent a kind={kind}\n{check}\n",
+            encoding="utf-8",
+        )
+        code, out, err = self.run_main(["run", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"execution error: check at line 10 ({check}): "
+            "anchor rewards are outside the fitted alphabet\n"
+        )
+
     def test_continuity_over_a_one_reward_alphabet_names_the_stray_reward(
         self, tmp_path, capsys
     ):

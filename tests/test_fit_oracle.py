@@ -7,13 +7,21 @@ upper row with every lower row, and a backward deletion filter that
 solves once per comparison.  The fast solver must agree with it on every
 field of ``UtilityFit``: verdict, raw ``u`` (the same rationals, not just
 an equivalent utility), certificate and uniqueness flag.
+
+Two steps of the integer solver also have references of their own, the
+versions they replaced: ``reference_back_substitute`` assigns the witness
+in ``Fraction``s, and ``reference_deletion_filter`` builds every
+comparison's rows up front and copies the trial list for every candidate.
+Each is fed the very arguments ``fit_utility`` hands its fast counterpart.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Optional, Sequence
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +38,16 @@ from branchgames import (
     build_instance,
     fit_utility,
 )
+from branchgames import representation
 from branchgames.core import weight_vector
-from branchgames.representation import FEASIBLE, INFEASIBLE, _check_preorder
+from branchgames.representation import (
+    FEASIBLE,
+    INFEASIBLE,
+    _check_preorder,
+    _Infeasible,
+    _project,
+    _tracked_rows,
+)
 
 F = Fraction
 _ZERO = F(0)
@@ -196,6 +212,101 @@ def reference_fit_utility(instance: PreferenceInstance) -> UtilityFit:
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)
 
 
+# -- the references for single steps of the integer solver -------------------
+
+
+def reference_back_substitute(snapshots) -> list[Fraction]:
+    """``_back_substitute`` as it was: every step in ``Fraction``s."""
+    values: list[Fraction] = []
+    for k, rows_k in enumerate(snapshots):
+        low = None
+        high = None
+        for coeffs, bound, _ in rows_k:
+            c = coeffs[k]
+            if c == 0:
+                continue
+            rest = bound
+            for m in range(k):
+                if coeffs[m]:
+                    rest -= coeffs[m] * values[m]
+            limit = Fraction(rest, c)
+            if c > 0:
+                high = limit if high is None else min(high, limit)
+            else:
+                low = limit if low is None else max(low, limit)
+        if low is not None and high is not None:
+            values.append((low + high) / 2)
+        elif low is not None:
+            values.append(low)
+        elif high is not None:
+            values.append(high)
+        else:
+            values.append(_ZERO)
+    return values
+
+
+def reference_deletion_filter(
+    vectors,
+    gap: int,
+    constraints: tuple[ComparisonConstraint, ...],
+    core: int,
+    nvars: int,
+) -> tuple[ComparisonConstraint, ...]:
+    """``_irreducible_certificate`` as it was: all rows built up front."""
+    rows = [
+        _tracked_rows(vectors, gap, c.left, c.right, c.preference, i)
+        for i, c in enumerate(constraints)
+    ]
+    kept = list(range(len(constraints)))
+    for candidate in reversed(range(len(constraints))):
+        trial = [i for i in kept if i != candidate]
+        if core >> candidate & 1:
+            try:
+                _project([row for i in trial for row in rows[i]], nvars)
+                continue
+            except _Infeasible as exc:
+                core = exc.core
+        kept = trial
+    return tuple(constraints[i] for i in kept)
+
+
+def _calls_of(name: str, instance: PreferenceInstance) -> list[tuple]:
+    """Fit ``instance``; return the arguments of each call it made to ``name``."""
+    real = getattr(representation, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(representation, name, spy):
+        fit_utility(instance)
+    return calls
+
+
+def assert_same_back_substitution(instance: PreferenceInstance) -> bool:
+    """Compare on ``instance``'s snapshots; return whether it had any."""
+    calls = _calls_of("_back_substitute", instance)
+    for (snapshots,) in calls:
+        fast = representation._back_substitute(snapshots)
+        assert fast == reference_back_substitute(snapshots)
+        assert all(type(v) is Fraction for v in fast)
+    return bool(calls)
+
+
+def assert_same_deletion_filter(instance: PreferenceInstance) -> bool:
+    """Compare on ``instance``'s infeasible core; return whether it had one."""
+    calls = _calls_of("_irreducible_certificate", instance)
+    constraints = instance.constraint_list()
+    for vectors, gap, comparisons, core, nvars in calls:
+        assert comparisons == [(c.left, c.right, c.preference) for c in constraints]
+        fast = representation._irreducible_certificate(
+            vectors, gap, comparisons, core, nvars
+        )
+        assert fast == reference_deletion_filter(vectors, gap, constraints, core, nvars)
+    return bool(calls)
+
+
 # -- comparison ---------------------------------------------------------------
 
 
@@ -233,8 +344,8 @@ def _pool(rewards: Sequence[Fraction], splits: Sequence[Fraction]) -> list[Game]
     return pool
 
 
-def test_exhaustive_small_grid_agrees_with_the_reference():
-    cases = 0
+def _small_grid():
+    """Every instance of the exhaustive grid, for each agent kind."""
     for size in (1, 2, 3):
         rewards = tuple(F(r) for r in range(size))
         alphabet = RewardAlphabet(rewards)
@@ -250,8 +361,14 @@ def test_exhaustive_small_grid_agrees_with_the_reference():
         for combo in combos:
             games = _named(combo)
             for kind in KINDS:
-                assert_same_fit(build_instance(Agent(kind, kind), games, alphabet))
-                cases += 1
+                yield build_instance(Agent(kind, kind), games, alphabet)
+
+
+def test_exhaustive_small_grid_agrees_with_the_reference():
+    cases = 0
+    for instance in _small_grid():
+        assert_same_fit(instance)
+        cases += 1
     assert cases > 1000
     # Branch denominators 4, 2 and 3 clear at 12, but the merged weight
     # totals, 1/2 and 1/2 against 1/3 and 2/3, clear at 6.
@@ -262,6 +379,11 @@ def test_exhaustive_small_grid_agrees_with_the_reference():
     alphabet = RewardAlphabet.of([0, 1])
     for kind in KINDS:
         assert_same_fit(build_instance(Agent(kind, kind), games, alphabet))
+
+
+def test_back_substitution_agrees_with_the_reference_on_the_small_grid():
+    feasible = sum(map(assert_same_back_substitution, _small_grid()))
+    assert feasible > 1000
 
 
 def test_pinned_optimist_certificate_is_unchanged():
@@ -326,3 +448,74 @@ def _instances(draw):
 def test_random_instances_agree_with_the_reference(case):
     agent, games, alphabet = case
     assert_same_fit(build_instance(agent, games, alphabet))
+
+
+# -- seeded fit_ladder shapes -------------------------------------------------
+
+
+def _seeded_instance(
+    seed: int, kind: str, size: int, count: int, branches=2, denominators=(2,)
+):
+    """A seeded instance drawn the way the fit_ladder bench draws its own.
+
+    ``size`` rewards out of 0..9, then ``count`` games of one to
+    ``branches`` distinct rewards, with positive weights over a denominator
+    drawn from ``denominators``.  The defaults give fit_ladder's games: a
+    sure reward or an even split.
+    """
+    rng = random.Random(f"{seed} {kind} {size}x{count} {branches} {denominators}")
+    rewards = sorted(rng.sample(range(10), size))
+    games = []
+    for i in range(count):
+        width = rng.randint(1, min(branches, size))
+        d = rng.choice([x for x in denominators if x >= width])
+        cuts = sorted(rng.sample(range(1, d), width - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        chosen = rng.sample(rewards, width)
+        games.append(
+            Game(f"g{i}", tuple(Branch(F(r), F(p, d)) for r, p in zip(chosen, parts)))
+        )
+    alphabet = RewardAlphabet(tuple(F(r) for r in rewards))
+    return build_instance(Agent(kind, kind), games, alphabet)
+
+
+_LADDER = [(kind, 4, 12) for kind in KINDS] + [(kind, 5, 8) for kind in KINDS]
+
+
+def test_back_substitution_agrees_with_the_reference_on_ladder_shapes():
+    feasible = 0
+    for kind, size, count in _LADDER:
+        for seed in range(25):
+            instance = _seeded_instance(seed, kind, size, count)
+            feasible += assert_same_back_substitution(instance)
+    assert feasible > 100
+
+
+def test_back_substitution_agrees_with_the_reference_on_three_branch_games():
+    # weights in thirds, quarters and sixths, mixed within one instance
+    feasible = 0
+    for kind, size, count in _LADDER:
+        for seed in range(15):
+            instance = _seeded_instance(seed, kind, size, count, 3, (3, 4, 6))
+            feasible += assert_same_back_substitution(instance)
+    assert feasible > 50
+
+
+def test_deletion_filter_agrees_with_the_reference_on_ladder_shapes():
+    infeasible = 0
+    for kind, size, count in _LADDER:
+        for seed in range(25):
+            instance = _seeded_instance(seed, kind, size, count)
+            infeasible += assert_same_deletion_filter(instance)
+    assert infeasible > 25
+
+
+def test_deletion_filter_builds_rows_only_for_the_comparisons_it_reads():
+    instance = _seeded_instance(0, "optimist", 4, 12)
+    n = len(instance.games)
+    ((_, _, _, core, _),) = _calls_of("_irreducible_certificate", instance)
+    # the chain's n - 1 comparisons come first, then the deletion filter's
+    positions = [args[-1] for args in _calls_of("_tracked_rows", instance)[n - 1 :]]
+    assert len(positions) == len(set(positions)) < n * (n - 1) // 2
+    # nothing above the core's last position, the first candidate solved
+    assert max(positions) <= core.bit_length() - 1
