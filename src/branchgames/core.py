@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -138,16 +138,27 @@ class RewardAlphabet:
     """The ordered set of reward values a family of games may mention.
 
     Fixes the coordinate system for weight vectors, and with them the
-    distance between games and the unknowns of a utility fit.
+    distance between games and the unknowns of a utility fit.  Each reward's
+    position is looked up in a table keyed by its integer pair (numerator,
+    denominator), built once per alphabet: hashing two integers is cheaper
+    than comparing or hashing ``Fraction``s.  The table takes no part in
+    equality, hashing or ``repr``.
     """
 
     rewards: tuple[Fraction, ...]
+    _positions: dict[tuple[int, int], int] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.rewards:
             raise ValueError("alphabet must contain at least one reward")
         if any(a >= b for a, b in zip(self.rewards, self.rewards[1:])):
             raise ValueError("alphabet rewards must be strictly increasing")
+        positions = {
+            (r.numerator, r.denominator): i for i, r in enumerate(self.rewards)
+        }
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def of(cls, values: Iterable[RationalLike]) -> "RewardAlphabet":
@@ -159,8 +170,8 @@ class RewardAlphabet:
 
     def index(self, reward: Fraction) -> int:
         try:
-            return self.rewards.index(reward)
-        except ValueError:
+            return self._positions[reward.numerator, reward.denominator]
+        except (KeyError, AttributeError):
             raise AlphabetMismatchError(
                 f"reward {reward} not in alphabet {self}"
             ) from None

@@ -19,7 +19,12 @@ vector and the gap by one positive factor, and each row is divided by the
 gcd of its entries before it is used, so the rows, and with them ``u``, the
 certificate and the uniqueness flag, do not depend on which one is taken.
 The comparison matrix is ranked on integer statistics
-(``agents.scaled_statistics``).  On infeasible instances the solver
+(``agents.scaled_statistics``) with one sort of the games by the agent's
+rule, which splits them into tie levels; each row is then read off a
+table of verdicts at the other games' levels.  A matrix handed to the fit
+is checked a row at a time, each row against the one its strict win
+count implies.  Reward positions come from the alphabet's table keyed by
+integer (numerator, denominator) pairs.  On infeasible instances the solver
 returns an irreducible certificate: a subset of the recorded comparisons
 that is itself unsatisfiable and stays unsatisfiable under no further
 deletion.
@@ -65,6 +70,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Mapping, Optional, Sequence
 
 from .agents import RULES, Agent, Preference, scaled_statistics
@@ -126,13 +132,29 @@ class UtilityFit:
         return self.verdict == FEASIBLE
 
 
+# The sort key's comparison: the preferred game sorts first.
+_RANK = {
+    Preference.PrefersLeft: -1,
+    Preference.Indifferent: 0,
+    Preference.PrefersRight: 1,
+}
+
+
 def build_instance(
     agent: Agent, games: Sequence[Game], alphabet: RewardAlphabet
 ) -> PreferenceInstance:
-    """Fill the comparison matrix by ranking every pair with the agent's rule.
+    """Fill the comparison matrix from one sort of the games by the agent's rule.
 
     Each game is validated and then checked against the alphabet, zero-weight
-    branches included, before the next game is looked at.
+    branches included, before the next game is looked at.  Every ``RULES``
+    entry is a total preorder, so one sort with it orders the games best
+    first, and ranking each game against the next one in that order
+    (n - 1 more rule calls) splits them into tie levels, numbered from 0
+    at the top.  A game at level k prefers every game at a level greater
+    than k, is indifferent to its own level and is beaten by every game at
+    a level less than k.  So all rows of a level are one tuple, read off a
+    table of verdicts at the other games' levels: the matrix that ranking
+    every pair would give, from O(n log n) rule calls instead of n^2.
     """
     games = tuple(games)
     for g in games:
@@ -141,15 +163,26 @@ def build_instance(
             alphabet.index(b.reward)  # raises AlphabetMismatchError if outside
     statistics = scaled_statistics(agent.kind, games)
     rule = RULES[agent.kind]
-    matrix = tuple(tuple(rule(s, t) for t in statistics) for s in statistics)
-    return PreferenceInstance(alphabet, games, matrix)
-
-
-_IMPLIED = {
-    1: Preference.PrefersLeft,
-    0: Preference.Indifferent,
-    -1: Preference.PrefersRight,
-}
+    order = sorted(
+        range(len(games)),
+        key=cmp_to_key(lambda i, j: _RANK[rule(statistics[i], statistics[j])]),
+    )
+    levels = [0] * len(games)
+    level = 0
+    for above, below in zip(order, order[1:]):
+        if rule(statistics[above], statistics[below]) is not Preference.Indifferent:
+            level += 1
+        levels[below] = level
+    # Entry w of line[level - k:] is the verdict at level k against level w.
+    line = (
+        (Preference.PrefersRight,) * level
+        + (Preference.Indifferent,)
+        + (Preference.PrefersLeft,) * level
+    )
+    rows = [
+        tuple(map(line[level - k :].__getitem__, levels)) for k in range(level + 1)
+    ]
+    return PreferenceInstance(alphabet, games, tuple(map(rows.__getitem__, levels)))
 
 
 def _check_preorder(instance: PreferenceInstance) -> list[int]:
@@ -159,25 +192,35 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     below it and exactly as many as every game tied with it, so every
     entry ranks its two games by their strict win counts.  Conversely a
     matrix whose every entry does so is the order of those counts, which
-    is total and transitive.  Checking each entry against the counts
-    therefore decides the question in O(n^2), and the first entry that
-    disagrees is the error.
+    is total and transitive.  So each row is compared, as one tuple, with
+    the row the win counts imply: a table of verdicts indexed by the other
+    games' counts.  Only a row that disagrees is scanned entry by entry, to
+    report its first disagreeing entry, which is then the first in
+    row-major order.
     """
     games = instance.games
     m = instance.comparisons
     n = len(games)
     if len(m) != n or any(len(row) != n for row in m):
         raise InconsistentPreorderError("comparison matrix is not square")
-    wins = [sum(p is Preference.PrefersLeft for p in row) for row in m]
+    wins = [row.count(Preference.PrefersLeft) for row in m]
+    # Entry w of line[n - k:] is the verdict a game with k wins gets
+    # against one with w wins; a row of n entries has at most n wins.
+    line = (
+        (Preference.PrefersLeft,) * n
+        + (Preference.Indifferent,)
+        + (Preference.PrefersRight,) * n
+    )
     for i, row in enumerate(m):
-        for j, verdict in enumerate(row):
-            implied = _IMPLIED[(wins[i] > wins[j]) - (wins[i] < wins[j])]
-            if verdict is not implied:
-                raise InconsistentPreorderError(
-                    f"{games[i].name!r} vs {games[j].name!r} reads "
-                    f"{verdict.value}, but their strict win counts "
-                    f"{wins[i]} and {wins[j]} call for {implied.value}"
-                )
+        implied = tuple(map(line[n - wins[i] :].__getitem__, wins))
+        if tuple(row) != implied:
+            for j, verdict in enumerate(row):
+                if verdict is not implied[j]:
+                    raise InconsistentPreorderError(
+                        f"{games[i].name!r} vs {games[j].name!r} reads "
+                        f"{verdict.value}, but their strict win counts "
+                        f"{wins[i]} and {wins[j]} call for {implied[j].value}"
+                    )
     return sorted(range(n), key=lambda i: -wins[i])
 
 
@@ -331,8 +374,8 @@ def _tracked_rows(
     position: int,
 ) -> list[_Tracked]:
     """The integer rows of one comparison, with history bit ``position`` set."""
-    diff = tuple(a - b for a, b in zip(vectors[left], vectors[right]))
-    negated = tuple(-d for d in diff)
+    diff = tuple(map(operator.sub, vectors[left], vectors[right]))
+    negated = tuple(map(operator.neg, diff))
     history = 1 << position
     if preference is Preference.Indifferent:
         return [(diff, 0, history), (negated, 0, history)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchgames import (
+    Agent,
     AlphabetMismatchError,
     Branch,
     CompoundGame,
@@ -17,6 +18,7 @@ from branchgames import (
     WeightRangeError,
     WeightSumError,
     as_rational,
+    build_instance,
     combine_on_shared_event,
     expected_value,
     flatten,
@@ -253,6 +255,32 @@ class TestRewardAlphabet:
         assert F(2) not in alphabet
         with pytest.raises(AlphabetMismatchError):
             alphabet.index(F(2))
+
+    def test_index_reads_rewards_by_value(self):
+        alphabet = RewardAlphabet.of([-1, F(1, 2), 3])
+        half = F(2, 4)
+        assert half is not alphabet.rewards[1]
+        assert alphabet.index(half) == 1
+        assert alphabet.index(3) == 2
+        assert alphabet.index(-1) == 0
+        for miss, text in ((F(1, 3), "1/3"), (2, "2"), (F(-3, 2), "-3/2")):
+            message = rf"^reward {text} not in alphabet \{{-1, 1/2, 3\}}$"
+            with pytest.raises(AlphabetMismatchError, match=message):
+                alphabet.index(miss)
+        # The lookup table leaves equality, hashing and repr as they were.
+        same = RewardAlphabet((F(-1), F(1, 2), F(3)))
+        assert alphabet == same and hash(alphabet) == hash(same)
+        assert alphabet != RewardAlphabet((F(-1), F(3)))
+        assert repr(alphabet) == (
+            "RewardAlphabet(rewards=(Fraction(-1, 1), Fraction(1, 2), Fraction(3, 1)))"
+        )
+        # A zero-weight branch still names its reward.
+        ghost = Game.of("ghost", (3, 1), (7, 0))
+        message = r"^reward 7 not in alphabet \{-1, 1/2, 3\}$"
+        with pytest.raises(AlphabetMismatchError, match=message):
+            weight_vector(ghost, alphabet)
+        with pytest.raises(AlphabetMismatchError, match=message):
+            build_instance(Agent.of("ev", "dtbr"), (ghost,), alphabet)
 
     def test_must_not_be_empty(self):
         with pytest.raises(ValueError):

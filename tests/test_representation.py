@@ -255,23 +255,84 @@ def reference_is_total_preorder(m) -> bool:
     )
 
 
+_IMPLIED = {
+    1: Preference.PrefersLeft,
+    0: Preference.Indifferent,
+    -1: Preference.PrefersRight,
+}
+
+
+def reference_check_preorder(instance):
+    """``_check_preorder`` entry by entry: each verdict against the win counts."""
+    games = instance.games
+    m = instance.comparisons
+    n = len(games)
+    if len(m) != n or any(len(row) != n for row in m):
+        raise InconsistentPreorderError("comparison matrix is not square")
+    wins = [sum(p is Preference.PrefersLeft for p in row) for row in m]
+    for i, row in enumerate(m):
+        for j, verdict in enumerate(row):
+            implied = _IMPLIED[(wins[i] > wins[j]) - (wins[i] < wins[j])]
+            if verdict is not implied:
+                raise InconsistentPreorderError(
+                    f"{games[i].name!r} vs {games[j].name!r} reads "
+                    f"{verdict.value}, but their strict win counts "
+                    f"{wins[i]} and {wins[j]} call for {implied.value}"
+                )
+    return sorted(range(n), key=lambda i: -wins[i])
+
+
+def _checked(check, instance):
+    """The order the check returns, or the text of the error it raises."""
+    try:
+        return check(instance)
+    except InconsistentPreorderError as error:
+        return str(error)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_win_counts_decide_every_small_matrix(n):
     # The one win-count check accepts exactly the matrices that satisfy the
-    # preorder laws, and orders the games by the relation they define.
+    # preorder laws, and orders the games by the relation they define.  It
+    # returns what the entry-by-entry check returns and words its errors
+    # alike, with rows given as tuples or as lists.
     trio = (WIN, WIN_AT_HALF, WIN_AT_ZERO)[:n]
     for entries in itertools.product(Preference, repeat=n * n):
         m = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        for rows in (m, [list(row) for row in m]):
+            instance = PreferenceInstance(ALPHA01, trio, rows)
+            outcome = _checked(_check_preorder, instance)
+            assert outcome == _checked(reference_check_preorder, instance), m
         expected = reference_is_total_preorder(m)
-        try:
-            order = _check_preorder(PreferenceInstance(ALPHA01, trio, m))
-        except InconsistentPreorderError:
+        if isinstance(outcome, str):
             assert not expected, m
             continue
         assert expected, m
-        assert sorted(order) == list(range(n))
-        for a, b in zip(order, order[1:]):
+        assert sorted(outcome) == list(range(n))
+        for a, b in zip(outcome, outcome[1:]):
             assert m[a][b] is not Preference.PrefersRight, m
+
+
+def test_first_bad_entry_below_row_zero_is_reported():
+    left, right, same = (
+        Preference.PrefersLeft,
+        Preference.PrefersRight,
+        Preference.Indifferent,
+    )
+    games = tuple(Game(f"g{k}", SURE0.branches) for k in range(5))
+    # Rows 0 and 1 agree with the win counts 4, 3, 1, 2, 1.  Row 2 reads
+    # g2 and g3 as tied, but g3 claims a win over g2.
+    matrix = [
+        [same, left, left, left, left],
+        [right, same, left, left, left],
+        [right, right, same, same, left],
+        [right, right, left, same, left],
+        [right, left, right, right, same],
+    ]
+    instance = PreferenceInstance(ALPHA01, games, matrix)
+    outcome = _checked(_check_preorder, instance)
+    assert outcome == _checked(reference_check_preorder, instance)
+    assert outcome.startswith("'g2' vs 'g3' reads Indifferent"), outcome
 
 
 class TestNormalizeErrors:

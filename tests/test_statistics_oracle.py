@@ -5,10 +5,12 @@ integer weight vectors, ``analyze_dutch_book`` reads each game's
 statistics once from ``agents.STATISTICS``, and ``build_instance`` reads
 them in integers from ``agents.scaled_statistics``; all three rank them
 with ``agents.RULES``.  Each test here ranks the same games pairwise with
-``compare`` instead and expects the same verdicts.  The continuity tests
-also replay :func:`reference_check_continuity`, the checker that built a
-``Game`` for every candidate and measured each with ``game_distance``,
-and expect the same report or the same error.
+``compare`` instead and expects the same verdicts.  ``build_instance``
+ranks the games with one sort, so its matrix is also held to
+:func:`reference_matrix`, the rule on every pair of integer statistics.
+The continuity tests also replay :func:`reference_check_continuity`, the
+checker that built a ``Game`` for every candidate and measured each with
+``game_distance``, and expect the same report or the same error.
 """
 
 import math
@@ -45,6 +47,7 @@ from branchgames import (
     weight_vector,
 )
 from branchgames import axioms
+from branchgames.agents import RULES, scaled_statistics
 from branchgames.representation import FEASIBLE
 from conftest import REWARD_POOL, games
 
@@ -81,6 +84,13 @@ _TIE_POOL = tuple(
 )
 
 
+def reference_matrix(agent, games):
+    """The comparison matrix as ``build_instance`` filled it: the rule on every pair."""
+    statistics = scaled_statistics(agent.kind, games)
+    rule = RULES[agent.kind]
+    return tuple(tuple(rule(s, t) for t in statistics) for s in statistics)
+
+
 @pytest.mark.parametrize("agent", AGENTS, ids=AGENT_KINDS)
 def test_build_instance_matrix_is_compare_on_every_pool_pair(agent):
     alphabet = RewardAlphabet(_TIE_REWARDS)
@@ -89,11 +99,40 @@ def test_build_instance_matrix_is_compare_on_every_pool_pair(agent):
         assert matrix == tuple(
             tuple(compare(agent, g, h) for h in pair) for g in pair
         )
+    # The whole pool at once, in both orders, and single games.
+    for pool in (_TIE_POOL, _TIE_POOL[::-1]):
+        matrix = build_instance(agent, pool, alphabet).comparisons
+        assert matrix == reference_matrix(agent, pool)
+    for game in _TIE_POOL:
+        matrix = build_instance(agent, (game,), alphabet).comparisons
+        assert matrix == reference_matrix(agent, (game,))
     empty = build_instance(agent, (), alphabet)
-    assert empty.comparisons == ()
+    assert empty.comparisons == () == reference_matrix(agent, ())
     assert fit_utility(empty) == UtilityFit(
         FEASIBLE, {r: Fraction(0) for r in _TIE_REWARDS}, None, False
     )
+
+
+@pytest.mark.parametrize("agent", AGENTS, ids=AGENT_KINDS)
+@pytest.mark.parametrize("size, count", [(4, 12), (5, 8)])
+def test_build_instance_matrix_is_the_reference_on_seeded_instances(
+    agent, size, count
+):
+    # Sure rewards and even splits between two rewards, as in the
+    # benchmark's fit ladder: ties are frequent at these shapes.
+    for seed in range(25):
+        rng = random.Random(seed)
+        rewards = sorted(rng.sample(range(10), size))
+        pool = []
+        for k in range(count):
+            picked = rng.sample(rewards, rng.randint(1, 2))
+            weight = Fraction(1, len(picked))
+            pool.append(
+                Game(f"g{k}", tuple(Branch(Fraction(r), weight) for r in picked))
+            )
+        alphabet = RewardAlphabet(tuple(Fraction(r) for r in rewards))
+        matrix = build_instance(agent, pool, alphabet).comparisons
+        assert matrix == reference_matrix(agent, pool)
 
 
 def _perturbations(game, alphabet, delta, rng, samples):
