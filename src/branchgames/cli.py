@@ -29,8 +29,12 @@ every line up there before splitting it.  A line found there inside an
 open game block adds that shared, frozen ``Branch`` and is not split or
 parsed again.  Every other line, a known branch line outside a game block
 included, is parsed in full, so its errors keep their text, line and
-column; a line that fails is never stored.  A game is validated by
-``core.validate_game`` when its block closes.
+column; a line that fails is never stored.  So every game of a file
+holds one ``Branch`` object per distinct branch line, which the records
+of a run then write out once (below).  A ``game <name>`` line with no
+further tokens skips the ``key=value`` loop, having no keys to read; one
+with more tokens goes through it and keeps its errors.  A game is
+validated by ``core.validate_game`` when its block closes.
 
 A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
 first two words of its line, its dataclass and its executor.  The
@@ -43,9 +47,13 @@ written per kind.
 Checks run in declaration order.  Text mode prints one block per check;
 machine mode prints one JSON object per line with stable keys
 (check_kind, inputs, verdict, witness, values) and is byte-identical
-across runs of the same file.  A violated axiom is a reported result, not
-a failure: the exit code is 0 whenever every check executed, 2 on parse
-or execution errors, and 1 only under --fail-on-violation when some check
+across runs of the same file.  Every game a record holds, inputs and
+witnesses alike, goes through one ``_GameJson`` per ``run_file`` call,
+which makes each ``Branch`` object's ``{"reward", "weight"}`` dict once,
+so a run's records share those dicts and are read-only.  Nothing of it
+outlives the call.  A violated axiom is a reported result, not a
+failure: the exit code is 0 whenever every check executed, 2 on parse or
+execution errors, and 1 only under --fail-on-violation when some check
 found a violation or exposure.
 
 ``main(argv)`` returns that exit code rather than exiting, so it can be
@@ -425,10 +433,15 @@ class _Parser:
         if name in self.namespaces[keyword]:
             message = f"duplicate {keyword} name {name!r}"
             raise line.error(message, 1, DuplicateNameError)
-        args = _keyword_args(line, 2, _DECLARATION_KEYS[keyword])
         if keyword == "game":
+            # Game lines have no keys: only a token after the name needs
+            # _keyword_args, which words its error.
+            if len(line.tokens) > 2:
+                _keyword_args(line, 2, _DECLARATION_KEYS[keyword])
             self.pending_game = (name, line.number, [])
-        elif keyword == "scenario":
+            return
+        args = _keyword_args(line, 2, _DECLARATION_KEYS[keyword])
+        if keyword == "scenario":
             self.pending_scenario = (name, args["root"], line.number, [])
         else:
             try:
@@ -563,37 +576,57 @@ class CheckOutcome:
         return self.record["verdict"] in _VIOLATIONS
 
 
-def _game_json(game: Optional[Game]) -> Optional[dict]:
-    if game is None:
-        return None
-    return {
-        "name": game.name,
-        "branches": [
-            {"reward": str(b.reward), "weight": str(b.weight)}
-            for b in game.branches
-        ],
-    }
+class _GameJson:
+    """The record form of games, for one ``run_file`` call.
 
+    Each distinct ``Branch`` object is turned into its ``{"reward",
+    "weight"}`` dict once, and every game that holds that object gets the
+    same dict.  The parser hands every game of a file one shared ``Branch``
+    per distinct branch line, so a file's records stringify each of those
+    once.  The table is keyed by ``id`` and keeps the ``Branch`` beside its
+    dict, so no id is reused while the entry lives; ``Branch`` and
+    ``Fraction`` values are never hashed, which costs more than
+    recomputing the strings.  A new table is made per call, so nothing
+    outlives it.
+    """
 
-def _scenario_json(scenario: DiachronicScenario) -> dict:
-    return {
-        "root": _game_json(scenario.root),
-        "options": [
-            [_game_json(first), _game_json(second)]
-            for first, second in scenario.options
-        ],
-    }
+    def __init__(self) -> None:
+        self.branches: dict[int, tuple[Branch, dict[str, str]]] = {}
 
+    def _branch(self, branch: Branch) -> tuple[Branch, dict[str, str]]:
+        entry = (branch, {"reward": str(branch.reward), "weight": str(branch.weight)})
+        self.branches[id(branch)] = entry
+        return entry
 
-def _diachronic_witness_json(witness: DiachronicWitness) -> dict:
-    return {
-        "clause": witness.clause,
-        "descendant_preferences": [p.value for p in witness.descendant_preferences],
-        "strict_branches": list(witness.strict_branches),
-        "left_compound": _game_json(witness.left_compound),
-        "right_compound": _game_json(witness.right_compound),
-        "compound_preference": witness.compound_preference.value,
-    }
+    def __call__(self, game: Optional[Game]) -> Optional[dict]:
+        if game is None:
+            return None
+        known = self.branches.get
+        add = self._branch
+        return {
+            "name": game.name,
+            "branches": [(known(id(b)) or add(b))[1] for b in game.branches],
+        }
+
+    def scenario(self, scenario: DiachronicScenario) -> dict:
+        return {
+            "root": self(scenario.root),
+            "options": [
+                [self(first), self(second)] for first, second in scenario.options
+            ],
+        }
+
+    def witness(self, witness: DiachronicWitness) -> dict:
+        return {
+            "clause": witness.clause,
+            "descendant_preferences": [
+                p.value for p in witness.descendant_preferences
+            ],
+            "strict_branches": list(witness.strict_branches),
+            "left_compound": self(witness.left_compound),
+            "right_compound": self(witness.right_compound),
+            "compound_preference": witness.compound_preference.value,
+        }
 
 
 def _compound_line(witness: DiachronicWitness) -> str:
@@ -603,15 +636,15 @@ def _compound_line(witness: DiachronicWitness) -> str:
     )
 
 
-def _inputs(check: CheckDecl, sf: ScenarioFile) -> dict:
+def _inputs(check: CheckDecl, sf: ScenarioFile, game_json: _GameJson) -> dict:
     """The check's keys for its record: games in full, rationals as strings."""
     inputs = {}
     for key in _KIND_OF[type(check)].keys.values():
         value = getattr(check, key.name)
         if key.ref == "game":
-            value = _game_json(sf.games[value])
+            value = game_json(sf.games[value])
         elif key.ref == "games":
-            value = [_game_json(sf.games[name]) for name in value]
+            value = [game_json(sf.games[name]) for name in value]
         elif isinstance(value, tuple):
             value = [str(v) for v in value]
         inputs[key.name] = value
@@ -620,10 +653,13 @@ def _inputs(check: CheckDecl, sf: ScenarioFile) -> dict:
 
 # An executor runs its check, fills in the verdict, witness and values of
 # the record that run_file opened with check_kind and inputs, and returns
-# the text block, read from the record wherever the record holds it.
+# the text block, read from the record wherever the record holds it.  Every
+# game it puts in the record goes through the run's ``game_json``.
 
 
-def _execute_compare(check: CompareCheck, sf: ScenarioFile, record: dict) -> str:
+def _execute_compare(
+    check: CompareCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+) -> str:
     agent = sf.agents[check.agent]
     left = sf.games[check.left]
     right = sf.games[check.right]
@@ -642,22 +678,26 @@ def _execute_compare(check: CompareCheck, sf: ScenarioFile, record: dict) -> str
     return f"compare {check.agent} {check.left} {check.right} -> {record['verdict']}"
 
 
-def _execute_diachronic(check: DiachronicCheck, sf: ScenarioFile, record: dict) -> str:
+def _execute_diachronic(
+    check: DiachronicCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+) -> str:
     scenario = sf.scenarios[check.scenario]
     report = check_diachronic(sf.agents[check.agent], scenario)
-    record["inputs"].update(_scenario_json(scenario))
+    record["inputs"].update(game_json.scenario(scenario))
     record["verdict"] = report.verdict.value
     text = f"diachronic {check.agent} {check.scenario} -> {record['verdict']}"
     w = report.witness
     if w is None:
         return text
-    record["witness"] = _diachronic_witness_json(w)
+    record["witness"] = game_json.witness(w)
     descendants = ", ".join(record["witness"]["descendant_preferences"])
     lines = [f"{text} clause={w.clause}", f"  descendants: {descendants}"]
     return "\n".join([*lines, _compound_line(w)])
 
 
-def _execute_continuity(check: ContinuityCheck, sf: ScenarioFile, record: dict) -> str:
+def _execute_continuity(
+    check: ContinuityCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+) -> str:
     report = check_continuity(
         sf.agents[check.agent],
         sf.games[check.left],
@@ -673,8 +713,8 @@ def _execute_continuity(check: ContinuityCheck, sf: ScenarioFile, record: dict) 
         "levels": [
             {
                 "delta": str(level.delta),
-                "left": _game_json(level.left_perturbed),
-                "right": _game_json(level.right_perturbed),
+                "left": game_json(level.left_perturbed),
+                "right": game_json(level.right_perturbed),
                 "preference": level.preference.value if level.falsified else None,
             }
             for level in levels
@@ -694,14 +734,16 @@ def _execute_continuity(check: ContinuityCheck, sf: ScenarioFile, record: dict) 
     return "\n".join(lines)
 
 
-def _execute_dutchbook(check: DutchBookCheck, sf: ScenarioFile, record: dict) -> str:
+def _execute_dutchbook(
+    check: DutchBookCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+) -> str:
     report = analyze_dutch_book(
         sf.agents[check.agent], [sf.games[name] for name in check.games]
     )
     record["verdict"] = "exposed" if report.exposure else "not_exposed"
     record["witness"] = {
-        "combined": _game_json(report.combined),
-        "null": _game_json(report.null),
+        "combined": game_json(report.combined),
+        "null": game_json(report.null),
     }
     values = record["values"] = {
         "individual_preferences": [p.value for p in report.individual_preferences],
@@ -725,7 +767,9 @@ def _utility_text(u: dict[str, str]) -> str:
     return ", ".join(f"{reward}->{value}" for reward, value in u.items())
 
 
-def _execute_fit(check: FitCheck, sf: ScenarioFile, record: dict) -> str:
+def _execute_fit(
+    check: FitCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+) -> str:
     alphabet = RewardAlphabet.of(check.alphabet)
     instance = build_instance(
         sf.agents[check.agent], [sf.games[name] for name in check.games], alphabet
@@ -774,7 +818,9 @@ def _execute_fit(check: FitCheck, sf: ScenarioFile, record: dict) -> str:
     return "\n".join(lines)
 
 
-def _execute_search(check: SearchCheck, sf: ScenarioFile, record: dict) -> str:
+def _execute_search(
+    check: SearchCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+) -> str:
     agent = sf.agents[check.agent]
     spec = GridSpec(
         check.rewards, check.weights, check.root_branches, check.option_branches
@@ -790,8 +836,8 @@ def _execute_search(check: SearchCheck, sf: ScenarioFile, record: dict) -> str:
     record["verdict"] = "found"
     record["witness"] = {
         "index": hit.index,
-        "scenario": _scenario_json(hit.scenario),
-        "report": _diachronic_witness_json(w),
+        "scenario": game_json.scenario(hit.scenario),
+        "report": game_json.witness(w),
     }
     lines = [
         f"search diachronic {check.agent} -> found index={hit.index} clause={w.clause}",
@@ -808,7 +854,7 @@ class _CheckKind:
     name: str  # the record's check_kind
     form: str  # the first two words of its line
     decl: type
-    execute: Callable[[Any, ScenarioFile, dict], str]
+    execute: Callable[[Any, ScenarioFile, dict, _GameJson], str]
     keys: dict[str, _Key] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -831,19 +877,26 @@ _KIND_OF = {kind.decl: kind for kind in _CHECK_KINDS}
 
 
 def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
-    """Execute all checks in declaration order; raises CheckExecutionError."""
+    """Execute all checks in declaration order; raises CheckExecutionError.
+
+    The records of one call share the dict of each branch object they
+    name (see :class:`_GameJson`), so treat them as read-only: a change to
+    one branch entry shows in every record that names that branch.
+    Records of different calls share nothing.
+    """
     outcomes = []
+    game_json = _GameJson()
     for check in sf.checks:
         kind = _KIND_OF[type(check)]
         record = {
             "check_kind": kind.name,
-            "inputs": _inputs(check, sf),
+            "inputs": _inputs(check, sf, game_json),
             "verdict": None,
             "witness": None,
             "values": {},
         }
         try:
-            text = kind.execute(check, sf, record)
+            text = kind.execute(check, sf, record, game_json)
         except (GameError, ValueError) as exc:
             origin = "check" if check.line is None else f"check at line {check.line}"
             raise CheckExecutionError(
@@ -854,8 +907,11 @@ def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
 
 
 # One encoder for every record: json.dumps(record, sort_keys=True) writes
-# the same bytes but builds an encoder per call.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+# the same bytes but builds an encoder per call.  Without the circular
+# reference check each container skips a marker insert and delete.  No
+# record is cyclic: each is a fresh tree, and the branch dicts records
+# share are leaves reached along several paths, not cycles.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def emit(outcomes: Sequence[CheckOutcome], machine: bool) -> str:

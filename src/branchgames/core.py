@@ -177,7 +177,15 @@ class RewardAlphabet:
             ) from None
 
     def __contains__(self, reward: object) -> bool:
-        return reward in self.rewards
+        """Whether ``index`` finds ``reward``.
+
+        Reads the same table, so a value without ``numerator`` and
+        ``denominator``, such as a float or a string, is never a member.
+        """
+        try:
+            return (reward.numerator, reward.denominator) in self._positions
+        except AttributeError:
+            return False
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.rewards)

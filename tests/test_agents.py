@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from branchgames import (
@@ -155,8 +155,7 @@ class TestPreorderLaws:
     def test_total(self, agent, left, right):
         assert weakly_prefers(agent, left, right) or weakly_prefers(agent, right, left)
 
-    @settings(deadline=None)
-    @given(st.sampled_from(AGENTS))
+    @pytest.mark.parametrize("agent", AGENTS, ids=[a.kind for a in AGENTS])
     def test_transitive_on_a_small_exhaustive_grid(self, agent):
         pool = _tiny_game_set()
         for x, y, z in itertools.product(pool, repeat=3):

@@ -288,6 +288,37 @@ class TestParseErrors:
         assert type(err.value) is exc
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "source, exc, message",
+        [
+            (
+                "game g0 extra\n",
+                ParseError,
+                "line 1, column 9: expected key=value, got 'extra'",
+            ),
+            ("game g0 k=v\n", ParseError, "line 1, column 9: unknown key 'k'"),
+            ("game  g0 \t k=\n", ParseError, "line 1, column 12: unknown key 'k'"),
+            ("game g0 =\n", ParseError, "line 1, column 9: unknown key ''"),
+            (
+                "game g0\n  branch reward=0 weight=1\ngame g0 extra\n",
+                DuplicateNameError,
+                "line 3, column 6: duplicate game name 'g0'",
+            ),
+            (
+                "game g0\n  branch reward=0 weight=1\n game\tg0\n",
+                DuplicateNameError,
+                "line 3, column 7: duplicate game name 'g0'",
+            ),
+        ],
+    )
+    def test_game_lines_with_tokens_after_the_name(self, source, exc, message):
+        # A bare game line skips the key loop; any token after the name
+        # still goes through it, and a duplicate name is caught first.
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert type(err.value) is exc
+        assert str(err.value) == message
+
     def test_a_literal_valid_as_a_reward_is_still_checked_as_a_weight(self):
         source = (
             "game g\n  branch reward=2 weight=1\n"

@@ -282,6 +282,22 @@ class TestRewardAlphabet:
         with pytest.raises(AlphabetMismatchError, match=message):
             build_instance(Agent.of("ev", "dtbr"), (ghost,), alphabet)
 
+    def test_membership_agrees_with_index(self):
+        alphabet = RewardAlphabet.of(["1/2", 3])
+        half = F(2, 4)
+        assert half is not alphabet.rewards[0]
+        for member, position in ((half, 0), (3, 1), (F(3), 1)):
+            assert member in alphabet
+            assert alphabet.index(member) == position
+        # A float or a string equal in value is not a rational: index
+        # misses it, and so does membership.
+        for stranger in (0.5, 3.0, "1/2", "3", None):
+            assert stranger not in alphabet
+            with pytest.raises(AlphabetMismatchError):
+                alphabet.index(stranger)
+        for miss in (F(1, 3), 2, -3):
+            assert miss not in alphabet
+
     def test_must_not_be_empty(self):
         with pytest.raises(ValueError):
             RewardAlphabet.of([])
