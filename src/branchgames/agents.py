@@ -45,7 +45,7 @@ from .core import (
     as_rational,
     expected_value,
     largest_reward,
-    support_bounds,
+    summary_terms,
 )
 
 
@@ -97,8 +97,13 @@ Summary = tuple
 
 
 def summary(game: Game) -> Summary:
-    """Every statistic any kind ranks by, for one valid game."""
-    return (expected_value(game), *support_bounds(game))
+    """Every statistic any kind ranks by, for one valid game.
+
+    The Fraction form of :func:`core.summary_terms`, which the CLI reads
+    as integers.
+    """
+    numerator, denominator, low, high = summary_terms(game)
+    return Fraction(numerator, denominator), low, high
 
 
 def _order(left: object, right: object) -> Preference:

@@ -27,14 +27,18 @@ code points.  Each ``parse`` call keeps one table from the text of a
 branch line before any comment to the ``Branch`` it parsed to, and looks
 every line up there before splitting it.  A line found there inside an
 open game block adds that shared, frozen ``Branch`` and is not split or
-parsed again.  Every other line, a known branch line outside a game block
-included, is parsed in full, so its errors keep their text, line and
-column; a line that fails is never stored.  So every game of a file
+parsed again; a line that fails is never stored.  So every game of a file
 holds one ``Branch`` object per distinct branch line, which the records
-of a run then write out once (below).  A ``game <name>`` line with no
-further tokens skips the ``key=value`` loop, having no keys to read; one
-with more tokens goes through it and keeps its errors.  A game is
-validated by ``core.validate_game`` when its block closes.
+of a run then write out once (below).  The parse loop itself opens the
+block of a ``game <name>`` line whose name is valid and not yet declared,
+and sends every ``check`` and ``search`` line straight to
+``_parse_check``; other lines go through ``_line``.  The ``key=value``
+tokens of every line, in any order, are read by ``_key_values`` in one
+pass.  Errors are worded apart from that reading: ``_keyword_error``
+words the first bad token or missing key and runs only for a line that
+fails, and ``_declaration`` words a bad name, a game line reaching it
+only when malformed.  So every error keeps its text, line and column.
+A game is validated by ``core.validate_game`` when its block closes.
 
 A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
 first two words of its line, its dataclass and its executor.  The
@@ -47,14 +51,17 @@ written per kind.
 Checks run in declaration order.  Text mode prints one block per check;
 machine mode prints one JSON object per line with stable keys
 (check_kind, inputs, verdict, witness, values) and is byte-identical
-across runs of the same file.  Every game a record holds, inputs and
-witnesses alike, goes through one ``_GameJson`` per ``run_file`` call,
-which makes each ``Branch`` object's ``{"reward", "weight"}`` dict once,
-so a run's records share those dicts and are read-only.  Nothing of it
-outlives the call.  A violated axiom is a reported result, not a
-failure: the exit code is 0 whenever every check executed, 2 on parse or
-execution errors, and 1 only under --fail-on-violation when some check
-found a violation or exposure.
+across runs of the same file.  A compare record's verdict comes from
+``compare``; its six values are written from the integers of
+``core.summary_terms``, as ``str(Fraction)`` would write them, without
+building or formatting a ``Fraction``.  Every game a record holds,
+inputs and witnesses alike, goes through one ``_GameJson`` per
+``run_file`` call, which makes each ``Branch`` object's ``{"reward",
+"weight"}`` dict once, so a run's records share those dicts and are
+read-only.  Nothing of it outlives the call.  A violated axiom is a
+reported result, not a failure: the exit code is 0 whenever every check
+executed, 2 on parse or execution errors, and 1 only under
+--fail-on-violation when some check found a violation or exposure.
 
 ``main(argv)`` returns that exit code rather than exiting, so it can be
 called repeatedly in one process.  It builds its argparse parser on the
@@ -67,13 +74,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from .agents import AGENT_KINDS, Agent, compare, summary
+from .agents import AGENT_KINDS, Agent, compare
 from .axioms import (
     DiachronicScenario,
     DiachronicWitness,
@@ -88,6 +97,7 @@ from .core import (
     GameError,
     RewardAlphabet,
     as_rational,
+    summary_terms,
     validate_game,
 )
 from .representation import (
@@ -318,9 +328,48 @@ class ScenarioFile:
     checks: tuple[CheckDecl, ...]
 
 
-def _keyword_args(line: _Line, start: int, keys: dict[str, _Key]) -> dict[str, Any]:
-    """The parsed value of each ``key=value`` token from ``start`` on, by key."""
-    args: dict[str, Any] = {}
+# A ``key=value`` token split at its first "="; a token without one splits
+# into one part, which dict() rejects with a ValueError.
+_KEY_AND_VALUE = operator.methodcaller("split", "=", 1)
+
+
+def _key_values(line: _Line, start: int, keys: dict[str, _Key]) -> list:
+    """The parsed value of each key, in key order, from token ``start`` on.
+
+    An optional key that no token sets reads None.  The tokens are read in
+    one pass, in any order.  Only when they are malformed (a token without
+    "=", an unknown, repeated or missing required key, an empty value or
+    one its parser rejects) does :func:`_keyword_error` read them again,
+    to word the error this raises.
+    """
+    tokens = line.tokens
+    try:
+        given = dict(map(_KEY_AND_VALUE, tokens[start:]))
+        if len(given) == len(tokens) - start:  # no key repeated
+            values = []
+            for name, key in keys.items():
+                value = given.pop(name, None)
+                if value:
+                    values.append(key.parse(value))
+                elif value is None and not key.required:
+                    values.append(None)
+                else:  # an empty value, or a required key missing
+                    break
+            else:
+                if not given:  # no unknown key
+                    return values
+    except ValueError:
+        pass
+    raise _keyword_error(line, start, keys)
+
+
+def _keyword_error(line: _Line, start: int, keys: dict[str, _Key]) -> ParseError:
+    """Why :func:`_key_values` rejects the line's tokens from ``start`` on.
+
+    The first bad token in line order, with its column; else the first
+    required key that no token sets.
+    """
+    seen = set()
     for index, token in enumerate(line.tokens[start:], start):
         name, eq, value = token.partition("=")
         try:
@@ -328,17 +377,16 @@ def _keyword_args(line: _Line, start: int, keys: dict[str, _Key]) -> dict[str, A
                 raise ValueError(f"expected key=value, got {token!r}")
             if name not in keys:
                 raise ValueError(f"unknown key {name!r}")
-            if name in args:
+            if name in seen:
                 raise ValueError(f"duplicate key {name!r}")
             if value == "":
                 raise ValueError(f"empty value for {name!r}")
-            args[name] = keys[name].parse(value)
+            keys[name].parse(value)
         except ValueError as exc:
-            raise line.error(str(exc), index) from None
-    for key in keys.values():
-        if key.required and key.name not in args:
-            raise ParseError(f"missing required key {key.name}=...", line.number)
-    return args
+            return line.error(str(exc), index)
+        seen.add(name)
+    missing = next(k for k in keys.values() if k.required and k.name not in seen)
+    return ParseError(f"missing required key {missing.name}=...", line.number)
 
 
 def _parse_check(line: _Line) -> CheckDecl:
@@ -354,8 +402,7 @@ def _parse_check(line: _Line) -> CheckDecl:
         raise line.error(
             f"unknown {keyword} kind {word!r}; expected one of {expected}", 1
         )
-    args = _keyword_args(line, 2, kind.keys)
-    return kind.decl(**{name: args.get(name) for name in kind.keys}, line=line.number)
+    return kind.decl(*_key_values(line, 2, kind.keys), line=line.number)
 
 
 class _Parser:
@@ -383,6 +430,7 @@ class _Parser:
         # misnumbers every later line.  Those stay token separators.
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         branch_lines = self.branch_lines
+        games = self.games
         for number, raw in enumerate(lines, start=1):
             content = raw.partition("#")[0]
             branch = branch_lines.get(content)
@@ -392,8 +440,26 @@ class _Parser:
                 self.pending_game[2].append(branch)
                 continue
             tokens = content.split()
-            if tokens:
-                self._line(_Line(tokens, content, number))
+            if not tokens:
+                continue
+            keyword = tokens[0]
+            if keyword == "game":
+                # The block before may fail to validate; that error comes
+                # first, and its name counts as declared after it.
+                self._close_blocks()
+                if (
+                    len(tokens) != 2
+                    or tokens[1] in games
+                    or not _NAME_RE.fullmatch(tokens[1])
+                ):
+                    self._declaration(keyword, _Line(tokens, content, number))
+                self.pending_game = (tokens[1], number, [])
+                continue
+            if keyword in _CHECK_KEYWORDS:
+                self._close_blocks()
+                self.checks.append(_parse_check(_Line(tokens, content, number)))
+                continue
+            self._line(_Line(tokens, content, number))
         self._close_blocks()
         return self._resolve()
 
@@ -406,8 +472,7 @@ class _Parser:
         if keyword == "branch":
             if self.pending_game is None:
                 raise ParseError("branch outside a game block", line.number)
-            args = _keyword_args(line, 1, _BRANCH_KEYS)
-            branch = Branch(args["reward"], args["weight"])
+            branch = Branch(*_key_values(line, 1, _BRANCH_KEYS))
             self.branch_lines[line.text] = branch
             self.pending_game[2].append(branch)
         elif keyword == "arm":
@@ -419,12 +484,15 @@ class _Parser:
             self.pending_scenario[3].append((tokens[1], tokens[3], line.number))
         elif keyword in _DECLARATION_KEYS:
             self._declaration(keyword, line)
-        elif keyword in _CHECK_KEYWORDS:
-            self.checks.append(_parse_check(line))
         else:
             raise line.error(f"unknown keyword {keyword!r}", 0)
 
     def _declaration(self, keyword: str, line: _Line) -> None:
+        """Check a declaration's name and keys, and declare an agent or scenario.
+
+        The parse loop opens a game block itself, and calls this only for
+        a malformed game line, which raises here with its error worded.
+        """
         if len(line.tokens) < 2:
             raise ParseError(f"expected a name after {keyword!r}", line.number)
         name = line.tokens[1]
@@ -433,19 +501,12 @@ class _Parser:
         if name in self.namespaces[keyword]:
             message = f"duplicate {keyword} name {name!r}"
             raise line.error(message, 1, DuplicateNameError)
-        if keyword == "game":
-            # Game lines have no keys: only a token after the name needs
-            # _keyword_args, which words its error.
-            if len(line.tokens) > 2:
-                _keyword_args(line, 2, _DECLARATION_KEYS[keyword])
-            self.pending_game = (name, line.number, [])
-            return
-        args = _keyword_args(line, 2, _DECLARATION_KEYS[keyword])
+        values = _key_values(line, 2, _DECLARATION_KEYS[keyword])
         if keyword == "scenario":
-            self.pending_scenario = (name, args["root"], line.number, [])
-        else:
+            self.pending_scenario = (name, *values, line.number, [])
+        elif keyword == "agent":
             try:
-                self.agents[name] = Agent(name, args["kind"], args.get("max_reward"))
+                self.agents[name] = Agent(name, *values)
             except ValueError as exc:
                 raise ParseError(str(exc), line.number) from None
 
@@ -657,6 +718,31 @@ def _inputs(check: CheckDecl, sf: ScenarioFile, game_json: _GameJson) -> dict:
 # game it puts in the record goes through the run's ``game_json``.
 
 
+def _rational_text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` for a positive denominator."""
+    common = math.gcd(numerator, denominator)
+    if common == denominator:
+        return str(numerator // common)
+    return f"{numerator // common}/{denominator // common}"
+
+
+def _compare_values(game: Game) -> tuple[str, str, str]:
+    """A game's expected value, largest reward and reward range, as text.
+
+    Written from the integers of ``summary_terms``: the support max and
+    the range are reduced from integer pairs, so no Fraction is built or
+    formatted.
+    """
+    numerator, denominator, low, high = summary_terms(game)
+    top, bottom = high.numerator, high.denominator
+    spread = top * low.denominator - low.numerator * bottom
+    return (
+        _rational_text(numerator, denominator),
+        _rational_text(top, bottom),
+        _rational_text(spread, bottom * low.denominator),
+    )
+
+
 def _execute_compare(
     check: CompareCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
 ) -> str:
@@ -665,15 +751,15 @@ def _execute_compare(
     right = sf.games[check.right]
     record["inputs"]["kind"] = agent.kind
     record["verdict"] = compare(agent, left, right).value
-    left_value, left_low, left_high = summary(left)
-    right_value, right_low, right_high = summary(right)
+    left_value, left_high, left_range = _compare_values(left)
+    right_value, right_high, right_range = _compare_values(right)
     record["values"] = {
-        "left_expected_value": str(left_value),
-        "right_expected_value": str(right_value),
-        "left_largest_reward": str(left_high),
-        "right_largest_reward": str(right_high),
-        "left_reward_range": str(left_high - left_low),
-        "right_reward_range": str(right_high - right_low),
+        "left_expected_value": left_value,
+        "right_expected_value": right_value,
+        "left_largest_reward": left_high,
+        "right_largest_reward": right_high,
+        "left_reward_range": left_range,
+        "right_reward_range": right_range,
     }
     return f"compare {check.agent} {check.left} {check.right} -> {record['verdict']}"
 

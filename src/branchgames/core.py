@@ -226,10 +226,13 @@ def validate_game(game: Game) -> None:
         )
 
 
-def expected_value(game: Game) -> Fraction:
-    """Weight-weighted sum of rewards; zero-weight branches contribute nothing."""
-    # Integers over a running common denominator, reduced once at the end:
-    # one gcd per game instead of one per Fraction multiply and add.
+def _expected_terms(game: Game) -> tuple[int, int]:
+    """The expected value as an integer pair (numerator, denominator > 0).
+
+    Integers over a running common denominator, not reduced: whoever
+    reads the pair reduces it once, with one gcd per game instead of one
+    per Fraction multiply and add.
+    """
     numerator, denominator = 0, 1
     for b in game.branches:
         scale = b.weight.denominator * b.reward.denominator
@@ -237,7 +240,12 @@ def expected_value(game: Game) -> Fraction:
             numerator * scale + b.weight.numerator * b.reward.numerator * denominator
         )
         denominator *= scale
-    return Fraction(numerator, denominator)
+    return numerator, denominator
+
+
+def expected_value(game: Game) -> Fraction:
+    """Weight-weighted sum of rewards; zero-weight branches contribute nothing."""
+    return Fraction(*_expected_terms(game))
 
 
 def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
@@ -271,6 +279,19 @@ def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
             elif scaled > most:
                 high, most = reward, scaled
     return low, high
+
+
+def summary_terms(game: Game) -> tuple[int, int, Fraction, Fraction]:
+    """Every statistic any agent kind ranks by, with no Fraction built.
+
+    Returns ``(numerator, denominator, low, high)``: the expected value is
+    numerator/denominator, an integer pair that is not reduced, and low
+    and high are the support bounds as :func:`support_bounds` finds them.
+    The two loops are those of :func:`expected_value` and
+    :func:`support_bounds`, so an empty support raises the same
+    :class:`EmptyGameError`.
+    """
+    return (*_expected_terms(game), *support_bounds(game))
 
 
 def largest_reward(game: Game) -> Fraction:

@@ -39,6 +39,7 @@ from branchgames.cli import (
     run_file,
     run_gallery,
 )
+from branchgames import agents, cli
 from conftest import games
 
 F = Fraction
@@ -491,6 +492,29 @@ class TestExecution:
             )
             for side, game in (("left", left), ("right", right))
         }
+
+    def test_compare_verdicts_come_from_compare(self, monkeypatch):
+        # The values come from the integer pass and the verdict from
+        # cli.compare alone, which the per-layer tracer counts: flipping
+        # compare flips every compare verdict and leaves the values be.
+        sf = parse(gallery_source())
+        before = [o.record for o in run_file(sf)]
+        monkeypatch.setattr(
+            cli, "compare", lambda *args: agents.compare(*args).flipped()
+        )
+        after = [o.record for o in run_file(sf)]
+        compares = [
+            (old, new)
+            for old, new in zip(before, after)
+            if old["check_kind"] == "compare"
+        ]
+        assert len(compares) > 60
+        assert {old["verdict"] for old, _ in compares} == {
+            p.value for p in Preference
+        }
+        for old, new in compares:
+            assert new["verdict"] == Preference(old["verdict"]).flipped().value
+            assert new["values"] == old["values"]
 
     @pytest.mark.parametrize("kind", AGENT_KINDS)
     def test_compare_on_a_game_without_support_names_the_game(self, kind):

@@ -1,14 +1,17 @@
-"""``branchgames run --machine`` against records built with a fresh dict per branch.
+"""``branchgames run --machine`` against records built as first written.
 
 ``run_file`` turns each distinct ``Branch`` object into its ``{"reward",
 "weight"}`` dict once per call (``cli._GameJson``), so the records of one
-run share those dicts, and ``emit`` encodes without the circular-reference
-check.  The reference below builds every record with a fresh dict per
-branch, as the record form was first written, and encodes each with
-``json.dumps(record, sort_keys=True)``.  The command's stdout must be
-byte-identical to the reference on seeded files that reach every check
-kind and each verdict whose witness holds games of its own, on the
-gallery and on the shipped scenario files.
+run share those dicts; a compare record's values are written from the
+integers of ``core.summary_terms``; and ``emit`` encodes without the
+circular-reference check.  The reference below builds every record with a
+fresh dict per branch, replaces each compare record's values with ones
+read from ``agents.summary``, a ``Fraction`` subtraction and ``str()``, and
+encodes each record with ``json.dumps(record, sort_keys=True)``.  The
+command's stdout must be byte-identical to the reference on seeded files
+that reach every check kind and each verdict whose witness holds games of
+its own, on the gallery and on the shipped scenario files.  Hypothesis
+checks the integer text and the integer pass on their own.
 """
 
 import json
@@ -17,9 +20,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from branchgames import AGENT_KINDS, Agent, Game, Preference, compare
+from branchgames import AGENT_KINDS, Agent, Branch, Game, Preference, compare
 from branchgames import cli
+from branchgames.agents import summary
+from branchgames.core import summary_terms
+from conftest import REWARD_POOL, games
 
 F = Fraction
 
@@ -45,12 +53,29 @@ class ReferenceGameJson(cli._GameJson):
         }
 
 
+def reference_compare_values(left: Game, right: Game) -> dict:
+    """A compare record's values, from ``summary``, as first written."""
+    left_value, left_low, left_high = summary(left)
+    right_value, right_low, right_high = summary(right)
+    return {
+        "left_expected_value": str(left_value),
+        "right_expected_value": str(right_value),
+        "left_largest_reward": str(left_high),
+        "right_largest_reward": str(right_high),
+        "left_reward_range": str(left_high - left_low),
+        "right_reward_range": str(right_high - right_low),
+    }
+
+
 def reference_emit(sf: cli.ScenarioFile, monkeypatch) -> str:
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_GameJson", ReferenceGameJson)
         outcomes = cli.run_file(sf)
-    for outcome in outcomes:
+    for check, outcome in zip(sf.checks, outcomes):
         assert not _shared_dicts([outcome.record])
+        if isinstance(check, cli.CompareCheck):
+            left, right = sf.games[check.left], sf.games[check.right]
+            outcome.record["values"] = reference_compare_values(left, right)
     return "".join(json.dumps(o.record, sort_keys=True) + "\n" for o in outcomes)
 
 
@@ -243,3 +268,57 @@ def test_records_share_branch_dicts_within_a_run_only(seeded_files, capsys):
     # Both runs stay alive here, so no id is reused between them.
     first_ids = {id(d) for d in _dicts(first, [])}
     assert not first_ids & {id(d) for d in _dicts(second, [])}
+
+
+# -- the integer pass and its text ------------------------------------------
+
+_PAIRS = st.tuples(
+    st.integers(-(10**9), 10**9), st.integers(1, 10**6), st.integers(1, 50)
+)
+
+
+@given(_PAIRS)
+def test_integer_pair_text_is_the_fraction_text(pair):
+    numerator, denominator, factor = pair
+    for top, bottom in [
+        (numerator, denominator),
+        (numerator * factor, denominator * factor),
+        (numerator * denominator, denominator),
+        (0, denominator * factor),
+    ]:
+        assert cli._rational_text(top, bottom) == str(Fraction(top, bottom))
+
+
+@pytest.mark.parametrize(
+    "pair, text",
+    [((-6, 4), "-3/2"), ((0, 7), "0"), ((-12, 3), "-4"), ((10, 5), "2"), ((3, 1), "3")],
+)
+def test_pinned_integer_pair_texts(pair, text):
+    assert cli._rational_text(*pair) == text == str(Fraction(*pair))
+
+
+@given(
+    games(),
+    st.sampled_from(REWARD_POOL),
+    st.sampled_from(REWARD_POOL),
+    st.booleans(),
+    st.booleans(),
+)
+def test_the_integer_pass_equals_summary(game, before, after, lead, trail):
+    """Zero-weight branches at either end of the support change nothing."""
+    branches = (
+        (Branch(before, Fraction(0)),) * lead
+        + game.branches
+        + (Branch(after, Fraction(0)),) * trail
+    )
+    game = Game("g", branches)
+    numerator, denominator, low, high = summary_terms(game)
+    support = [b.reward for b in branches if b.weight > 0]
+    mean = sum((b.weight * b.reward for b in branches), Fraction(0))
+    assert (Fraction(numerator, denominator), low, high) == summary(game)
+    assert summary(game) == (mean, min(support), max(support))
+    assert cli._compare_values(game) == (
+        str(mean),
+        str(max(support)),
+        str(max(support) - min(support)),
+    )
