@@ -9,10 +9,10 @@ Two axioms are mechanized over the game model:
   violation.
 
 * Solution continuity demands that a strict preference survive all
-  sufficiently small perturbations of either game.  A sampler cannot
-  certify a claim about every nearby game, so the checker is
-  falsification-only; it ranks moves of integer weight on composed
-  summaries and builds games only for the witness.
+  sufficiently small perturbations of either game.  Finitely many
+  candidates cannot certify a claim about every nearby game, so the
+  checker is falsification-only; it ranks each game and its extreme
+  weight moves on composed summaries and builds games only for witnesses.
 
 The Dutch-book analyzer combines games riding on one shared branching
 event and asks whether an agent who accepts each part also accepts a
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -222,28 +221,12 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     return AxiomReport("diachronic", Verdict.VIOLATED, witness)
 
 
-def _moves(
-    vector: list[int], limit: int, rng: random.Random, samples: int
-) -> list[tuple[str, int, int, int]]:
-    """Moves (label, from, to, amount) of at most ``limit`` on integer weights.
-
-    Every extreme move, min(limit, v_i) from a support entry i to another
-    entry j, comes first, then ``samples`` seeded random eighths of one.
-    """
-    size = len(vector)
-    support = [i for i in range(size) if vector[i] > 0]
-    moves = [
-        (f"{i}->{j}", i, j, min(limit, vector[i]))
-        for i in support
-        for j in range(size)
-        if j != i
+def _moves(vector: list[int], limit: int) -> list[tuple[int, int, int]]:
+    """Each extreme move (i, j, min(limit, v_i)) from a support entry i to j != i."""
+    entries = range(len(vector))
+    return [
+        (i, j, min(limit, v)) for i, v in enumerate(vector) if v for j in entries if j != i
     ]
-    for s in range(samples):
-        i = rng.choice(support)
-        j = rng.choice([m for m in range(size) if m != i])
-        amount = min(limit, vector[i]) * rng.randint(1, 8) // 8
-        moves.append((f"rand{s}", i, j, amount))
-    return moves
 
 
 def check_continuity(
@@ -264,12 +247,25 @@ def check_continuity(
     longer strictly ranks falsifies that radius.  The verdict is
     ``violated`` only when every radius is falsified, and the witness
     records one counterexample per radius; otherwise the verdict is
-    ``no_violation_found``.  Deterministic for a fixed seed.
+    ``no_violation_found``.  ``samples_per_delta`` (at least 1) and ``seed``
+    are validated but change no result.
 
-    Candidates are the game and one :func:`_moves` move each on its weights
-    over D (8 × the lcm of both games' weight denominators and the radii),
-    kept within delta × D and [0, D], and ranked on ``agents.compose``
-    summaries; games are built only for each radius's first falsifying pair.
+    Candidates are the game and its :func:`_moves` extreme moves on integer
+    weights over D (the lcm of both games' weight denominators and the
+    radii), kept within delta × D and [0, D] and ranked in left-major order
+    on ``agents.compose`` summaries; games are built, and named, only for
+    each radius's first falsifying pair.  A smaller move from entry i to j
+    lies between the game and the extreme move from i to j, and where it
+    leaves a pair not strictly ranked, so does one of those two:
+
+    * dtbr, egalitarian: expected value is linear in the amount moved and,
+      as alphabet rewards are distinct, strictly monotone; so one end ranks
+      the pair no better, and an exact tie inside, which the egalitarian
+      settles by spread, is a strict loss at one end.
+    * optimist: on the left the extreme move's support lies within the
+      smaller move's, so its support max is no larger; on the right the
+      game or the extreme move to j reaches the smaller move's support max.
+    * stoic: refused with ``NotStrictPreferenceError`` before any ranking.
     """
     validate_game(left)
     validate_game(right)
@@ -290,45 +286,46 @@ def check_continuity(
 
     statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
     vectors = [weight_vector(game, alphabet) for game in (left, right)]
-    scale = 8 * math.lcm(*(x.denominator for v in (*vectors, deltas) for x in v))
+    scale = math.lcm(*(x.denominator for v in (*vectors, deltas) for x in v))
     vectors = [[w.numerator * (scale // w.denominator) for w in v] for v in vectors]
     # Over its support a candidate is a compound of sure-zero continuations,
     # whose partial summary holds 0 in each field the rule reads.
     rewards = scale_to_integers(alphabet.rewards)
     zeros = [tuple(None if x is None else 0 for x in statistics(left))] * len(rewards)
 
-    def ranked(name: Optional[str], weights: list[int]) -> tuple:
+    def ranked(move: Optional[tuple], weights: list[int]) -> tuple:
         support = list(filter(None, weights)), list(compress(rewards, weights))
-        return name, weights, compose(*support, zeros)
+        return move, weights, compose(*support, zeros)
 
-    def built(game: Game, name: Optional[str], weights: list[int]) -> Game:
+    def built(game: Game, delta: Fraction, move: Optional[tuple], weights) -> Game:
+        if move is None:
+            return game
         branches = map(Branch, alphabet, (Fraction(w, scale) for w in weights))
-        return game if name is None else Game(name, tuple(branches))
+        return Game(f"{game.name}[{move[0]}->{move[1]}@{delta}]", tuple(branches))
 
     levels = []
     for delta in deltas:
-        # One RNG per radius, seeded by a stable string, so results do not
-        # depend on process hash seeds or on which radii were probed before.
-        rng = random.Random(f"{seed}:{delta}")
         limit = delta.numerator * (scale // delta.denominator)
         sides = []
         for game, vector in zip((left, right), vectors):
             side = [ranked(None, vector)]
-            for label, i, j, amount in _moves(vector, limit, rng, samples_per_delta):
-                name = f"{game.name}[{label}@{delta}]"
+            for i, j, amount in _moves(vector, limit):
                 # Never fires; a stray would make a falsified radius meaningless.
                 if not 0 <= amount <= min(limit, vector[i], scale - vector[j]):
+                    name = f"{game.name}[{i}->{j}@{delta}]"
                     stray = f"perturbation {name!r} moves {Fraction(amount, scale)}"
                     raise RuntimeError(f"{stray}, outside the radius {delta} or [0, 1]")
                 moved = list(vector)
                 moved[i] -= amount
                 moved[j] += amount
-                side.append(ranked(name, moved))
+                side.append(ranked((i, j), moved))
             sides.append(side)
         # The first pair in left-major order that the agent no longer
         # strictly ranks falsifies the radius.
         pairs = (
-            ContinuityLevel(delta, built(left, *lc[:2]), built(right, *rc[:2]), verdict)
+            ContinuityLevel(
+                delta, built(left, delta, *lc[:2]), built(right, delta, *rc[:2]), verdict
+            )
             for lc in sides[0]
             for rc in sides[1]
             if (verdict := rule(lc[2], rc[2])) is not Preference.PrefersLeft

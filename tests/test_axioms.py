@@ -434,20 +434,24 @@ def test_continuity_refuses_a_candidate_outside_the_radius(monkeypatch):
     original = axioms._moves
 
     def with_a_stray(stray):
-        def moves(vector, limit, rng, samples):
-            return original(vector, limit, rng, samples) + [stray(limit)]
+        def moves(vector, limit):
+            return original(vector, limit) + [stray(limit)]
 
         return moves
 
     # SURE1's weights over {0, 1} are (0, D) and every radius is at most
     # 1/2: moving limit + 1 out of entry 1 keeps both entries in [0, D] but
     # leaves the radius; moving 1 out of the empty entry 0 stays inside the
-    # radius but drives that entry below 0.
-    strays = (lambda limit: ("far", 1, 0, limit + 1), lambda limit: ("below", 0, 1, 1))
-    for stray in strays:
+    # radius but drives that entry below 0.  The error names the stray.
+    strays = (
+        (lambda limit: (1, 0, limit + 1), "sure1[1->0@1/2]"),
+        (lambda limit: (0, 1, 1), "sure1[0->1@1/2]"),
+    )
+    for stray, name in strays:
         monkeypatch.setattr(axioms, "_moves", with_a_stray(stray))
-        with pytest.raises(RuntimeError, match="outside the radius"):
+        with pytest.raises(RuntimeError, match="outside the radius") as raised:
             check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 4, seed=7)
+        assert f"perturbation {name!r} moves" in str(raised.value)
 
 
 @pytest.mark.parametrize(
@@ -479,3 +483,21 @@ def test_continuity_builds_games_only_for_witnesses(
         # A falsified radius builds its witness pair, except an original game.
         assert names == [g.name for g in witnesses if g not in (None, SURE1, right)]
     assert len(built) <= 2 * sum(falsified)
+
+
+def test_continuity_formats_no_fraction_without_a_witness(monkeypatch):
+    # Candidates are named only when a witness or a stray is built, so a
+    # check that falsifies no radius stringifies no Fraction at all.
+    sure0 = Game.of("sure0", (0, 1))
+    formatted = []
+    for method in ("__str__", "__format__"):
+
+        def counting(self, *args, method=method, original=getattr(F, method)):
+            formatted.append(method)
+            return original(self, *args)
+
+        monkeypatch.setattr(F, method, counting)
+    report = check_continuity(DTBR, SURE1, sure0, ALPHABET01, DELTAS[1:], 4, seed=7)
+    monkeypatch.undo()
+    assert not any(level.falsified for level in report.witness.levels)
+    assert formatted == []
