@@ -205,7 +205,7 @@ def validate_game(game: Game) -> None:
     """
     if not game.branches:
         raise EmptyGameError(f"game {game.name!r} has no branches")
-    # Integers over a running common denominator, as in expected_value: a
+    # Integers over a running common denominator, as in _summary_pass: a
     # Fraction is built only to word an error.
     numerator, denominator = 0, 1
     for b in game.branches:
@@ -226,59 +226,41 @@ def validate_game(game: Game) -> None:
         )
 
 
-def _expected_terms(game: Game) -> tuple[int, int]:
-    """The expected value as an integer pair (numerator, denominator > 0).
+def _summary_pass(game: Game) -> tuple[int, int, Fraction | None, Fraction | None]:
+    """The statistics of :func:`summary_terms`, in one pass over the branches.
 
-    Integers over a running common denominator, not reduced: whoever
-    reads the pair reduces it once, with one gcd per game instead of one
-    per Fraction multiply and add.
+    The expected value is over a running common denominator, not reduced:
+    whoever reads it reduces it once, with one gcd per game instead of one
+    per Fraction multiply and add.  Rewards are compared by
+    cross-multiplying integer pairs, the bounds' kept in ``least`` and
+    ``most``, so each branch's properties are read once.  Both bounds are
+    None when no branch has positive weight.
     """
     numerator, denominator = 0, 1
+    low = high = None
     for b in game.branches:
-        scale = b.weight.denominator * b.reward.denominator
-        numerator = (
-            numerator * scale + b.weight.numerator * b.reward.numerator * denominator
-        )
+        top, bottom = b.reward.numerator, b.reward.denominator
+        share, scale = b.weight.numerator, b.weight.denominator * bottom
+        numerator = numerator * scale + share * top * denominator
         denominator *= scale
-    return numerator, denominator
+        if share <= 0:
+            continue
+        if low is None:
+            low = high = b.reward
+            least = most = top, bottom
+        elif top * least[1] < least[0] * bottom:
+            low, least = b.reward, (top, bottom)
+        elif top * most[1] > most[0] * bottom:
+            high, most = b.reward, (top, bottom)
+    return numerator, denominator, low, high
 
 
 def expected_value(game: Game) -> Fraction:
-    """Weight-weighted sum of rewards; zero-weight branches contribute nothing."""
-    return Fraction(*_expected_terms(game))
+    """Weight-weighted sum of rewards; zero-weight branches contribute nothing.
 
-
-def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
-    """The smallest and largest reward on the support, as the branches hold them.
-
-    Rewards are compared as integers over a running common denominator,
-    which ends as the lcm of the support rewards' denominators, as in
-    validate_game: no Fraction is compared or built.
+    Raises nothing, even when the support is empty.
     """
-    branches = iter(game.branches)
-    for b in branches:
-        if b.weight.numerator > 0:
-            break
-    else:
-        raise EmptyGameError(f"game {game.name!r} has empty support")
-    low = high = b.reward
-    denominator = low.denominator
-    least = most = low.numerator
-    for b in branches:
-        if b.weight.numerator > 0:
-            reward = b.reward
-            bottom = reward.denominator
-            if denominator % bottom:
-                step = bottom // math.gcd(denominator, bottom)
-                denominator *= step
-                least *= step
-                most *= step
-            scaled = reward.numerator * (denominator // bottom)
-            if scaled < least:
-                low, least = reward, scaled
-            elif scaled > most:
-                high, most = reward, scaled
-    return low, high
+    return Fraction(*_summary_pass(game)[:2])
 
 
 def summary_terms(game: Game) -> tuple[int, int, Fraction, Fraction]:
@@ -286,12 +268,19 @@ def summary_terms(game: Game) -> tuple[int, int, Fraction, Fraction]:
 
     Returns ``(numerator, denominator, low, high)``: the expected value is
     numerator/denominator, an integer pair that is not reduced, and low
-    and high are the support bounds as :func:`support_bounds` finds them.
-    The two loops are those of :func:`expected_value` and
-    :func:`support_bounds`, so an empty support raises the same
+    and high are the first smallest and first largest support reward, as
+    the branches hold them.  An empty support raises
     :class:`EmptyGameError`.
     """
-    return (*_expected_terms(game), *support_bounds(game))
+    terms = _summary_pass(game)
+    if terms[2] is None:
+        raise EmptyGameError(f"game {game.name!r} has empty support")
+    return terms
+
+
+def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
+    """The ``(low, high)`` of :func:`summary_terms`, with its error."""
+    return summary_terms(game)[2:]
 
 
 def largest_reward(game: Game) -> Fraction:

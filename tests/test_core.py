@@ -30,6 +30,7 @@ from branchgames import (
     weight_vector,
 )
 from branchgames.agents import summary
+from branchgames.core import summary_terms
 from conftest import REWARD_POOL, compounds, games
 
 F = Fraction
@@ -143,6 +144,21 @@ class TestStatistics:
         assert reward_range(B) == F(3)
         assert reward_range(B0) == F(0)
         assert reward_range(CERTAIN1) == F(0)
+
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            # An empty support: every weight is 0.
+            (Branch(F(1), F(0)), Branch(F(-1, 2), F(0))),
+            # Weights summing to 5/4, with a zero-weight branch.
+            (Branch(F(3), F(1, 2)), Branch(F(-1, 3), F(3, 4)), Branch(F(5), F(0))),
+        ],
+    )
+    def test_expected_value_raises_nothing_on_hand_built_games(self, branches):
+        # Game(...) does not validate, so neither game would pass Game.of.
+        value = expected_value(Game("hand", branches))
+        assert type(value) is Fraction
+        assert value == sum((b.weight * b.reward for b in branches), F(0))
 
     def test_reward_range_without_support_raises(self):
         # Game.of validates, so only a hand-built game lacks support.
@@ -445,7 +461,8 @@ class TestSupportBounds:
         assert low is first and high is first
 
     @pytest.mark.parametrize(
-        "statistic", [support_bounds, summary, largest_reward, reward_range]
+        "statistic",
+        [support_bounds, summary, largest_reward, reward_range, summary_terms],
     )
     @pytest.mark.parametrize(
         "branches",
@@ -455,3 +472,38 @@ class TestSupportBounds:
         with pytest.raises(EmptyGameError) as err:
             statistic(Game("empty", branches))
         assert str(err.value) == "game 'empty' has empty support"
+
+    def test_statistics_build_and_compare_no_fraction(self, monkeypatch):
+        # Mixed denominators, zero-weight branches beyond both support
+        # extremes, and two equal but distinct rewards: a min() or max()
+        # over Fractions would compare them, and a sum would build them.
+        game = Game(
+            "g",
+            (
+                Branch(F(5, 3), F(1, 4)),
+                Branch(F(1, 2), F(1, 4)),
+                Branch(F(-7), F(0)),
+                Branch(F(2, 4), F(1, 6)),
+                Branch(F(9, 2), F(0)),
+                Branch(F(-1, 6), F(1, 3)),
+            ),
+        )
+        calls = {}
+        for method in ("__new__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+
+            def counting(*args, method=method, original=getattr(F, method)):
+                calls[method] = calls.get(method, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(F, method, counting)
+        terms = summary_terms(game)
+        bounds = support_bounds(game)
+        by_bounds = dict(calls)
+        value = expected_value(game)
+        by_value = {m: n - by_bounds.get(m, 0) for m, n in calls.items()}
+        monkeypatch.undo()
+        assert by_bounds == {}
+        assert by_value == {"__new__": 1}
+        assert bounds[0] is terms[2] and bounds[1] is terms[3]
+        assert bounds == (F(-1, 6), F(5, 3))
+        assert value == F(5, 12) + F(1, 8) + F(1, 12) - F(1, 18)
