@@ -19,21 +19,21 @@ kind's partial summary of one game: just the fields its rule reads.
 :func:`compare` ranks two games through both tables.  Callers that rank
 several games read each game's statistics once and then rank with
 ``RULES``: the Dutch-book check reads ``STATISTICS``, and the comparison
-matrix and the grid search read :func:`scaled_statistics`, the one helper
-that puts every field in integers over a denominator shared by all the
-games, so their rules compare integers instead of ``Fraction``s.  All
-three statistics compose along branches, and :func:`compose` is the one
-rule that does it: the diachronic check and the grid search rank compounds
-on summaries it composes from their continuations' partial summaries, and
-the continuity check ranks perturbed games as compounds of sure-zero
-continuations.  Comparisons return one of three verdicts and never raise
-on valid input, so every kind is a total preorder by construction.
+matrix and the grid search read :func:`scaled_statistics`, which puts
+every field in integers over a denominator shared by all the games with
+``core.scale_to_integers``, so their rules compare integers instead of
+``Fraction``s.  All three statistics compose along branches, and
+:func:`compose` is the one rule that does it: the diachronic check and
+the grid search rank compounds on summaries it composes from their
+continuations' partial summaries, and the continuity check ranks perturbed
+games as compounds of sure-zero continuations.  Comparisons return one of
+three verdicts and never raise on valid input, so every kind is a total
+preorder by construction.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
@@ -45,6 +45,7 @@ from .core import (
     as_rational,
     expected_value,
     largest_reward,
+    scale_to_integers,
     summary_terms,
 )
 
@@ -156,31 +157,19 @@ STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
 def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Optional[Summary]]:
     """Each game's ``STATISTICS[kind]`` partial summary, in integers.
 
-    Each field is multiplied by the least common multiple of its
-    denominators across the games, so it becomes an integer.  The support
-    min and max share one multiplier, because the egalitarian rule
-    subtracts them.  A positive multiplier per field keeps every ``RULES``
-    verdict between the games and maps distinct values to distinct
-    integers, so equal summaries stay equal and no others become so.
+    Each field is one ``core.scale_to_integers`` column across the games,
+    so it becomes an integer.  The support min and max are one column and
+    share one multiplier, because the egalitarian rule subtracts them.  A
+    positive multiplier per field keeps every ``RULES`` verdict between the
+    games and maps distinct values to distinct integers, so equal summaries
+    stay equal and no others become so.
     """
     parts = [STATISTICS[kind](game) for game in games]
     if not parts or parts[0] is None:
         return parts
     values, lows, highs = zip(*parts)
-    value_scale = _common_denominator(values)
-    bound_scale = _common_denominator(lows + highs)
-    scales = (value_scale, bound_scale, bound_scale)
-    return [
-        tuple(
-            None if x is None else x.numerator * (scale // x.denominator)
-            for x, scale in zip(part, scales)
-        )
-        for part in parts
-    ]
-
-
-def _common_denominator(column: Sequence[Optional[Fraction]]) -> int:
-    return math.lcm(*(x.denominator for x in column if x is not None))
+    bounds = scale_to_integers(lows + highs)
+    return list(zip(scale_to_integers(values), bounds, bounds[len(parts) :]))
 
 
 _LOW, _HIGH = itemgetter(1), itemgetter(2)

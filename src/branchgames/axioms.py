@@ -22,7 +22,6 @@ package that loses on every branch.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -42,7 +41,8 @@ from .core import (
     scale_to_integers,
     support_bounds,
     validate_game,
-    weight_vector,
+    weight_vector,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
+    weight_vectors,
 )
 
 
@@ -251,12 +251,12 @@ def check_continuity(
     are validated but change no result.
 
     Candidates are the game and its :func:`_moves` extreme moves on integer
-    weights over D (the lcm of both games' weight denominators and the
-    radii), kept within delta × D and [0, D] and ranked in left-major order
-    on ``agents.compose`` summaries; games are built, and named, only for
-    each radius's first falsifying pair.  A smaller move from entry i to j
-    lies between the game and the extreme move from i to j, and where it
-    leaves a pair not strictly ranked, so does one of those two:
+    weights over D (``core.weight_vectors``: the lcm of both games' branch
+    weight denominators and the radii), kept within delta × D and [0, D]
+    and ranked in left-major order on ``agents.compose`` summaries; games
+    are built, and named, only for each radius's first falsifying pair.  A
+    smaller move from entry i to j lies between the game and the extreme move
+    from i to j; where it leaves a pair not strictly ranked, so does one of them:
 
     * dtbr, egalitarian: expected value is linear in the amount moved and,
       as alphabet rewards are distinct, strictly monotone; so one end ranks
@@ -285,9 +285,9 @@ def check_continuity(
         )
 
     statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
-    vectors = [weight_vector(game, alphabet) for game in (left, right)]
-    scale = math.lcm(*(x.denominator for v in (*vectors, deltas) for x in v))
-    vectors = [[w.numerator * (scale // w.denominator) for w in v] for v in vectors]
+    scale, vectors = weight_vectors(
+        (left, right), alphabet, *(d.denominator for d in deltas)
+    )
     # Over its support a candidate is a compound of sure-zero continuations,
     # whose partial summary holds 0 in each field the rule reads.
     rewards = scale_to_integers(alphabet.rewards)

@@ -18,14 +18,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -336,22 +333,41 @@ def combine_on_shared_event(first: Game, second: Game, name: str | None = None) 
     return Game(name if name is not None else f"{first.name}+{second.name}", branches)
 
 
-def scale_to_integers(values: Sequence[Fraction]) -> list[int]:
-    """The values times the least common multiple of their denominators."""
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values]
+def scale_to_integers(values: Sequence[Optional[Fraction]]) -> list[Optional[int]]:
+    """The values times the lcm of their denominators; a None stays None."""
+    common = math.lcm(*(v.denominator for v in values if v is not None))
+    return [
+        None if v is None else v.numerator * (common // v.denominator) for v in values
+    ]
+
+
+def weight_vectors(
+    games: Sequence[Game], alphabet: RewardAlphabet, *denominators: int
+) -> tuple[int, list[list[int]]]:
+    """Each game's total weight per alphabet reward, in integers over D.
+
+    Returns ``(D, vectors)``: D is the lcm of every branch-weight
+    denominator and of ``denominators``, and a branch of weight w adds w*D
+    at its reward's alphabet index.  Raises :class:`AlphabetMismatchError`
+    at the first reward outside the alphabet, zero-weight branches included.
+    """
+    common = math.lcm(
+        *denominators, *(b.weight.denominator for g in games for b in g.branches)
+    )
+    vectors = []
+    for g in games:
+        vector = [0] * len(alphabet)
+        for b in g.branches:
+            w = b.weight
+            vector[alphabet.index(b.reward)] += w.numerator * (common // w.denominator)
+        vectors.append(vector)
+    return common, vectors
 
 
 def weight_vector(game: Game, alphabet: RewardAlphabet) -> tuple[Fraction, ...]:
-    """Total weight per alphabet reward, merging equal-reward branches.
-
-    Raises :class:`AlphabetMismatchError` if the game mentions a reward
-    outside the alphabet (zero-weight branches included).
-    """
-    totals = [ZERO] * len(alphabet)
-    for b in game.branches:
-        totals[alphabet.index(b.reward)] += b.weight
-    return tuple(totals)
+    """Total weight per alphabet reward: :func:`weight_vectors` as ``Fraction``s."""
+    common, (vector,) = weight_vectors((game,), alphabet)
+    return tuple(Fraction(w, common) for w in vector)
 
 
 def game_distance(first: Game, second: Game, alphabet: RewardAlphabet) -> Fraction:

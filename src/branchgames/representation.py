@@ -9,9 +9,9 @@ Strict comparisons become gap constraints E_u(winner) - E_u(loser) >= 1
 rather than open inequalities: feasible utilities are closed under positive
 scaling, so the unit gap loses nothing and keeps the system solvable by
 exact variable elimination.  Indifference becomes equality.  Rows are
-integers from the start.  D is the least common multiple of the
-instance's branch-weight denominators, and each game's vector is built in
-one pass over its branches: a branch of weight w adds w*D at its reward's
+integers from the start: ``core.weight_vectors`` gives D, the least
+common multiple of the instance's branch-weight denominators, and each
+game's vector, in which a branch of weight w adds w*D at its reward's
 alphabet index.  An indifference then reads +-diff.u <= 0 and a strict
 comparison's unit gap reads -diff.u <= -D.  Any other common denominator,
 such as the least one of the merged per-reward weight totals, scales every
@@ -20,14 +20,14 @@ gcd of its entries before it is used, so the rows, and with them ``u``, the
 certificate and the uniqueness flag, do not depend on which one is taken.
 The comparison matrix is ranked on integer statistics
 (``agents.scaled_statistics``) with one sort of the games by the agent's
-rule, which splits them into tie levels; each row is then read off a
-table of verdicts at the other games' levels.  A matrix handed to the fit
-is checked a row at a time, each row against the one its strict win
-count implies.  Reward positions come from the alphabet's table keyed by
-integer (numerator, denominator) pairs.  On infeasible instances the solver
-returns an irreducible certificate: a subset of the recorded comparisons
-that is itself unsatisfiable and stays unsatisfiable under no further
-deletion.
+rule, which splits them into tie levels; each level's row is then one
+tuple of verdicts at the other games' levels.  A matrix handed to the fit
+is checked a row at a time against the same table, built from the levels
+its strict win counts imply.  Reward positions come from the alphabet's
+table keyed by integer (numerator, denominator) pairs.  On infeasible
+instances the solver returns an irreducible certificate: a subset of the
+recorded comparisons that is itself unsatisfiable and stays unsatisfiable
+under no further deletion.
 
 Three reductions keep the elimination small without changing any output:
 
@@ -74,7 +74,7 @@ from functools import cmp_to_key
 from typing import Mapping, Optional, Sequence
 
 from .agents import RULES, Agent, Preference, scaled_statistics
-from .core import Game, GameError, RewardAlphabet, validate_game
+from .core import Game, GameError, RewardAlphabet, validate_game, weight_vectors
 
 # Unused here; perfbench/tracing.py wraps these bindings by name.
 from .agents import compare  # noqa: F401
@@ -150,11 +150,9 @@ def build_instance(
     entry is a total preorder, so one sort with it orders the games best
     first, and ranking each game against the next one in that order
     (n - 1 more rule calls) splits them into tie levels, numbered from 0
-    at the top.  A game at level k prefers every game at a level greater
-    than k, is indifferent to its own level and is beaten by every game at
-    a level less than k.  So all rows of a level are one tuple, read off a
-    table of verdicts at the other games' levels: the matrix that ranking
-    every pair would give, from O(n log n) rule calls instead of n^2.
+    at the top.  :func:`_level_matrix` reads the matrix off those levels:
+    the one that ranking every pair would give, from O(n log n) rule calls
+    instead of n^2.
     """
     games = tuple(games)
     for g in games:
@@ -173,16 +171,24 @@ def build_instance(
         if rule(statistics[above], statistics[below]) is not Preference.Indifferent:
             level += 1
         levels[below] = level
-    # Entry w of line[level - k:] is the verdict at level k against level w.
+    return PreferenceInstance(alphabet, games, _level_matrix(levels, level))
+
+
+def _level_matrix(levels: list[int], top: int) -> tuple[tuple[Preference, ...], ...]:
+    """The comparison matrix of games at these tie levels, 0 the best.
+
+    ``top`` is the worst level.  A game at level k prefers every game at a
+    greater level, is indifferent to its own and is beaten by every lesser
+    one, so all rows of a level are one shared tuple.
+    """
+    # Entry w of line[top - k:] is the verdict at level k against level w.
     line = (
-        (Preference.PrefersRight,) * level
+        (Preference.PrefersRight,) * top
         + (Preference.Indifferent,)
-        + (Preference.PrefersLeft,) * level
+        + (Preference.PrefersLeft,) * top
     )
-    rows = [
-        tuple(map(line[level - k :].__getitem__, levels)) for k in range(level + 1)
-    ]
-    return PreferenceInstance(alphabet, games, tuple(map(rows.__getitem__, levels)))
+    rows = [tuple(map(line[top - k :].__getitem__, levels)) for k in range(top + 1)]
+    return tuple(map(rows.__getitem__, levels))
 
 
 def _check_preorder(instance: PreferenceInstance) -> list[int]:
@@ -192,11 +198,12 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     below it and exactly as many as every game tied with it, so every
     entry ranks its two games by their strict win counts.  Conversely a
     matrix whose every entry does so is the order of those counts, which
-    is total and transitive.  So each row is compared, as one tuple, with
-    the row the win counts imply: a table of verdicts indexed by the other
-    games' counts.  Only a row that disagrees is scanned entry by entry, to
-    report its first disagreeing entry, which is then the first in
-    row-major order.
+    is total and transitive.  So the distinct counts, largest first, are
+    taken as tie levels, and each row is compared, as one tuple, with its
+    row of the matrix those levels imply (:func:`_level_matrix`, as
+    :func:`build_instance` uses).  Only a row that disagrees is scanned
+    entry by entry, to report its first disagreeing entry, which is then
+    the first in row-major order.
     """
     games = instance.games
     m = instance.comparisons
@@ -204,15 +211,10 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     if len(m) != n or any(len(row) != n for row in m):
         raise InconsistentPreorderError("comparison matrix is not square")
     wins = [row.count(Preference.PrefersLeft) for row in m]
-    # Entry w of line[n - k:] is the verdict a game with k wins gets
-    # against one with w wins; a row of n entries has at most n wins.
-    line = (
-        (Preference.PrefersLeft,) * n
-        + (Preference.Indifferent,)
-        + (Preference.PrefersRight,) * n
-    )
-    for i, row in enumerate(m):
-        implied = tuple(map(line[n - wins[i] :].__getitem__, wins))
+    counts = sorted(set(wins), reverse=True)
+    level = {count: k for k, count in enumerate(counts)}
+    matrix = _level_matrix([level[w] for w in wins], len(counts) - 1)
+    for i, (row, implied) in enumerate(zip(m, matrix)):
         if tuple(row) != implied:
             for j, verdict in enumerate(row):
                 if verdict is not implied[j]:
@@ -433,14 +435,7 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
     nvars = len(alphabet)
     n = len(games)
     # Every weight vector and the unit gap, over one common denominator D.
-    gap = math.lcm(*(b.weight.denominator for g in games for b in g.branches))
-    vectors = []
-    for g in games:
-        vector = [0] * nvars
-        for b in g.branches:
-            w = b.weight
-            vector[alphabet.index(b.reward)] += w.numerator * (gap // w.denominator)
-        vectors.append(vector)
+    gap, vectors = weight_vectors(games, alphabet)
     # Comparisons between games adjacent in the order imply all the others;
     # pair (i, j) with i < j sits at this position in constraint_list().
     chain = [(i, j, m[i][j]) for i, j in map(sorted, zip(order, order[1:]))]

@@ -1,5 +1,7 @@
 """Core model: validation, statistics, flattening, combination, distance."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from branchgames import (
     weight_vector,
 )
 from branchgames.agents import summary
-from branchgames.core import summary_terms
+from branchgames.core import scale_to_integers, summary_terms, weight_vectors
 from conftest import REWARD_POOL, compounds, games
 
 F = Fraction
@@ -235,7 +237,108 @@ class TestCombine:
             combine_on_shared_event(A, CERTAIN1)
 
 
+def reference_weight_vector(game, alphabet):
+    """``weight_vector`` as it was: a running ``Fraction`` sum per reward."""
+    totals = [F(0)] * len(alphabet)
+    for b in game.branches:
+        totals[alphabet.index(b.reward)] += b.weight
+    return tuple(totals)
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and text of the error it raised."""
+    try:
+        return build()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def assert_weight_vectors_match_the_reference(pool, alphabet, extra):
+    for game in pool:
+        vector = _outcome(lambda: weight_vector(game, alphabet))
+        reference = _outcome(lambda: reference_weight_vector(game, alphabet))
+        # Fractions, not integers equal to them; or the same error.
+        assert vector == reference
+        assert list(map(type, vector)) == list(map(type, reference))
+    outcome = _outcome(lambda: weight_vectors(pool, alphabet, *extra))
+    expected = _outcome(lambda: [reference_weight_vector(g, alphabet) for g in pool])
+    if isinstance(expected, tuple):
+        # The first offending game's first stray reward, with the same text.
+        assert outcome == expected
+        return
+    common, vectors = outcome
+    denominators = [b.weight.denominator for g in pool for b in g.branches]
+    assert common == math.lcm(*denominators, *extra)
+    assert vectors == [[int(w * common) for w in v] for v in expected]
+    assert all(type(x) is int for v in vectors for x in v)
+
+
+# Mixed denominators within a game, zero weights, and duplicate rewards.
+_SEEDED_REWARDS = (F(-1), F(0), F(1, 2), F(2), F(9, 4))
+_SEEDED_DENOMINATORS = (2, 3, 4, 5, 6, 8, 12)
+
+
+def _seeded_game(rng, name):
+    branches, remaining = [], F(1)
+    for _ in range(rng.randint(0, 3)):
+        d = rng.choice(_SEEDED_DENOMINATORS)
+        w = min(remaining, F(rng.randint(0, d), d))
+        branches.append(Branch(rng.choice(_SEEDED_REWARDS), w))
+        remaining -= w
+    branches.append(Branch(rng.choice(_SEEDED_REWARDS), remaining))
+    return Game(name, tuple(branches))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weight_vectors_are_the_reference_times_d_on_seeded_games(seed):
+    rng = random.Random(seed)
+    pool = [_seeded_game(rng, f"g{k}") for k in range(rng.randint(1, 5))]
+    extra = rng.sample(range(1, 31), rng.randint(0, 2))
+    alphabet = RewardAlphabet.from_games(*pool)
+    assert_weight_vectors_match_the_reference(pool, alphabet, extra)
+    # Without its first reward the alphabet refuses whichever game names it first.
+    if len(alphabet) > 1:
+        narrower = RewardAlphabet(alphabet.rewards[1:])
+        assert_weight_vectors_match_the_reference(pool, narrower, extra)
+
+
+@given(
+    st.lists(games(max_branches=4), min_size=1, max_size=4),
+    st.lists(st.integers(1, 40), max_size=3),
+    st.lists(st.sampled_from(REWARD_POOL), max_size=2),
+    st.booleans(),
+)
+def test_weight_vectors_are_the_reference_times_d(pool, extra, wider, drop):
+    alphabet = RewardAlphabet.of(
+        [b.reward for g in pool for b in g.branches] + wider
+    )
+    if drop and len(alphabet) > 1:
+        alphabet = RewardAlphabet(alphabet.rewards[1:])
+    assert_weight_vectors_match_the_reference(pool, alphabet, extra)
+
+
 class TestWeightVectors:
+    def test_extra_denominators_and_no_games(self):
+        alphabet = RewardAlphabet.of([0, 1])
+        assert weight_vectors((), alphabet) == (1, [])
+        assert weight_vectors((), alphabet, 4, 6) == (12, [])
+        # Sixths merged at reward 1 reduce to 1/2, but D keeps every branch's 6.
+        g = Game.of("g", (1, F(1, 6)), (1, F(1, 3)), (0, F(1, 2)))
+        assert weight_vectors((g,), alphabet) == (6, [[3, 3]])
+        assert weight_vectors((g,), alphabet, 10) == (30, [[15, 15]])
+
+    def test_the_first_offending_game_is_named(self):
+        alphabet = RewardAlphabet.of([0, 1])
+        good = Game.of("good", (1, 1))
+        late = Game.of("late", (1, 1), (7, 0))
+        early = Game.of("early", (9, 0), (0, 1))
+        pool = (good, late, early)
+        message = r"^reward 7 not in alphabet \{0, 1\}$"
+        with pytest.raises(AlphabetMismatchError, match=message):
+            weight_vectors(pool, alphabet)
+        with pytest.raises(AlphabetMismatchError, match=message):
+            [reference_weight_vector(g, alphabet) for g in pool]
+
     def test_equal_rewards_merge(self):
         g = Game.of("g", (1, F(1, 4)), (1, F(1, 4)), (0, F(1, 2)))
         alphabet = RewardAlphabet.of([0, 1])
@@ -245,6 +348,20 @@ class TestWeightVectors:
         alphabet = RewardAlphabet.of([0])
         with pytest.raises(AlphabetMismatchError):
             weight_vector(B0, alphabet)
+
+    @pytest.mark.parametrize(
+        "values, scaled",
+        [
+            ((), []),
+            ((F(1, 2), F(-2, 3), F(3)), [3, -4, 18]),
+            ((F(0), F(5, 4)), [0, 5]),
+            # None adds no denominator and stays None.
+            ((None, F(1, 6), None, F(-3, 4)), [None, 2, None, -9]),
+            ((None, None), [None, None]),
+        ],
+    )
+    def test_scale_to_integers(self, values, scaled):
+        assert scale_to_integers(values) == scaled
 
     def test_distance_examples(self):
         alphabet = RewardAlphabet.of([0, 1])

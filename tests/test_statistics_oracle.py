@@ -14,7 +14,6 @@ checker that built a ``Game`` for every candidate, measured each with
 and expect the same report or the same error whatever the sample count.
 """
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -49,6 +48,7 @@ from branchgames import (
 )
 from branchgames import axioms
 from branchgames.agents import RULES, scaled_statistics
+from branchgames.core import weight_vectors
 from branchgames.representation import FEASIBLE
 from conftest import REWARD_POOL, games
 
@@ -258,6 +258,11 @@ def _grid_game(name, *branches):
 
 # Sure games, uneven splits, a zero-weight branch and duplicate rewards.
 # Weights of 1/8 and 1/6 sit below the radii, 1/2 and 2/3 above them.
+# check_continuity's D is the lcm of the branch denominators and the radii.
+# On twins it differs from the lcm of the merged per-reward totals, whose
+# 1/4 + 1/4 = 1/2 has the smaller denominator.  Sevenths' 7 divides no
+# radius denominator and the radius 1/10's 10 divides no branch
+# denominator, so D needs a factor from each half.
 _GRID_GAMES = (
     _grid_game("sure", ("-1/2", "1")),
     _grid_game("top", ("3/4", "1")),
@@ -267,6 +272,7 @@ _GRID_GAMES = (
     _grid_game("twins", ("-1/2", "1/4"), ("-1/2", "1/4"), ("3/4", "1/2")),
     _grid_game("three", ("-2", "1/6"), ("0", "1/2"), ("3/4", "1/3")),
     _grid_game("tail", ("0", "7/8"), ("-2", "1/8")),
+    _grid_game("sevenths", ("-1/2", "2/7"), ("3/4", "5/7")),
 )
 _GRID_DELTAS = (Fraction(1, 3), Fraction(1, 10))
 
@@ -297,8 +303,7 @@ def test_moves_are_the_reference_candidates():
     alphabet = RewardAlphabet(_GRID_REWARDS)
     for game, delta in product(_GRID_GAMES, _GRID_DELTAS):
         vector = weight_vector(game, alphabet)
-        scale = math.lcm(delta.denominator, *(w.denominator for w in vector))
-        weights = [int(w * scale) for w in vector]
+        scale, (weights,) = weight_vectors((game,), alphabet, delta.denominator)
         moves = axioms._moves(weights, int(delta * scale))
         candidates = _perturbations(game, alphabet, delta, random.Random(0), 0)
         assert candidates[0] is game and len(candidates) == len(moves) + 1
