@@ -34,10 +34,10 @@ block of a ``game <name>`` line whose name is valid and not yet declared,
 and sends every ``check`` and ``search`` line straight to
 ``_parse_check``; other lines go through ``_line``.  The ``key=value``
 tokens of every line, in any order, are read by ``_key_values`` in one
-pass.  Errors are worded apart from that reading: ``_keyword_error``
-words the first bad token or missing key and runs only for a line that
-fails, and ``_declaration`` words a bad name, a game line reaching it
-only when malformed.  So every error keeps its text, line and column.
+pass in line order, which raises at the first bad token, else at the
+first required key that no token sets.  ``_declaration`` words a bad
+name, a game line reaching it only when malformed.  So every error keeps
+its text, line and column.
 A game is validated by ``core.validate_game`` when its block closes.
 
 A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
@@ -75,7 +75,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -328,48 +327,16 @@ class ScenarioFile:
     checks: tuple[CheckDecl, ...]
 
 
-# A ``key=value`` token split at its first "="; a token without one splits
-# into one part, which dict() rejects with a ValueError.
-_KEY_AND_VALUE = operator.methodcaller("split", "=", 1)
-
-
 def _key_values(line: _Line, start: int, keys: dict[str, _Key]) -> list:
     """The parsed value of each key, in key order, from token ``start`` on.
 
-    An optional key that no token sets reads None.  The tokens are read in
-    one pass, in any order.  Only when they are malformed (a token without
-    "=", an unknown, repeated or missing required key, an empty value or
-    one its parser rejects) does :func:`_keyword_error` read them again,
-    to word the error this raises.
+    The tokens may set the keys in any order, and an optional key that no
+    token sets reads None.  The first bad token in line order raises, with
+    its column: one without "=", an unknown or repeated key, an empty
+    value, or one its parser rejects.  Else the first required key that no
+    token sets raises.
     """
-    tokens = line.tokens
-    try:
-        given = dict(map(_KEY_AND_VALUE, tokens[start:]))
-        if len(given) == len(tokens) - start:  # no key repeated
-            values = []
-            for name, key in keys.items():
-                value = given.pop(name, None)
-                if value:
-                    values.append(key.parse(value))
-                elif value is None and not key.required:
-                    values.append(None)
-                else:  # an empty value, or a required key missing
-                    break
-            else:
-                if not given:  # no unknown key
-                    return values
-    except ValueError:
-        pass
-    raise _keyword_error(line, start, keys)
-
-
-def _keyword_error(line: _Line, start: int, keys: dict[str, _Key]) -> ParseError:
-    """Why :func:`_key_values` rejects the line's tokens from ``start`` on.
-
-    The first bad token in line order, with its column; else the first
-    required key that no token sets.
-    """
-    seen = set()
+    given = {}
     for index, token in enumerate(line.tokens[start:], start):
         name, eq, value = token.partition("=")
         try:
@@ -377,16 +344,17 @@ def _keyword_error(line: _Line, start: int, keys: dict[str, _Key]) -> ParseError
                 raise ValueError(f"expected key=value, got {token!r}")
             if name not in keys:
                 raise ValueError(f"unknown key {name!r}")
-            if name in seen:
+            if name in given:
                 raise ValueError(f"duplicate key {name!r}")
             if value == "":
                 raise ValueError(f"empty value for {name!r}")
-            keys[name].parse(value)
+            given[name] = keys[name].parse(value)
         except ValueError as exc:
-            return line.error(str(exc), index)
-        seen.add(name)
-    missing = next(k for k in keys.values() if k.required and k.name not in seen)
-    return ParseError(f"missing required key {missing.name}=...", line.number)
+            raise line.error(str(exc), index) from None
+    for name, key in keys.items():
+        if key.required and name not in given:
+            raise ParseError(f"missing required key {name}=...", line.number)
+    return [given.get(name) for name in keys]
 
 
 def _parse_check(line: _Line) -> CheckDecl:

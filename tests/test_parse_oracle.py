@@ -1,18 +1,20 @@
 """``cli.parse`` against the parse loop it replaced, kept here as the reference.
 
-``cli.parse`` takes three shortcuts.  It keeps, for one call, a table from
+``cli.parse`` takes two shortcuts.  It keeps, for one call, a table from
 the text of each branch line that parsed (before any comment) to its
 ``Branch``, and adds that ``Branch`` again wherever the line recurs inside
-an open game block.  It opens the block of a well-formed ``game <name>``
-line itself, and calls ``_declaration`` for a game line only to word its
-error.  And it reads the tokens of every ``key=value`` line in one pass,
-with ``_key_values``, calling ``_keyword_error`` only to word an error.
+an open game block.  And it opens the block of a well-formed ``game
+<name>`` line itself, and calls ``_declaration`` for a game line only to
+word its error.
 
 The reference below is the parse loop as first written: every line is
 split and goes through ``_line``, every declaration through
 ``_declaration``, and every ``key=value`` token through
-``reference_keyword_args``, which parses and words errors in one pass.
-It shares only block closing and reference resolution with ``cli``.  Both
+``reference_keyword_args``, which parses and words errors in one pass,
+token by token in line order, as ``cli._key_values`` does; the random
+files below write lines with one or two faults and malformed declaration
+keys, so the two readers are held to the same first error.  The reference
+shares only block closing and reference resolution with ``cli``.  Both
 parses must give equal games, agents, scenarios and checks, or raise the
 same ``ParseError`` class with the same message, line and column.  The
 ``search`` terms of the command line are checked the same way.
@@ -277,18 +279,24 @@ PINNED = {
         "game g\n  branch reward=0 weight=1/2\ngame g extra\n"
     ),
     **{
-        f"check compare with {case}": (
+        f"check {form.partition(' ')[0]} with {case}": (
             "game a\n  branch reward=0 weight=1\n"
             "agent d kind=dtbr\n"
-            f"check compare {keys}\n"
+            f"check {form}\n"
         )
-        for case, keys in {
-            "a duplicate key": "agent=d left=a agent=d right=a",
-            "an unknown key": "agent=d left=a right=a side=a",
-            "a missing key": "agent=d right=a",
-            "an empty value": "agent=d left= right=a",
-            "a bare token": "agent=d left=a right",
-            "its keys in another order": "right=a agent=d left=a",
+        for case, form in {
+            "a duplicate key": "compare agent=d left=a agent=d right=a",
+            "an unknown key": "compare agent=d left=a right=a side=a",
+            "a missing key": "compare agent=d right=a",
+            "an empty value": "compare agent=d left= right=a",
+            "a bare token": "compare agent=d left=a right",
+            "its keys in another order": "compare right=a agent=d left=a",
+            "an unknown key before an empty value": (
+                "compare agent=d side=a left= right=a"
+            ),
+            "a bad value before a duplicate key": (
+                "fit agent=d games=a alphabet=0,x games=a"
+            ),
         }.items()
     },
     "bad rational in a branch": "game g\n  branch reward=1/0 weight=1\n",
@@ -377,15 +385,23 @@ def test_pinned_outcomes():
         1,
         None,
     )
-    compare_errors = {
-        "a duplicate key": ("duplicate key 'agent'", 30),
-        "an unknown key": ("unknown key 'side'", 38),
-        "a missing key": ("missing required key left=...", None),
-        "an empty value": ("empty value for 'left'", 23),
-        "a bare token": ("expected key=value, got 'right'", 30),
+    check_errors = {
+        "compare with a duplicate key": ("duplicate key 'agent'", 30),
+        "compare with an unknown key": ("unknown key 'side'", 38),
+        "compare with a missing key": ("missing required key left=...", None),
+        "compare with an empty value": ("empty value for 'left'", 23),
+        "compare with a bare token": ("expected key=value, got 'right'", 30),
+        "compare with an unknown key before an empty value": (
+            "unknown key 'side'",
+            23,
+        ),
+        "fit with a bad value before a duplicate key": (
+            "expected a rational like 3 or 1/2, got 'x'",
+            27,
+        ),
     }
-    for case, (message, column) in compare_errors.items():
-        got = assert_same_outcome(PINNED[f"check compare with {case}"])
+    for case, (message, column) in check_errors.items():
+        got = assert_same_outcome(PINNED[f"check {case}"])
         assert got == (ParseError, message, 4, column), case
     assert assert_same_outcome(PINNED["bad rational in a branch"]) == (
         ParseError,
@@ -426,8 +442,9 @@ def test_a_bad_line_fails_on_every_parse():
 # branch lines recur.  Half the files are clean: every literal, split and
 # name in them is valid, so they parse and reach their checks unless a
 # branch line strays out of its game block.  The rest may also hold bad
-# literals, splits, keys, names, game lines and check lines, and scenarios,
-# and mostly fail.
+# literals, splits, keys, names, game lines, check lines and agent lines,
+# and scenarios, their root key now and then missing or repeated, and
+# mostly fail.
 
 _INDENTS = st.sampled_from(["", "  ", "  ", "\t", "\f"])
 _SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\f"])
@@ -437,6 +454,17 @@ _REWARDS = ["0", "1", "-2", "1/2", "2/4", "3"]
 _BAD_REWARDS = ["1.5", "1/0"]
 _SPLITS = [("1",), ("1/2", "1/2"), ("1/2", "2/4"), ("1/3", "2/3"), ("0", "1")]
 _BAD_SPLITS = [("1/2",), ("3/2", "-1/2"), ()]
+_AGENT_KEYS = [("kind=optimist",), ("kind=stoic", "max_reward=5")]
+_BAD_AGENT_KEYS = [
+    ("kind=nobody",),
+    ("kind=dtbr", "max_reward=5"),  # Agent's own error, without a column
+    ("max_reward=1/0", "kind=stoic"),
+    ("kind=optimist", "kind=optimist"),
+    ("kind=",),
+    ("kind=stoic", "mood=1"),
+    ("kind",),
+    ("max_reward=1",),
+]
 
 
 def _pick(draw, good, bad, clean):
@@ -465,9 +493,16 @@ def _branch_line(draw, style, rewards, weight, clean):
     return draw(_line(style, "branch", *keys))
 
 
+_FAULTS = ["short", "repeated", "unknown", "empty", "bare"]
+
+
 @st.composite
 def _check_line(draw, style, names, clean):
-    """A compare or fit check, its keys now and then reordered or malformed."""
+    """A compare or fit check, its keys now and then reordered or malformed.
+
+    A malformed line has one fault or two, each at a drawn place, so the
+    first bad token in line order need not be the last fault made.
+    """
     if draw(st.booleans()):
         games = [draw(st.sampled_from(names)) for _ in range(2)]
         keys = ["agent=a", f"games={','.join(games)}", "alphabet=0,1"]
@@ -477,25 +512,21 @@ def _check_line(draw, style, names, clean):
         left, right = draw(st.sampled_from(names)), draw(st.sampled_from(names))
         keys = ["agent=a", f"left={left}", f"right={right}"]
         words = ["check", "compare"]
-    shape = _pick(
-        draw,
-        ["plain"] * 5 + ["shuffled"],
-        ["short", "repeated", "unknown", "empty", "bare"],
-        clean,
-    )
+    shape = _pick(draw, ["plain"] * 5 + ["shuffled"], _FAULTS, clean)
     if shape == "shuffled":
         keys = draw(st.permutations(keys))
-    elif shape == "short":
-        keys.pop(draw(st.integers(0, len(keys) - 1)))
-    elif shape == "repeated":
-        keys.append(draw(st.sampled_from(keys)))
-    elif shape == "unknown":
-        keys.append("side=a")
-    elif shape == "empty":
-        index = draw(st.integers(0, len(keys) - 1))
-        keys[index] = keys[index].partition("=")[0] + "="
-    elif shape == "bare":
-        keys.insert(draw(st.integers(0, len(keys))), "agent")
+    elif shape in _FAULTS:
+        for fault in [shape, *draw(st.lists(st.sampled_from(_FAULTS), max_size=1))]:
+            index = draw(st.integers(0, len(keys) - 1))
+            place = draw(st.integers(0, len(keys)))
+            if fault == "short":
+                keys.pop(index)
+            elif fault == "empty":
+                keys[index] = keys[index].partition("=")[0] + "="
+            elif fault == "repeated":
+                keys.insert(place, keys[index])
+            else:
+                keys.insert(place, "side=a" if fault == "unknown" else "agent")
     return draw(_line(style, *words, *keys))
 
 
@@ -525,11 +556,13 @@ def files(draw):
             lines.append(draw(_check_line(style, names, clean)))
         elif kind == "scenario":
             root, first, second = (draw(st.sampled_from(names)) for _ in range(3))
-            lines.append(draw(_line(style, "scenario", f"s{index}", f"root={root}")))
+            keys = _pick(draw, [[f"root={root}"]], [[], [f"root={root}"] * 2], clean)
+            lines.append(draw(_line(style, "scenario", f"s{index}", *keys)))
             arm = draw(_line(style, "arm", first, "vs", second))
             lines += [arm] * draw(st.integers(0, 2))
         elif kind == "agent":
-            lines.append(draw(_line(style, "agent", f"a{index}", "kind=optimist")))
+            keys = _pick(draw, _AGENT_KEYS, _BAD_AGENT_KEYS, clean)
+            lines.append(draw(_line(style, "agent", f"a{index}", *keys)))
         elif kind == "stray":
             # A branch line after the game block closed: mostly one seen
             # before, which the table holds.
