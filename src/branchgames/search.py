@@ -47,8 +47,10 @@ The projected scenario count is computed in polynomial time, from
 partial-sum counts of the weight tuples, and checked against a cap before
 any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
 The cap bounds the projected stream, not the class tuples decided.
-No tuple longer than 1 / (least menu weight) sums to 1, so every walk over
-tuple lengths stops there, whatever the branch limits.
+One walk over the weight menu, a position at a time, gives the weight
+tuples of every length; the counts come from the same walk over partial
+sums alone.  No tuple longer than 1 / (least menu weight) sums to 1, so
+both walks stop there, whatever the branch limits.
 """
 
 from __future__ import annotations
@@ -133,33 +135,6 @@ class ViolationHit:
     report: AxiomReport
 
 
-def _weight_tuples(
-    grid: tuple[Fraction, ...], length: int
-) -> list[tuple[Fraction, ...]]:
-    """Menu tuples of the given length summing exactly to 1, in product order.
-
-    A depth-first walk with the rightmost position varying fastest, on the
-    menu scaled to integers with 1 alongside it.  Menu weights are
-    positive, so a prefix summing past 1 is dropped with every tuple it
-    starts.
-    """
-    *steps, unit = scale_to_integers([*grid, Fraction(1)])
-    menu = list(zip(grid, steps))
-    tuples: list[tuple[Fraction, ...]] = []
-
-    def extend(prefix: tuple[Fraction, ...], total: int) -> None:
-        if len(prefix) == length:
-            if total == unit:
-                tuples.append(prefix)
-            return
-        for weight, step in menu:
-            if total + step <= unit:
-                extend(prefix + (weight,), total + step)
-
-    extend((), 0)
-    return tuples
-
-
 def _weight_tuple_counts(grid: tuple[Fraction, ...], longest: int) -> list[int]:
     """``counts[n]``: how many menu tuples of length n sum exactly to 1.
 
@@ -193,10 +168,24 @@ def _grid_games(
 
     Called with the reward menu and prefix ``O`` for the option pool, and
     with the pinned root reward 0 and prefix ``R`` for the root games.
+    The walk runs on the menu scaled to integers with 1 alongside it: each
+    step extends every kept prefix by each menu weight, in menu order, and
+    drops a prefix past 1 (menu weights are positive); after n steps the
+    prefixes summing to exactly 1 are the n-branch weight tuples, in
+    product order.
     """
+    *steps, unit = scale_to_integers([*spec.weight_grid, Fraction(1)])
+    menu = list(zip(spec.weight_grid, steps))
+    prefixes: list[tuple[tuple[Fraction, ...], int]] = [((), 0)]
     games = []
     for size in _lengths(spec, limit):
-        for weights in _weight_tuples(spec.weight_grid, size):
+        prefixes = [
+            (weights + (weight,), total + step)
+            for weights, total in prefixes
+            for weight, step in menu
+            if total + step <= unit
+        ]
+        for weights in [w for w, total in prefixes if total == unit]:
             for chosen in itertools.product(rewards, repeat=size):
                 games.append(
                     Game(

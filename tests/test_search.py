@@ -15,7 +15,7 @@ from branchgames import (
     find_violation,
     scenario_count,
 )
-from branchgames import search
+from branchgames import cli, search
 from branchgames.search import CAP_ENV_VAR, DEFAULT_SCENARIO_CAP, _grid_games
 
 F = Fraction
@@ -141,6 +141,22 @@ class TestCap:
             spec = GridSpec.of([0, 1, 2], ["1/2", 1], roots, options)
             assert scenario_count(spec) == 20_880
             assert find_violation(DTBR, spec) is None
+
+    def test_a_deep_weight_menu_builds_its_games_without_recursion(self, capsys):
+        # 1000 branches of 1/1000 make the one long root; the grid holds 2
+        # scenarios, and building that root must not recurse per branch
+        spec = GridSpec.of([0], ["1/1000", 1], 1000, 1)
+        assert scenario_count(spec) == 2
+        for agent in (DTBR, EGAL, OPT, STOIC):
+            assert find_violation(agent, spec) is None
+        argv = [
+            "search", "diachronic", "agent=dtbr", "rewards=0",
+            "weights=1/1000,1", "root_branches=1000", "option_branches=1",
+        ]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "search diachronic dtbr -> none (scanned 2 scenarios)\n"
+        )
 
     def test_cap_env_var_must_be_a_positive_integer(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "many")

@@ -39,7 +39,6 @@ from branchgames.search import (
     _check_cap,
     _grid_games,
     _weight_tuple_counts,
-    _weight_tuples,
 )
 from test_diachronic_oracle import reference_check_diachronic
 
@@ -252,15 +251,26 @@ def test_random_small_grids_match_the_arm_walk(spec, kind):
         max_size=5,
         unique=True,
     ),
-    st.integers(1, 4),
+    st.integers(1, 5),
 )
-def test_weight_tuples_match_the_filtered_product(grid, length):
+def test_weight_tuples_match_the_filtered_product(grid, longest):
+    # One reward, so each weight tuple is one game: the weight tuples of each
+    # length's games, in pool order, must be the filtered product, in order.
     grid = tuple(grid)
-    expected = [
-        combo for combo in itertools.product(grid, repeat=length) if sum(combo) == 1
-    ]
-    assert _weight_tuples(grid, length) == expected
-    assert _weight_tuple_counts(grid, length)[length] == len(expected)
+    games = _grid_games(GridSpec.of([0], grid, longest, 1), longest, (F(0),), "R")
+    counts = _weight_tuple_counts(grid, longest)
+    for length in range(1, longest + 1):
+        expected = [
+            combo
+            for combo in itertools.product(grid, repeat=length)
+            if sum(combo) == 1
+        ]
+        assert [
+            tuple(b.weight for b in game.branches)
+            for game in games
+            if len(game.branches) == length
+        ] == expected
+        assert counts[length] == len(expected)
 
 
 def test_a_grid_far_over_the_cap_is_counted_and_refused_without_enumeration():
