@@ -23,12 +23,12 @@ matrix and the grid search read :func:`scaled_statistics`, which puts
 every field in integers over a denominator shared by all the games with
 ``core.scale_to_integers``, so their rules compare integers instead of
 ``Fraction``s.  All three statistics compose along branches, and
-:func:`compose` is the one rule that does it: the diachronic check and
-the grid search rank compounds on summaries it composes from their
-continuations' partial summaries, and the continuity check ranks perturbed
-games as compounds of sure-zero continuations.  Comparisons return one of
-three verdicts and never raise on valid input, so every kind is a total
-preorder by construction.
+:func:`compose` is the one rule that does it: the diachronic check ranks
+compounds on summaries it composes from their continuations' partial
+summaries, the grid search folds arms by its rule for support bounds, and
+the continuity check ranks perturbed games as compounds of sure-zero
+continuations.  Comparisons return one of three verdicts and never raise
+on valid input, so every kind is a total preorder by construction.
 """
 
 from __future__ import annotations
@@ -194,8 +194,9 @@ def compose(
     if shape is None:
         return None
     value, low, high = shape
-    # The grid search calls this once per compound it decides: a plain loop
-    # and maps over operator functions are its fastest forms here.
+    # check_diachronic calls this for both compounds of every scenario it
+    # decides: a plain loop and maps over operator functions are its
+    # fastest forms here.
     if value is not None:
         value = 0
         for w, r, p in zip(weights, rewards, parts):

@@ -25,28 +25,44 @@ with positive root weights w_i over continuations c_i, the compound has
 expected value sum_i w_i*EV(c_i), support min min_i lo(c_i) and support max
 max_i hi(c_i).  :func:`check_diachronic` ranks its compounds by the same
 rule.  Call a root branch's pair of options an arm.  A scenario's verdict
-depends only on its root weights and, per arm, on the fields of the two
-summaries that the kind's rule reads: the kind's partial summary,
-``agents.STATISTICS``.  So :func:`find_violation` groups the pool games by
-that partial summary, read in integers over pool-wide denominators by
-``agents.scaled_statistics``, and the arms by their pair of game classes,
-and decides each tuple of arm classes once, on the partial summaries of
-the class's first arm in odometer order, so the work grows with the class
-tuples, not with the stream.  A class whose descendant prefers its second
-option is dropped, because no clause binds on such a scenario.
+depends, per arm, only on the fields of the two summaries that the kind's
+rule reads: the kind's partial summary, ``agents.STATISTICS``.  So
+:func:`find_violation` groups the pool games by that partial summary, read
+in integers over pool-wide denominators by ``agents.scaled_statistics``,
+and the arms by their pair of game classes, each held by its first arm in
+odometer order.  A class whose descendant prefers its second option is
+dropped, because no clause binds on such a scenario.  So is a class strict
+in expected value: every rule that reads it ranks by it first, so a kept
+arm's first option never has the smaller one, and one strict arm makes the
+compound of first options strictly better, which breaks no clause.
 
-Within a root group of k branches over A arms, the scenario with arms
-a_1..a_k has index sum_i a_i*A^(k-i), which rises with each slot on its
-own.  Class tuples walked in product order, classes sorted by first arm,
-put those first arms in lexicographic order; so the first violating tuple,
-each slot at its class's first arm, is the group's first violating
-scenario.  Only that scenario is built, and :func:`check_diachronic`
-replays it for the witness.
+On the classes left, the compounds tie in expected value whatever the
+root weights, and the support bounds do not read weights at all, so no
+verdict reads the root weights: each root length is decided once, and the
+first root of the shortest length that has a hit holds the stream's first
+hit.  A class folds into a state, a plain tuple of what the rule reads:
+the descendant's verdict, and the support min and max of each side, 0
+where the kind's partial summary has no such field (its rule never reads
+one).  Arms fold into one state as ``agents.compose`` composes support
+bounds, so a tuple's verdict is its state's, ranked with the tied
+expected value read as 0.  Classes with one state decide alike, so only
+the first of them, by first arm, is kept.  The states that j classes
+reach are built once per j, and a root of k branches is decided slot by
+slot: each slot takes the first class whose fold with the slots before it
+completes a violation with some state the remaining slots reach.  Within
+a root of k branches over A arms, the scenario with arms a_1..a_k has
+index sum_i a_i*A^(k-i), which rises with each slot on its own; so the
+slot-by-slot choice is the root's first violating scenario.  The work is
+about k x classes x states, however many scenarios the grid holds: on a
+four-root grid of 658,289,430,900 scenarios no kind reaches more than 10
+states.  Only the hit is built, and :func:`check_diachronic` replays it
+for the witness.
 
 The projected scenario count is computed in polynomial time, from
 partial-sum counts of the weight tuples, and checked against a cap before
 any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
-The cap bounds the projected stream, not the class tuples decided.
+The cap bounds the projected stream, not the work done, which grows with
+the root lengths, the classes and the states they reach.
 One walk over the weight menu, a position at a time, gives the weight
 tuples of every length; the counts come from the same walk over partial
 sums alone.  No tuple longer than 1 / (least menu weight) sums to 1, so
@@ -59,14 +75,13 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .agents import (
     RULES,
     Agent,
     Preference,
     Summary,
-    compose,
     scaled_statistics,
 )
 from .axioms import (
@@ -243,96 +258,139 @@ def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
             yield DiachronicScenario(root, pairs)
 
 
-class _ArmClass(NamedTuple):
-    """Arms alike to the kind's rule, held by their first arm in odometer
-    order: its position, options and partial summaries, and the
-    descendant's verdict."""
-
-    first: int
-    options: tuple[Game, Game]
-    summaries: tuple[Optional[Summary], Optional[Summary]]
-    preference: Preference
-
-
-def _arm_classes(agent: Agent, pool: Sequence[Game]) -> list[_ArmClass]:
+def _arm_classes(
+    agent: Agent, pool: Sequence[Game]
+) -> list[tuple[int, tuple[Game, Game], tuple]]:
     """The classes of arms that can take part in a violation, by first arm.
 
     Pool games fall into one class per partial summary of the kind, read
     in integers by :func:`agents.scaled_statistics`; scaling is injective
     field by field, so the integer summaries group the games as the
     rational ones would.  An arm class is a pair of game classes, and its
-    first arm pairs their first games.  Each class holds just the fields
-    the kind's partial summary holds, so :func:`compose` does no work the
-    rule ignores.  The root rewards the search composes with are 0, which
-    reads the same at every scale.  Classes whose descendant prefers the
-    second option are dropped.
+    first arm pairs their first games.  Each class comes as that arm's
+    position, its options and its fold state: the descendant's verdict,
+    then the support min and max of the first option and of the second.
+    Classes whose descendant prefers the second option, or that are
+    strict in expected value, are dropped, and only the first class of
+    each fold state is kept (see the module docstring).
     """
     rule = RULES[agent.kind]
     firsts: dict[Optional[Summary], int] = {}
     for position, fields in enumerate(scaled_statistics(agent.kind, pool)):
         firsts.setdefault(fields, position)
-    classes = []
+    bounds = {
+        fields: (0, 0) if fields is None else tuple(f or 0 for f in fields[1:])
+        for fields in firsts
+    }
+    classes: dict[tuple, tuple[int, tuple[Game, Game], tuple]] = {}
     for left_fields, left in firsts.items():
         for right_fields, right in firsts.items():
-            pair = (left_fields, right_fields)
-            preference = rule(*pair)
-            if preference is not Preference.PrefersRight:
-                classes.append(
-                    _ArmClass(
-                        left * len(pool) + right,
-                        (pool[left], pool[right]),
-                        pair,
-                        preference,
-                    )
-                )
-    return classes
+            preference = rule(left_fields, right_fields)
+            if preference is Preference.PrefersRight:
+                continue
+            if left_fields is not None and left_fields[0] is not None:
+                assert left_fields[0] >= right_fields[0], "EV is not ranked first"
+                if left_fields[0] > right_fields[0]:
+                    continue
+            state = (preference, *bounds[left_fields], *bounds[right_fields])
+            classes.setdefault(
+                state, (left * len(pool) + right, (pool[left], pool[right]), state)
+            )
+    return list(classes.values())
 
 
-def _violates(
-    rule: Callable[[Summary, Summary], Preference],
-    weights: Sequence[int],
-    rewards: Sequence[int],
-    chosen: Sequence[_ArmClass],
-) -> bool:
-    """Decide a tuple of arm classes from its root branches, scaled to integers."""
-    forward = rule(
-        compose(weights, rewards, [arm.summaries[0] for arm in chosen]),
-        compose(weights, rewards, [arm.summaries[1] for arm in chosen]),
+def _fold(state: Optional[tuple], other: tuple) -> tuple:
+    """The fold state of the arms of both; ``state`` None holds no arm.
+
+    A descendant strict in either is strict in both, and each support min
+    and max is the least and the greatest, as ``agents.compose`` composes
+    them.
+    """
+    if state is None:
+        return other
+    return (
+        state[0] if state[0] is Preference.PrefersLeft else other[0],
+        min(state[1], other[1]),
+        max(state[2], other[2]),
+        min(state[3], other[3]),
+        max(state[4], other[4]),
     )
-    return broken_clause([arm.preference for arm in chosen], forward) is not None
+
+
+def _reachable(states: set, longest: int) -> list[set]:
+    """``reach[j]``: the fold states of the tuples of j arm classes."""
+    reach: list[set] = [{None}]
+    for _ in range(longest):
+        reach.append({_fold(state, other) for state in reach[-1] for other in states})
+    return reach
+
+
+def _first_violation(
+    rule: Callable[[Summary, Summary], Preference],
+    classes: Sequence[tuple],
+    reach: Sequence[set],
+    size: int,
+) -> Optional[list[tuple]]:
+    """The classes, slot by slot, of the first violating tuple of ``size``.
+
+    Each slot takes the first class, by first arm, whose fold with the
+    slots before it still completes a violation with some state the
+    remaining slots reach; None when the first slot has no such class.
+    """
+    prefix, chosen = None, []
+    for rest in reversed(range(size)):
+        for arm in classes:
+            state = _fold(prefix, arm[2])
+            # The compounds tie in expected value: read it as 0.
+            if any(
+                broken_clause((whole[0],), rule((0, *whole[1:3]), (0, *whole[3:])))
+                is not None
+                for whole in (_fold(tail, state) for tail in reach[rest])
+            ):
+                break
+        else:
+            return None
+        prefix = state
+        chosen.append(arm)
+    return chosen
 
 
 def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     """First scenario in the stream the agent violates, or None when clean.
 
-    Each class of arms is decided once, from summaries (see the module
-    docstring); the first hit is built and replayed by
+    Each root length is decided once, slot by slot on fold states (see the
+    module docstring); the first hit is built and replayed by
     :func:`check_diachronic`, whose report the hit carries.
     """
     _check_cap(spec)
     pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     classes = _arm_classes(agent, pool)
     rule = RULES[agent.kind]
+    roots = _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R")
+    reach = _reachable(
+        {state for _, _, state in classes}, len(roots[-1].branches) - 1 if roots else 0
+    )
     arm_count = len(pool) ** 2
     offset = 0
-    for root in _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R"):
-        weights = scale_to_integers([b.weight for b in root.branches])
-        rewards = (0,) * len(weights)
-        # Classes are listed by first arm, so product order is the stream
-        # order of the scenarios the tuples stand for: the first hit is the
-        # group's earliest.
-        for chosen in itertools.product(classes, repeat=len(weights)):
-            if _violates(rule, weights, rewards, chosen):
-                index = offset
-                for position, arm in enumerate(reversed(chosen)):
-                    index += arm.first * arm_count**position
-                scenario = DiachronicScenario(root, tuple(arm.options for arm in chosen))
-                report = check_diachronic(agent, scenario)
-                if report.verdict is not Verdict.VIOLATED:
-                    raise RuntimeError(
-                        f"scenario {index}: summaries say violated, "
-                        f"check_diachronic says {report.verdict.value}"
-                    )
-                return ViolationHit(index, scenario, report)
-        offset += arm_count ** len(weights)
+    for size, group in itertools.groupby(roots, key=lambda root: len(root.branches)):
+        # No verdict reads the root weights, so the length's first root
+        # holds its first hit, if it has one.
+        group = list(group)
+        chosen = _first_violation(rule, classes, reach, size)
+        if chosen is not None:
+            index = 0
+            for first, _, _ in chosen:
+                index = index * arm_count + first
+            index += offset
+            scenario = DiachronicScenario(
+                group[0], tuple(options for _, options, _ in chosen)
+            )
+            report = check_diachronic(agent, scenario)
+            if report.verdict is not Verdict.VIOLATED:
+                raise RuntimeError(
+                    f"scenario {index}: summaries say violated, "
+                    f"check_diachronic says {report.verdict.value}"
+                )
+            return ViolationHit(index, scenario, report)
+        offset += len(group) * arm_count**size
     return None

@@ -1,4 +1,4 @@
-"""Golden output: the gallery, the shipped scenario files and three grid
+"""Golden output: the gallery, the shipped scenario files and four grid
 searches, byte for byte.
 
 Each ``.txt`` or ``.jsonl`` file under ``tests/golden/`` is the stdout of
@@ -7,7 +7,7 @@ one command, recorded from the command line as
     branchgames gallery [--machine]           > tests/golden/gallery.{txt,jsonl}
     branchgames run scenarios/<name>.game [--machine]
                                               > tests/golden/<name>.{txt,jsonl}
-    branchgames search <SEARCHES[name]> [--machine]
+    [BRANCHGAMES_SCENARIO_CAP=<CAPS[name]>] branchgames search <SEARCHES[name]> [--machine]
                                               > tests/golden/<name>.{txt,jsonl}
 
 and each ``.game`` file is ``render(parse(...))`` of the gallery source or
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from branchgames import cli
+from branchgames.search import CAP_ENV_VAR
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -42,7 +43,15 @@ SEARCHES = {
         "diachronic", "agent=dtbr", "rewards=0,1", "weights=1/3,2/3,1",
         "root_branches=3", "option_branches=2",
     ],
+    # the egalitarian's first hit on a grid past the default cap: its index,
+    # root and option names follow the pool order and the product order
+    "search_quarters_found": [
+        "diachronic", "agent=egalitarian", "rewards=0,1,2", "weights=1/4,1/2,3/4,1",
+        "root_branches=3", "option_branches=2",
+    ],
 }
+# Searches run with BRANCHGAMES_SCENARIO_CAP raised to their projected count.
+CAPS = {"search_quarters_found": 2_189_430_900}
 
 CASES = [
     (stem, machine)
@@ -73,7 +82,9 @@ def _source(stem: str) -> str:
     CASES,
     ids=[f"{s}{'-machine' if m else ''}" for s, m in CASES],
 )
-def test_output_matches_the_golden_file(capsys, stem, machine):
+def test_output_matches_the_golden_file(capsys, monkeypatch, stem, machine):
+    if stem in CAPS:
+        monkeypatch.setenv(CAP_ENV_VAR, str(CAPS[stem]))
     assert cli.main(_argv(stem, machine)) == 0
     out = capsys.readouterr().out.encode("utf-8")
     golden = GOLDEN / f"{stem}.{'jsonl' if machine else 'txt'}"

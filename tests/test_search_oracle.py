@@ -1,4 +1,4 @@
-"""The class-by-class grid search against two slower references.
+"""The folded grid search against three slower references.
 
 ``reference_find_violation`` is the search as it was before it decided
 scenarios on summaries: build every scenario of the stream and run
@@ -6,15 +6,21 @@ scenarios on summaries: build every scenario of the stream and run
 ranks them with ``compare`` rather than composing summaries.
 ``reference_arm_walk`` is the search as it was before it grouped arms into
 classes: decide every scenario of the stream from its arms' summaries.
-The fast search must return the same first hit (index, scenario and
-report) or the same None, on fixed grids chosen to cover thirds, quarters,
-three-branch games, three root branches and negative rewards, and on
-random small grids.
+``reference_class_walk`` is the search as it was before it folded classes
+into states: for every root, decide every tuple of arm classes, in product
+order, on the summaries composed with that root's weights.  The fast
+search must return the same first hit (index, scenario and report) or the
+same None, on fixed grids chosen to cover thirds, quarters, three-branch
+games, three and four root branches and negative rewards, and on random
+small grids.
 """
 
 import itertools
+import os
+import time
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,14 +36,24 @@ from branchgames import (
     find_violation,
     scenario_count,
 )
-from branchgames.agents import RULES, Preference, Summary, summary
+from branchgames.agents import (
+    RULES,
+    Preference,
+    Summary,
+    compose,
+    scaled_statistics,
+    summary,
+)
 from branchgames.axioms import DiachronicScenario, broken_clause
 from branchgames.core import scale_to_integers
 from branchgames.search import (
     CAP_ENV_VAR,
     ViolationHit,
+    _arm_classes,
     _check_cap,
+    _first_violation,
     _grid_games,
+    _reachable,
     _weight_tuple_counts,
 )
 from test_diachronic_oracle import reference_check_diachronic
@@ -107,6 +123,74 @@ def reference_arm_walk(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     return None
 
 
+def reference_arm_classes(agent: Agent, pool) -> list[tuple]:
+    """Every arm class whose descendant does not prefer its second option,
+    by first arm: its position, options, partial summaries and verdict."""
+    rule = RULES[agent.kind]
+    firsts: dict = {}
+    for position, fields in enumerate(scaled_statistics(agent.kind, pool)):
+        firsts.setdefault(fields, position)
+    classes = []
+    for left_fields, left in firsts.items():
+        for right_fields, right in firsts.items():
+            verdict = rule(left_fields, right_fields)
+            if verdict is not Preference.PrefersRight:
+                classes.append(
+                    (
+                        left * len(pool) + right,
+                        (pool[left], pool[right]),
+                        (left_fields, right_fields),
+                        verdict,
+                    )
+                )
+    return classes
+
+
+def reference_first_tuple(rule, classes, root) -> Optional[tuple]:
+    """The first tuple of arm classes, in product order, that breaks a
+    clause on the summaries composed with this root's weights."""
+    weights = scale_to_integers([b.weight for b in root.branches])
+    rewards = (0,) * len(weights)
+    for chosen in itertools.product(classes, repeat=len(weights)):
+        forward = rule(
+            compose(weights, rewards, [pair[0] for _, _, pair, _ in chosen]),
+            compose(weights, rewards, [pair[1] for _, _, pair, _ in chosen]),
+        )
+        if broken_clause([verdict for *_, verdict in chosen], forward) is not None:
+            return chosen
+    return None
+
+
+def reference_class_walk(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
+    """First violated scenario, deciding for every root each tuple of arm
+    classes in product order, on the summaries composed with its weights."""
+    _check_cap(spec)
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    classes = reference_arm_classes(agent, pool)
+    arm_count = len(pool) ** 2
+    offset = 0
+    for root in _grid_games(spec, spec.max_root_branches, (F(0),), "R"):
+        # Classes are listed by first arm, so product order is the stream
+        # order of the scenarios the tuples stand for.
+        chosen = reference_first_tuple(RULES[agent.kind], classes, root)
+        if chosen is not None:
+            index = offset
+            for position, (first, *_) in enumerate(reversed(chosen)):
+                index += first * arm_count**position
+            scenario = DiachronicScenario(root, tuple(options for _, options, _, _ in chosen))
+            return ViolationHit(index, scenario, check_diachronic(agent, scenario))
+        offset += arm_count ** len(root.branches)
+    return None
+
+
+def _class_tuples(agent: Agent, spec: GridSpec) -> int:
+    """How many class tuples the class walk decides on a clean scan."""
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    classes = len(reference_arm_classes(agent, pool))
+    roots = _grid_games(spec, spec.max_root_branches, (F(0),), "R")
+    return sum(classes ** len(root.branches) for root in roots)
+
+
 GRIDS = {
     # name: (rewards, weights, max root branches, max option branches)
     "thirds_negative": ([-1, 0, 2], ["1/3", "2/3", 1], 2, 2),
@@ -166,18 +250,34 @@ def test_first_hit_matches_the_reference(grid, kind, index):
     assert (hit.index if hit else None) == index
 
 
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_class_walk_agrees_on_every_fixed_grid(grid, kind):
+    spec = _spec(grid)
+    assert find_violation(AGENTS[kind], spec) == reference_class_walk(AGENTS[kind], spec)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_arm_walk_agrees_on_a_four_reward_grid(kind):
     # 160,400 scenarios: the arm walk decides every one of them on a clean scan.
     spec = GridSpec.of([0, 1, 2, 3], ["1/2", 1], 2, 2)
     assert scenario_count(spec) == 160_400
-    assert find_violation(AGENTS[kind], spec) == reference_arm_walk(AGENTS[kind], spec)
+    hit = find_violation(AGENTS[kind], spec)
+    assert hit == reference_arm_walk(AGENTS[kind], spec)
+    assert hit == reference_class_walk(AGENTS[kind], spec)
+
+
+def _quarter_grid(roots: int) -> GridSpec:
+    return GridSpec.of([0, 1, 2], ["1/4", "1/2", "3/4", 1], roots, 2)
 
 
 def test_a_three_root_grid_past_the_default_cap(monkeypatch):
-    spec = GridSpec.of([0, 1, 2], ["1/4", "1/2", "3/4", 1], 3, 2)
+    spec = _quarter_grid(3)
     assert scenario_count(spec) == 2_189_430_900
     monkeypatch.setenv(CAP_ENV_VAR, str(scenario_count(spec)))
+    # The class walk decides about 91,000 class tuples per three-branch
+    # root on this clean dtbr scan, so only the verdict is pinned.
+    assert find_violation(AGENTS["dtbr"], spec) is None
     assert find_violation(AGENTS["stoic"], spec) is None
     for kind, index in (("optimist", 27_931), ("egalitarian", 1_415)):
         hit = find_violation(AGENTS[kind], spec)
@@ -185,6 +285,33 @@ def test_a_three_root_grid_past_the_default_cap(monkeypatch):
         # Both references stop at the hit.
         assert hit == reference_find_violation(AGENTS[kind], spec)
         assert hit == reference_arm_walk(AGENTS[kind], spec)
+        assert hit == reference_class_walk(AGENTS[kind], spec)
+
+
+# Per kind, the first hit on the four-root quarter grid, and how many fold
+# states 0 to 4 arm classes reach.  The product walk decides classes^k
+# tuples per root instead: about 4 million per four-branch root for dtbr.
+FOUR_ROOTS = {
+    "dtbr": (None, [1, 1, 1, 1, 1]),
+    "egalitarian": (1_415, [1, 9, 10, 10, 10]),
+    "optimist": (27_931, [1, 6, 8, 8, 8]),
+    "stoic": (None, [1, 1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_four_root_grid_is_decided_on_few_states(monkeypatch, kind):
+    spec = _quarter_grid(4)
+    assert scenario_count(spec) == 658_289_430_900
+    monkeypatch.setenv(CAP_ENV_VAR, str(scenario_count(spec)))
+    index, reachable = FOUR_ROOTS[kind]
+    started = time.perf_counter()
+    hit = find_violation(AGENTS[kind], spec)
+    assert time.perf_counter() - started < 1.0
+    assert (hit.index if hit else None) == index
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    states = {state for _, _, state in _arm_classes(AGENTS[kind], pool)}
+    assert [len(reach) for reach in _reachable(states, 4)] == reachable
 
 
 @pytest.mark.parametrize("grid", ["negative_pair", "three_branch_roots"])
@@ -242,6 +369,57 @@ def test_random_small_grids_match_the_arm_walk(spec, kind):
     hit = find_violation(agent, spec)
     assume((hit.index + 1 if hit else count) <= 10_000)
     assert hit == reference_arm_walk(agent, spec)
+
+
+@st.composite
+def rooted_grids(draw):
+    """Grids of up to four root branches whose menu holds 1/d, so that every
+    root length up to d has a weight tuple."""
+    rewards = draw(
+        st.lists(
+            st.sampled_from([F(-2), F(-1), F(0), F(1, 2), F(1), F(3)]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    denominator = draw(st.integers(2, 4))
+    numerators = draw(st.lists(st.integers(2, denominator), max_size=2, unique=True))
+    return GridSpec(
+        tuple(rewards),
+        tuple(F(n, denominator) for n in (1, *numerators)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 2)),
+    )
+
+
+@settings(max_examples=100)
+@given(rooted_grids(), st.sampled_from(KINDS))
+def test_random_rooted_grids_match_the_class_walk(spec, kind):
+    # The class walk decides every class tuple of every root on a clean
+    # scan: keep that short enough for the example deadline.
+    agent = AGENTS[kind]
+    assume(_class_tuples(agent, spec) <= 5_000)
+    with mock.patch.dict(os.environ, {CAP_ENV_VAR: str(scenario_count(spec) or 1)}):
+        assert find_violation(agent, spec) == reference_class_walk(agent, spec)
+
+
+@settings(max_examples=100)
+@given(rooted_grids(), st.sampled_from(KINDS))
+def test_every_root_of_a_length_has_the_fold_walks_first_tuple(spec, kind):
+    # The search decides each root length once, on its first root: every
+    # root of that length must have the same first violating class tuple,
+    # or none, whatever its weights.
+    agent = AGENTS[kind]
+    assume(_class_tuples(agent, spec) <= 5_000)
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    classes = _arm_classes(agent, pool)
+    reach = _reachable({state for _, _, state in classes}, spec.max_root_branches)
+    reference_classes = reference_arm_classes(agent, pool)
+    for root in _grid_games(spec, spec.max_root_branches, (F(0),), "R"):
+        chosen = _first_violation(RULES[kind], classes, reach, len(root.branches))
+        first = reference_first_tuple(RULES[kind], reference_classes, root)
+        assert [arm[0] for arm in chosen or ()] == [arm[0] for arm in first or ()]
 
 
 @given(
