@@ -13,22 +13,23 @@ Each agent kind defines a total preorder on valid games via
   comparison depends on it.
 
 Every kind ranks by at most three statistics of a game: its expected
-value, and the smallest and largest reward on its support.  :data:`RULES`
-holds each kind's rule on such summaries, and :data:`STATISTICS` each
-kind's partial summary of one game: just the fields its rule reads.
-:func:`compare` ranks two games through both tables.  Callers that rank
-several games read each game's statistics once and then rank with
-``RULES``: the Dutch-book check reads ``STATISTICS``, and the comparison
-matrix and the grid search read :func:`scaled_statistics`, which puts
-every field in integers over a denominator shared by all the games with
-``core.scale_to_integers``, so their rules compare integers instead of
-``Fraction``s.  All three statistics compose along branches, and
-:func:`compose` is the one rule that does it: the diachronic check ranks
-compounds on summaries it composes from their continuations' partial
-summaries, the grid search folds arms by its rule for support bounds, and
-the continuity check ranks perturbed games as compounds of sure-zero
-continuations.  Comparisons return one of three verdicts and never raise
-on valid input, so every kind is a total preorder by construction.
+value, and the smallest and largest reward on its support.
+:data:`RANK_KEYS` holds each kind's keys on such summaries, the larger
+preferred and a later key read only on an exact tie; exact keys make
+every kind a total preorder by construction.  :data:`RULES` holds the
+rule each kind's keys make, and :data:`STATISTICS` each kind's partial
+summary of one game: just the fields its keys read.  :func:`compare`
+ranks two games through both.  Callers that rank several games read each
+game's statistics once: the Dutch-book check reads ``STATISTICS``, and
+the comparison matrix and the grid search read :func:`scaled_statistics`,
+which puts every field in integers over a denominator shared by all the
+games with ``core.scale_to_integers``, so they compare integers instead
+of ``Fraction``s; the matrix sorts the games by their key tuples.  All
+three statistics compose along branches, and :func:`compose` is the one
+rule that does it: the diachronic check ranks compounds on summaries it
+composes from their continuations' partial summaries, the grid search
+folds arms by its rule for support bounds, and the continuity check
+ranks perturbed games as compounds of sure-zero continuations.
 """
 
 from __future__ import annotations
@@ -107,42 +108,41 @@ def summary(game: Game) -> Summary:
     return Fraction(numerator, denominator), low, high
 
 
-def _order(left: object, right: object) -> Preference:
-    """The verdict when a larger statistic is better."""
-    if left > right:
-        return Preference.PrefersLeft
-    if left < right:
-        return Preference.PrefersRight
-    return Preference.Indifferent
+_VALUE, _LOW, _HIGH = itemgetter(0), itemgetter(1), itemgetter(2)
 
-
-def _by_value(left: Summary, right: Summary) -> Preference:
-    return _order(left[0], right[0])
-
-
-def _by_value_then_spread(left: Summary, right: Summary) -> Preference:
-    by_value = _order(left[0], right[0])
-    if by_value is not Preference.Indifferent:
-        return by_value
+# Each kind's rank keys on a summary, compared in order, larger preferred:
+# a later key is read only on an exact tie of the earlier ones.
+RANK_KEYS: dict[str, tuple[Callable[[Summary], Any], ...]] = {
+    "dtbr": (_VALUE,),
     # On an exact expected-value tie the smaller spread wins.
-    return _order(right[2] - right[1], left[2] - left[1])
+    "egalitarian": (_VALUE, lambda s: s[1] - s[2]),
+    "optimist": (_HIGH,),
+    "stoic": (),
+}
 
 
-def _by_best(left: Summary, right: Summary) -> Preference:
-    return _order(left[2], right[2])
+def _rule(keys: Sequence[Callable]) -> Callable[[Summary, Summary], Preference]:
+    """The ranking rule that compares two summaries key by key."""
+    # Bound once: reading a member off the enum class is a slow lookup.
+    left_wins, right_wins = Preference.PrefersLeft, Preference.PrefersRight
+    tie = Preference.Indifferent
 
+    def rule(left: Summary, right: Summary) -> Preference:
+        for key in keys:
+            a, b = key(left), key(right)
+            if a > b:
+                return left_wins
+            if a < b:
+                return right_wins
+        return tie
 
-def _indifferent(left: Summary, right: Summary) -> Preference:
-    return Preference.Indifferent
+    return rule
 
 
 # Each kind's ranking rule on two summaries.  Every ranking in the package
-# goes through this table.
+# goes through this table, or through RANK_KEYS directly.
 RULES: dict[str, Callable[[Summary, Summary], Preference]] = {
-    "dtbr": _by_value,
-    "egalitarian": _by_value_then_spread,
-    "optimist": _by_best,
-    "stoic": _indifferent,
+    kind: _rule(keys) for kind, keys in RANK_KEYS.items()
 }
 
 # Per kind, the partial summary holding just the fields its rule reads.
@@ -170,9 +170,6 @@ def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Optional[Summary
     values, lows, highs = zip(*parts)
     bounds = scale_to_integers(lows + highs)
     return list(zip(scale_to_integers(values), bounds, bounds[len(parts) :]))
-
-
-_LOW, _HIGH = itemgetter(1), itemgetter(2)
 
 
 def compose(

@@ -19,15 +19,16 @@ vector and the gap by one positive factor, and each row is divided by the
 gcd of its entries before it is used, so the rows, and with them ``u``, the
 certificate and the uniqueness flag, do not depend on which one is taken.
 The comparison matrix is ranked on integer statistics
-(``agents.scaled_statistics``) with one sort of the games by the agent's
-rule, which splits them into tie levels; each level's row is then one
-tuple of verdicts at the other games' levels.  A matrix handed to the fit
-is checked a row at a time against the same table, built from the levels
-its strict win counts imply.  Reward positions come from the alphabet's
-table keyed by integer (numerator, denominator) pairs.  On infeasible
-instances the solver returns an irreducible certificate: a subset of the
-recorded comparisons that is itself unsatisfiable and stays unsatisfiable
-under no further deletion.
+(``agents.scaled_statistics``): each game's rank is its tuple of the
+agent's ``agents.RANK_KEYS``, with no pairwise sort callback, and the
+distinct ranks are its tie levels; each level's row is then one tuple of
+verdicts at the other games' levels.  A matrix handed to the fit is
+checked a row at a time against the same table, built in the same one
+place from its strict win counts as ranks.  Reward positions come from
+the alphabet's table keyed by integer (numerator, denominator) pairs.
+On infeasible instances the solver returns an irreducible certificate: a
+subset of the recorded comparisons that is itself unsatisfiable and stays
+unsatisfiable under no further deletion.
 
 Three reductions keep the elimination small without changing any output:
 
@@ -70,10 +71,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Mapping, Optional, Sequence
 
-from .agents import RULES, Agent, Preference, scaled_statistics
+from .agents import RANK_KEYS, Agent, Preference, scaled_statistics
 from .core import Game, GameError, RewardAlphabet, validate_game, weight_vectors
 
 # Unused here; perfbench/tracing.py wraps these bindings by name.
@@ -132,55 +132,42 @@ class UtilityFit:
         return self.verdict == FEASIBLE
 
 
-# The sort key's comparison: the preferred game sorts first.
-_RANK = {
-    Preference.PrefersLeft: -1,
-    Preference.Indifferent: 0,
-    Preference.PrefersRight: 1,
-}
-
-
 def build_instance(
     agent: Agent, games: Sequence[Game], alphabet: RewardAlphabet
 ) -> PreferenceInstance:
-    """Fill the comparison matrix from one sort of the games by the agent's rule.
+    """Fill the comparison matrix from each game's rank under the agent.
 
     Each game is validated and then checked against the alphabet, zero-weight
-    branches included, before the next game is looked at.  Every ``RULES``
-    entry is a total preorder, so one sort with it orders the games best
-    first, and ranking each game against the next one in that order
-    (n - 1 more rule calls) splits them into tie levels, numbered from 0
-    at the top.  :func:`_level_matrix` reads the matrix off those levels:
-    the one that ranking every pair would give, from O(n log n) rule calls
-    instead of n^2.
+    branches included, before the next game is looked at.  A game's rank is
+    the tuple of its ``agents.RANK_KEYS`` on its integer statistics; tuples
+    compare as the agent's rule does, so :func:`_level_matrix` reads off
+    them the matrix that ranking every pair would give, with no rule calls.
     """
     games = tuple(games)
     for g in games:
         validate_game(g)
         for b in g.branches:
             alphabet.index(b.reward)  # raises AlphabetMismatchError if outside
-    statistics = scaled_statistics(agent.kind, games)
-    rule = RULES[agent.kind]
-    order = sorted(
-        range(len(games)),
-        key=cmp_to_key(lambda i, j: _RANK[rule(statistics[i], statistics[j])]),
-    )
-    levels = [0] * len(games)
-    level = 0
-    for above, below in zip(order, order[1:]):
-        if rule(statistics[above], statistics[below]) is not Preference.Indifferent:
-            level += 1
-        levels[below] = level
-    return PreferenceInstance(alphabet, games, _level_matrix(levels, level))
+    keys = RANK_KEYS[agent.kind]
+    ranks = [
+        tuple(key(fields) for key in keys)
+        for fields in scaled_statistics(agent.kind, games)
+    ]
+    return PreferenceInstance(alphabet, games, _level_matrix(ranks))
 
 
-def _level_matrix(levels: list[int], top: int) -> tuple[tuple[Preference, ...], ...]:
-    """The comparison matrix of games at these tie levels, 0 the best.
+def _level_matrix(ranks: Sequence) -> tuple[tuple[Preference, ...], ...]:
+    """The comparison matrix of games with these ranks, the larger preferred.
 
-    ``top`` is the worst level.  A game at level k prefers every game at a
-    greater level, is indifferent to its own and is beaten by every lesser
-    one, so all rows of a level are one shared tuple.
+    The one place tie levels are worked out: the distinct ranks, largest
+    first, are levels 0 to ``top``.  A game at level k prefers every game
+    at a greater level, is indifferent to its own and is beaten by every
+    lesser one, so all rows of a level are one shared tuple.
     """
+    distinct = sorted(set(ranks), reverse=True)
+    top = len(distinct) - 1
+    level = {rank: k for k, rank in enumerate(distinct)}
+    levels = list(map(level.__getitem__, ranks))
     # Entry w of line[top - k:] is the verdict at level k against level w.
     line = (
         (Preference.PrefersRight,) * top
@@ -198,12 +185,11 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     below it and exactly as many as every game tied with it, so every
     entry ranks its two games by their strict win counts.  Conversely a
     matrix whose every entry does so is the order of those counts, which
-    is total and transitive.  So the distinct counts, largest first, are
-    taken as tie levels, and each row is compared, as one tuple, with its
-    row of the matrix those levels imply (:func:`_level_matrix`, as
-    :func:`build_instance` uses).  Only a row that disagrees is scanned
-    entry by entry, to report its first disagreeing entry, which is then
-    the first in row-major order.
+    is total and transitive.  So each row is compared, as one tuple, with
+    its row of the matrix the win counts imply as ranks (:func:`_level_matrix`,
+    which :func:`build_instance` calls with key tuples).  Only a row that
+    disagrees is scanned entry by entry, to report its first disagreeing
+    entry, which is then the first in row-major order.
     """
     games = instance.games
     m = instance.comparisons
@@ -211,10 +197,7 @@ def _check_preorder(instance: PreferenceInstance) -> list[int]:
     if len(m) != n or any(len(row) != n for row in m):
         raise InconsistentPreorderError("comparison matrix is not square")
     wins = [row.count(Preference.PrefersLeft) for row in m]
-    counts = sorted(set(wins), reverse=True)
-    level = {count: k for k, count in enumerate(counts)}
-    matrix = _level_matrix([level[w] for w in wins], len(counts) - 1)
-    for i, (row, implied) in enumerate(zip(m, matrix)):
+    for i, (row, implied) in enumerate(zip(m, _level_matrix(wins))):
         if tuple(row) != implied:
             for j, verdict in enumerate(row):
                 if verdict is not implied[j]:

@@ -18,7 +18,15 @@ from branchgames import (
     strictly_prefers,
     weakly_prefers,
 )
-from branchgames.agents import RULES, STATISTICS, compose, summary
+from branchgames.agents import (
+    RANK_KEYS,
+    RULES,
+    STATISTICS,
+    compose,
+    scaled_statistics,
+    summary,
+)
+from branchgames.core import expected_value
 from conftest import games
 
 F = Fraction
@@ -196,3 +204,95 @@ def test_compose_is_the_partial_summary_of_the_flattened_game(kind, root, data):
         [statistics(c) for c in continuations],
     )
     assert composed == statistics(flatten(CompoundGame(root, continuations)))
+
+
+def _reference_order(left, right):
+    """The verdict when a larger statistic is better."""
+    if left > right:
+        return Preference.PrefersLeft
+    if left < right:
+        return Preference.PrefersRight
+    return Preference.Indifferent
+
+
+def reference_rule(kind, left, right):
+    """Each kind's comparator on two summaries, written out per kind.
+
+    The rules ``RANK_KEYS`` builds replaced these; a summary is
+    (expected value, support min, support max), any field the kind does
+    not read may be None, and stoic's may be None whole.
+    """
+    if kind == "dtbr":
+        return _reference_order(left[0], right[0])
+    if kind == "egalitarian":
+        by_value = _reference_order(left[0], right[0])
+        if by_value is not Preference.Indifferent:
+            return by_value
+        # On an exact expected-value tie the smaller spread wins.
+        return _reference_order(right[2] - right[1], left[2] - left[1])
+    if kind == "optimist":
+        return _reference_order(left[2], right[2])
+    return Preference.Indifferent
+
+
+@st.composite
+def mean_twins(draw):
+    """A game and another with exactly its expected value, often a different spread."""
+    game = draw(games(name="g"))
+    mean = expected_value(game)
+    half = draw(st.sampled_from((F(0), F(1, 2), F(1), F(3))))
+    twin = Game.of("twin", (mean - half, F(1, 2)), (mean + half, F(1, 2)))
+    return [game, twin]
+
+
+@given(
+    st.sampled_from(AGENT_KINDS),
+    st.lists(mean_twins(), min_size=1, max_size=3).map(
+        lambda pairs: [game for pair in pairs for game in pair]
+    ),
+)
+def test_rules_and_rank_keys_match_the_reference_rule(kind, game_list):
+    # Fraction summaries, the kind's partial summaries (stoic's is None)
+    # and their integer form, ranked pairwise by the rule and by key tuples.
+    keys = RANK_KEYS[kind]
+    rule = RULES[kind]
+    for parts in (
+        [summary(game) for game in game_list],
+        [STATISTICS[kind](game) for game in game_list],
+        scaled_statistics(kind, game_list),
+    ):
+        for left, right in itertools.product(parts, repeat=2):
+            expected = reference_rule(kind, left, right)
+            assert rule(left, right) is expected
+            first = tuple(key(left) for key in keys)
+            second = tuple(key(right) for key in keys)
+            assert (first > second, first < second) == (
+                expected is Preference.PrefersLeft,
+                expected is Preference.PrefersRight,
+            )
+
+
+def test_the_egalitarian_reads_the_spread_only_on_a_mean_tie():
+    narrow = (F(1), F(1, 2), F(3, 2))
+    wide = (F(1), F(0), F(2))
+    higher = (F(2), None, None)
+    rule = RULES["egalitarian"]
+    assert rule(narrow, wide) is Preference.PrefersLeft
+    assert rule(wide, narrow) is Preference.PrefersRight
+    # No spread is read off a summary that wins on its mean.
+    assert rule(higher, wide) is Preference.PrefersLeft
+    assert rule(wide, higher) is Preference.PrefersRight
+
+
+def test_expected_value_is_the_first_key_wherever_it_is_summarised():
+    # The grid search folds arms only when a kind that reads the expected
+    # value ranks it first (search._arm_classes asserts this at run time).
+    game = Game.of("g", (1, F(1, 3)), (4, F(2, 3)))
+    readers = []
+    for kind in AGENT_KINDS:
+        part = STATISTICS[kind](game)
+        if part is not None and part[0] is not None:
+            readers.append(kind)
+            assert RANK_KEYS[kind][0](part) == part[0] == F(3)
+            assert RANK_KEYS[kind][0]((F(7), None, None)) == F(7)
+    assert readers == ["dtbr", "egalitarian"]

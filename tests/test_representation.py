@@ -100,6 +100,17 @@ class TestBuildInstance:
         with pytest.raises(WeightSumError):
             build_instance(DTBR, (SURE0, broken), ALPHA01)
 
+    def test_games_are_checked_one_at_a_time_in_order(self):
+        # Game 0's alphabet error comes before game 1's validation error,
+        # and game 0's validation error before game 1's alphabet error.
+        outside = Game.of("outside", (7, 1))
+        broken = Game("broken", (Branch(F(1), F(1, 2)),))
+        message = r"^reward 7 not in alphabet \{0, 1\}$"
+        with pytest.raises(AlphabetMismatchError, match=message):
+            build_instance(DTBR, (outside, broken), ALPHA01)
+        with pytest.raises(WeightSumError):
+            build_instance(DTBR, (broken, outside), ALPHA01)
+
 
 class TestFeasibleFits:
     def test_mean_ranking_pins_the_midpoint(self):
