@@ -235,8 +235,6 @@ def check_continuity(
     right: Game,
     alphabet: RewardAlphabet,
     deltas: Sequence[Fraction],
-    samples_per_delta: int,
-    seed: int,
 ) -> AxiomReport:
     """Probe whether the strict preference for ``left`` survives nearby games.
 
@@ -247,8 +245,7 @@ def check_continuity(
     longer strictly ranks falsifies that radius.  The verdict is
     ``violated`` only when every radius is falsified, and the witness
     records one counterexample per radius; otherwise the verdict is
-    ``no_violation_found``.  ``samples_per_delta`` (at least 1) and ``seed``
-    are validated but change no result.
+    ``no_violation_found``.
 
     Candidates are the game and its :func:`_moves` extreme moves on integer
     weights over D (``core.weight_vectors``: the lcm of both games' branch
@@ -276,8 +273,6 @@ def check_continuity(
             raise ValueError(f"delta {d} is not positive")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    if samples_per_delta < 1:
-        raise ValueError("samples_per_delta must be at least 1")
     if compare(agent, left, right) is not Preference.PrefersLeft:
         raise NotStrictPreferenceError(
             f"agent {agent.name!r} does not strictly prefer {left.name!r} "

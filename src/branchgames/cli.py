@@ -138,7 +138,7 @@ class CheckExecutionError(Exception):
     def __init__(self, description: str, cause: Exception) -> None:
         self.description = description
         self.cause = cause
-        super().__init__(f"{description}: {cause}")
+        super().__init__(f"{description}: {str(cause) or type(cause).__name__}")
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -758,8 +758,6 @@ def _execute_continuity(
         sf.games[check.right],
         RewardAlphabet.of(check.alphabet),
         check.deltas,
-        check.samples,
-        check.seed,
     )
     levels = report.witness.levels
     record["verdict"] = report.verdict.value
@@ -928,6 +926,9 @@ _CHECK_KINDS = (
 _CHECK_FORMS = {kind.form: kind for kind in _CHECK_KINDS}
 _CHECK_KEYWORDS = {form.split()[0] for form in _CHECK_FORMS}
 _KIND_OF = {kind.decl: kind for kind in _CHECK_KINDS}
+# Built once: the except clause may not build a tuple after a MemoryError.  On
+# one, run_file drops its traceback and context, freeing the check's frames.
+_EXECUTION_ERRORS = (GameError, ValueError, MemoryError)
 
 
 def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
@@ -951,7 +952,9 @@ def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
         }
         try:
             text = kind.execute(check, sf, record, game_json)
-        except (GameError, ValueError) as exc:
+        except _EXECUTION_ERRORS as exc:
+            if isinstance(exc, MemoryError):
+                exc.__traceback__ = exc.__context__ = None
             origin = "check" if check.line is None else f"check at line {check.line}"
             raise CheckExecutionError(
                 f"{origin} ({_render_check(check)})", exc

@@ -289,7 +289,8 @@ def _arm_classes(
             if preference is Preference.PrefersRight:
                 continue
             if left_fields is not None and left_fields[0] is not None:
-                assert left_fields[0] >= right_fields[0], "EV is not ranked first"
+                if left_fields[0] < right_fields[0]:
+                    raise RuntimeError("EV is not ranked first")
                 if left_fields[0] > right_fields[0]:
                     continue
             state = (preference, *bounds[left_fields], *bounds[right_fields])

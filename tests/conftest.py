@@ -5,7 +5,9 @@ always sum to exactly 1; optional zero-weight branches exercise the rule
 that such branches are kept but excluded from support statistics.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -14,6 +16,14 @@ from branchgames import Branch, CompoundGame, Game
 REWARD_POOL = tuple(
     Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3, 5)
 ) + (Fraction(1, 2), Fraction(-3, 4))
+
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    paths = (str(SOURCE_DIR), os.environ.get("PYTHONPATH"))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 @st.composite

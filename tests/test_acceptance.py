@@ -102,9 +102,7 @@ def test_criterion_03_best_outcome_strict_preference_has_no_neighbourhood():
         a = Game.of("A", (1, 1))
         b0 = Game.of("B0", (1, 0), (0, 1))
         deltas = (F(1, 2), F(1, 4), F(1, 8), F(1, 16))
-        report = check_continuity(
-            OPT, a, b0, alphabet, deltas, samples_per_delta=4, seed=7
-        )
+        report = check_continuity(OPT, a, b0, alphabet, deltas)
         assert report.verdict is Verdict.VIOLATED
         levels = report.witness.levels
         assert tuple(level.delta for level in levels) == deltas

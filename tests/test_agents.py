@@ -286,7 +286,7 @@ def test_the_egalitarian_reads_the_spread_only_on_a_mean_tie():
 
 def test_expected_value_is_the_first_key_wherever_it_is_summarised():
     # The grid search folds arms only when a kind that reads the expected
-    # value ranks it first (search._arm_classes asserts this at run time).
+    # value ranks it first (search._arm_classes checks this at run time).
     game = Game.of("g", (1, F(1, 3)), (4, F(2, 3)))
     readers = []
     for kind in AGENT_KINDS:

@@ -236,9 +236,7 @@ DELTAS = (F(1, 2), F(1, 4), F(1, 8), F(1, 16))
 
 class TestContinuity:
     def test_optimist_preference_collapses_at_every_radius(self):
-        report = check_continuity(
-            OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, samples_per_delta=4, seed=7
-        )
+        report = check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS)
         assert report.axiom == "continuity"
         assert report.verdict is Verdict.VIOLATED
         levels = report.witness.levels
@@ -247,9 +245,7 @@ class TestContinuity:
         assert report.witness.smallest_falsified().delta == F(1, 16)
 
     def test_falsifying_pairs_actually_falsify(self):
-        report = check_continuity(
-            OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, samples_per_delta=4, seed=7
-        )
+        report = check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS)
         for level in report.witness.levels:
             lp, rp = level.left_perturbed, level.right_perturbed
             validate_game(lp)
@@ -260,9 +256,7 @@ class TestContinuity:
             assert level.preference is not Preference.PrefersLeft
 
     def test_mean_preference_survives_small_radii(self):
-        report = check_continuity(
-            DTBR, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, samples_per_delta=4, seed=7
-        )
+        report = check_continuity(DTBR, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS)
         assert report.verdict is Verdict.NO_VIOLATION_FOUND
         falsified = [level.falsified for level in report.witness.levels]
         # moving half the weight can equalise the means, a quarter cannot
@@ -270,35 +264,23 @@ class TestContinuity:
 
     def test_requires_a_strict_preference(self):
         with pytest.raises(NotStrictPreferenceError):
-            check_continuity(
-                STOIC, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 4, 7
-            )
+            check_continuity(STOIC, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS)
         with pytest.raises(NotStrictPreferenceError):
+            check_continuity(DTBR, NEARLY_SURE0, SURE1, ALPHABET01, DELTAS)
+
+    def test_delta_validation(self):
+        with pytest.raises(ValueError):
+            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, ())
+        with pytest.raises(ValueError):
+            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, (F(1, 2), F(0)))
+        with pytest.raises(ValueError):
             check_continuity(
-                DTBR, NEARLY_SURE0, SURE1, ALPHABET01, DELTAS, 4, 7
+                OPT, SURE1, NEARLY_SURE0, ALPHABET01, (F(1, 4), F(1, 4))
             )
 
-    def test_delta_and_sample_validation(self):
-        with pytest.raises(ValueError):
-            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, (), 4, 7)
-        with pytest.raises(ValueError):
-            check_continuity(
-                OPT, SURE1, NEARLY_SURE0, ALPHABET01, (F(1, 2), F(0)), 4, 7
-            )
-        with pytest.raises(ValueError):
-            check_continuity(
-                OPT, SURE1, NEARLY_SURE0, ALPHABET01, (F(1, 4), F(1, 4)), 4, 7
-            )
-        with pytest.raises(ValueError):
-            check_continuity(
-                OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 0, 7
-            )
-
-    def test_same_seed_same_report(self):
+    def test_same_inputs_same_report(self):
         runs = [
-            check_continuity(
-                OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 6, seed=123
-            )
+            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -307,9 +289,7 @@ class TestContinuity:
         # a clear gap that no probe can close: certain 1 versus certain 0
         # on a wide alphabet, tiny radius
         sure0 = Game.of("sure0", (0, 1))
-        report = check_continuity(
-            DTBR, SURE1, sure0, ALPHABET01, (F(1, 100),), 8, seed=5
-        )
+        report = check_continuity(DTBR, SURE1, sure0, ALPHABET01, (F(1, 100),))
         assert report.verdict is Verdict.NO_VIOLATION_FOUND
         assert report.witness.smallest_falsified() is None
 
@@ -450,7 +430,7 @@ def test_continuity_refuses_a_candidate_outside_the_radius(monkeypatch):
     for stray, name in strays:
         monkeypatch.setattr(axioms, "_moves", with_a_stray(stray))
         with pytest.raises(RuntimeError, match="outside the radius") as raised:
-            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS, 4, seed=7)
+            check_continuity(OPT, SURE1, NEARLY_SURE0, ALPHABET01, DELTAS)
         assert f"perturbation {name!r} moves" in str(raised.value)
 
 
@@ -474,7 +454,7 @@ def test_continuity_builds_games_only_for_witnesses(
         return Game(name, branches)
 
     monkeypatch.setattr(axioms, "Game", counting_game)
-    report = check_continuity(agent, SURE1, right, ALPHABET01, deltas, 4, seed=7)
+    report = check_continuity(agent, SURE1, right, ALPHABET01, deltas)
     levels = report.witness.levels
     assert [level.falsified for level in levels] == falsified
     for level in levels:
@@ -497,7 +477,7 @@ def test_continuity_formats_no_fraction_without_a_witness(monkeypatch):
             return original(self, *args)
 
         monkeypatch.setattr(F, method, counting)
-    report = check_continuity(DTBR, SURE1, sure0, ALPHABET01, DELTAS[1:], 4, seed=7)
+    report = check_continuity(DTBR, SURE1, sure0, ALPHABET01, DELTAS[1:])
     monkeypatch.undo()
     assert not any(level.falsified for level in report.witness.levels)
     assert formatted == []

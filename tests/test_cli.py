@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +43,7 @@ from branchgames.cli import (
     run_gallery,
 )
 from branchgames import agents, cli
-from conftest import games
+from conftest import child_env, games
 
 F = Fraction
 
@@ -69,6 +72,43 @@ game flip
 check compare agent=ev left=certain2 right=gamble
 check diachronic agent=careful scenario=toss
 """
+
+
+CONTINUITY_SOURCE = """\
+game sure1
+  branch reward=1 weight=1
+game nearly0
+  branch reward=1 weight=0
+  branch reward=0 weight=1
+agent opt kind=optimist
+agent ev kind=dtbr
+check continuity agent=opt left=sure1 right=nearly0 alphabet=0,1 deltas=1/2,1/32 {keys}
+check continuity agent=ev left=sure1 right=nearly0 alphabet=0,1 deltas=1/2,1/32 {keys}
+"""
+
+
+def random_fit_source(rewards, count, seed):
+    """One dtbr ``check fit`` over ``count`` random games on ``rewards`` rewards.
+
+    Each game has 2 or 3 branches on distinct rewards of 0..rewards-1 and
+    one weight denominator of 4 to 12, cut into positive parts.  At 16
+    rewards by 30 games, seed 1, the fit needs more than 200 MB.
+    """
+    rng = random.Random(f"{rewards}x{count}:{seed}")
+    lines = []
+    for g in range(count):
+        k = rng.randint(2, 3)
+        chosen = rng.sample(range(rewards), k)
+        den = rng.randint(4, 12)
+        cuts = [0, *sorted(rng.sample(range(1, den), k - 1)), den]
+        lines.append(f"game g{g}")
+        for reward, low, high in zip(chosen, cuts, cuts[1:]):
+            lines.append(f"  branch reward={reward} weight={high - low}/{den}")
+    names = ",".join(f"g{g}" for g in range(count))
+    alphabet = ",".join(map(str, range(rewards)))
+    lines.append("agent a kind=dtbr")
+    lines.append(f"check fit agent=a games={names} alphabet={alphabet}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParsing:
@@ -752,6 +792,76 @@ class TestCommandLine:
             f"execution error: check at line 6 ({check}): "
             "reward 1 not in alphabet {5}\n"
         )
+
+    def test_continuity_samples_and_seed_are_only_echoed(self, tmp_path, capsys):
+        runs = []
+        for keys in ("samples=1 seed=0", "samples=9 seed=123"):
+            path = tmp_path / "continuity.game"
+            path.write_text(CONTINUITY_SOURCE.format(keys=keys), encoding="utf-8")
+            machine = self.run_main(["run", str(path), "--machine"], capsys)
+            text = self.run_main(["run", str(path)], capsys)
+            assert machine[0] == text[0] == 0
+            records = [json.loads(line) for line in machine[1].splitlines()]
+            echoed = [
+                (r["inputs"].pop("samples"), r["inputs"].pop("seed")) for r in records
+            ]
+            runs.append((echoed, records, text))
+        (echo_one, records_one, text_one), (echo_two, records_two, text_two) = runs
+        assert echo_one == [(1, 0)] * 2 and echo_two == [(9, 123)] * 2
+        assert [r["verdict"] for r in records_one] == ["violated", "no_violation_found"]
+        assert records_one == records_two
+        assert text_one == text_two
+
+    def test_a_check_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            # Raised while handling another, as when unwinding runs out of
+            # memory for a traceback entry: the first holds the frames.
+            try:
+                raise MemoryError
+            except MemoryError:
+                raise MemoryError
+
+        monkeypatch.setattr(cli, "fit_utility", exhausted)
+        source = random_fit_source(3, 2, 1)
+        check = source.splitlines()[-1]
+        line = len(source.splitlines())
+        path = tmp_path / "fit.game"
+        path.write_text(source, encoding="utf-8")
+        code, out, err = self.run_main(["run", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"execution error: check at line {line} ({check}): MemoryError\n"
+        # The failed check's frames go with the traceback and the context.
+        with pytest.raises(CheckExecutionError) as raised:
+            run_file(parse(source))
+        cause = raised.value.cause
+        assert cause.__traceback__ is None and cause.__context__ is None
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux"
+    )
+    def test_a_fit_that_exhausts_memory_exits_2(self, tmp_path):
+        import resource
+
+        path = tmp_path / "fit16x30.game"
+        path.write_text(random_fit_source(16, 30, 1), encoding="utf-8")
+        limit = 200_000 * 1024
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "branchgames.cli", "run", str(path)],
+            preexec_fn=cap_memory,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("execution error: check at line 104 (check fit ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith(": MemoryError\n")
 
     def test_gallery_machine_output_is_byte_identical(self, capsys):
         code_one, out_one, _ = self.run_main(["gallery", "--machine"], capsys)

@@ -1,5 +1,7 @@
 """Grid enumeration: counts, ordering, caps, and violation hunting."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,9 @@ from branchgames import (
     find_violation,
     scenario_count,
 )
-from branchgames import cli, search
+from branchgames import agents, cli, search
 from branchgames.search import CAP_ENV_VAR, DEFAULT_SCENARIO_CAP, _grid_games
+from conftest import child_env
 
 F = Fraction
 
@@ -242,3 +245,35 @@ class TestFindViolation:
         monkeypatch.setattr(search, "check_diachronic", satisfied)
         with pytest.raises(RuntimeError, match=f"scenario {index}: summaries say violated"):
             find_violation(OPT, SMALL)
+
+
+# The fold relies on every rule that reads the expected value ranking by
+# it first.  The optimist's rule on egalitarian summaries does not, and
+# the search must refuse it, also when Python strips asserts.
+EV_NOT_FIRST = GridSpec.of([0, 1, 2], ["1/2", 1], 2, 2)
+
+
+def test_arm_classes_refuse_a_rule_that_does_not_rank_ev_first(monkeypatch):
+    monkeypatch.setitem(agents.RULES, "egalitarian", agents.RULES["optimist"])
+    spec = EV_NOT_FIRST
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    with pytest.raises(RuntimeError, match="^EV is not ranked first$"):
+        search._arm_classes(EGAL, pool)
+
+
+def test_the_ev_guard_holds_under_python_optimize():
+    script = (
+        "from branchgames import Agent, GridSpec, agents, find_violation\n"
+        "agents.RULES['egalitarian'] = agents.RULES['optimist']\n"
+        "find_violation(Agent.of('egal', 'egalitarian'), "
+        "GridSpec.of([0, 1, 2], ['1/2', 1], 2, 2))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.endswith("RuntimeError: EV is not ranked first\n")

@@ -11,7 +11,8 @@ ranks the games with one sort, so its matrix is also held to
 The continuity tests also replay :func:`reference_check_continuity`, the
 checker that built a ``Game`` for every candidate, measured each with
 ``game_distance`` and ranked seeded random moves after the extreme ones,
-and expect the same report or the same error whatever the sample count.
+and expect the same report or the same error whatever the reference's
+sample count and seed.
 """
 
 import random
@@ -229,9 +230,10 @@ def _outcome(check, *args):
         return type(error), str(error)
 
 
-def assert_continuity_matches_reference(*args):
+def assert_continuity_matches_reference(*args, samples, seed):
+    """``args`` go to both checks; ``samples`` and ``seed`` to the reference."""
     outcome = _outcome(check_continuity, *args)
-    assert outcome == _outcome(reference_check_continuity, *args)
+    assert outcome == _outcome(reference_check_continuity, *args, samples, seed)
     return outcome
 
 
@@ -285,7 +287,7 @@ def test_continuity_matches_the_reference_on_a_grid(agent):
         _GRID_ALPHABETS, _GRID_GAMES, _GRID_GAMES, enumerate((1, 2, 4, 12))
     ):
         outcome = assert_continuity_matches_reference(
-            agent, left, right, alphabet, _GRID_DELTAS, samples, seed
+            agent, left, right, alphabet, _GRID_DELTAS, samples=samples, seed=seed
         )
         report = isinstance(outcome, AxiomReport)
         verdicts.add(outcome.verdict if report else outcome[0])
@@ -315,25 +317,25 @@ def test_moves_are_the_reference_candidates():
             assert weight_vector(candidate, alphabet) == tuple(moved)
 
 
+# ``samples`` is the reference's sample count; check_continuity takes none.
 @pytest.mark.parametrize(
     "deltas, samples",
     [
         ((), 2),
         ((Fraction(1, 2), Fraction(0)), 2),
         ((Fraction(1, 4), Fraction(1, 4)), 2),
-        (_GRID_DELTAS, 0),
     ],
 )
 def test_continuity_argument_errors_match_the_reference(deltas, samples):
     top, coin = _GRID_GAMES[1], _GRID_GAMES[2]
     alphabet = RewardAlphabet(_GRID_REWARDS)
     outcome = assert_continuity_matches_reference(
-        STRICT_AGENTS[0], top, coin, alphabet, deltas, samples, 0
+        STRICT_AGENTS[0], top, coin, alphabet, deltas, samples=samples, seed=0
     )
     assert outcome[0] is ValueError
     broken = _grid_game("broken", ("0", "1/2"))
     outcome = assert_continuity_matches_reference(
-        STRICT_AGENTS[0], broken, coin, alphabet, deltas, samples, 0
+        STRICT_AGENTS[0], broken, coin, alphabet, deltas, samples=samples, seed=0
     )
     assert outcome[0] is WeightSumError
 
@@ -363,7 +365,7 @@ def test_continuity_matches_the_reference(
     if len(extra) == 1 and len(alphabet) > 1:
         alphabet = RewardAlphabet(alphabet.rewards[1:])
     assert_continuity_matches_reference(
-        agent, left, right, alphabet, deltas, samples, seed
+        agent, left, right, alphabet, deltas, samples=samples, seed=seed
     )
 
 
@@ -379,7 +381,7 @@ def test_continuity_levels_match_pairwise_compare(agent, left, right, seed):
     if verdict is Preference.PrefersRight:
         left, right = right, left
     alphabet = RewardAlphabet.from_games(left, right)
-    report = check_continuity(agent, left, right, alphabet, DELTAS, SAMPLES, seed)
+    report = check_continuity(agent, left, right, alphabet, DELTAS)
     assert report.witness.levels == reference_levels(
         agent, left, right, alphabet, seed
     )
