@@ -40,7 +40,7 @@ from .core import (
     game_distance,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     scale_to_integers,
     support_bounds,
-    validate_game,
+    validate_game,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     weight_vector,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     weight_vectors,
 )
@@ -172,21 +172,13 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     * clause ii: if additionally some p_i is PrefersLeft, the agent must
       rank L strictly above R.
 
-    The root is validated first, then every first option, then every
-    second option, so an invalid game raises its own :class:`GameError`
-    before anything is ranked.  Each option's partial summary
-    (``agents.STATISTICS``) is read once; the descendants rank their pairs
-    with ``agents.RULES``, and the agent ranks L against R on the
-    summaries :func:`compose` builds from the root branches, without
-    building either game.  Only a broken clause flattens L and R, for the
-    witness.
+    Each option's partial summary (``agents.STATISTICS``) is read once;
+    the descendants rank their pairs with ``agents.RULES``, and the agent
+    ranks L against R on the summaries :func:`compose` builds from the
+    root branches, without building either game.  Only a broken clause
+    flattens L and R, for the witness.
     """
     root, options = scenario.root, scenario.options
-    validate_game(root)
-    for first, _ in options:
-        validate_game(first)
-    for _, second in options:
-        validate_game(second)
     statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
     firsts = [statistics(first) for first, _ in options]
     seconds = [statistics(second) for _, second in options]
@@ -264,8 +256,6 @@ def check_continuity(
       game or the extreme move to j reaches the smaller move's support max.
     * stoic: refused with ``NotStrictPreferenceError`` before any ranking.
     """
-    validate_game(left)
-    validate_game(right)
     if not deltas:
         raise ValueError("deltas must be a nonempty decreasing sequence")
     for d in deltas:
@@ -360,8 +350,6 @@ def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
     """
     if not games:
         raise ValueError("need at least one game")
-    for g in games:
-        validate_game(g)
     weights = [b.weight for b in games[0].branches]
     for g in games[1:]:
         if [b.weight for b in g.branches] != weights:

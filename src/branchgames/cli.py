@@ -38,7 +38,8 @@ pass in line order, which raises at the first bad token, else at the
 first required key that no token sets.  ``_declaration`` words a bad
 name, a game line reaching it only when malformed.  So every error keeps
 its text, line and column.
-A game is validated by ``core.validate_game`` when its block closes.
+A game is built when its block closes, and ``Game`` validates itself, so
+an invalid game is a parse error on its ``game`` line.
 
 A check kind is one entry of ``_CHECK_KINDS``: its record kind, the
 first two words of its line, its dataclass and its executor.  The
@@ -97,7 +98,7 @@ from .core import (
     RewardAlphabet,
     as_rational,
     summary_terms,
-    validate_game,
+    validate_game,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
 )
 from .representation import (
     DegenerateNormalizationError,
@@ -484,12 +485,10 @@ class _Parser:
         if self.pending_game is not None:
             name, lineno, branches = self.pending_game
             self.pending_game = None
-            game = Game(name, tuple(branches))
             try:
-                validate_game(game)
+                self.games[name] = Game(name, tuple(branches))
             except GameError as exc:
                 raise ParseError(str(exc), lineno) from None
-            self.games[name] = game
         if self.pending_scenario is not None:
             self.scenario_decls[self.pending_scenario[0]] = self.pending_scenario
             self.pending_scenario = None

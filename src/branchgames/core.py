@@ -9,7 +9,8 @@ Composition follows a single rule: rewards add along a path, weights
 multiply.  Zero-weight branches are legal and preserved as written, because
 an agent may care about the difference between "an outcome with weight zero"
 and "an outcome not listed at all".  The *support* of a game is the set of
-branches with strictly positive weight; it is nonempty for every valid game.
+branches with strictly positive weight.  A ``Game`` validates itself when
+built, so every game is valid and its support is never empty.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class GameError(Exception):
 
 
 class EmptyGameError(GameError):
-    """A game (or its support) has no branches."""
+    """A game has no branches."""
 
 
 class WeightRangeError(GameError):
@@ -88,23 +89,26 @@ class Branch:
 class Game:
     """A finite branching event with a reward attached to each outcome.
 
-    Weights must each lie in [0, 1] and sum exactly to 1 (see
-    :func:`validate_game`).  Zero-weight branches are kept as written
-    rather than normalised away.
+    Every game is valid from the moment it exists: the constructor calls
+    :func:`validate_game`, so a game with no branches, a weight outside
+    [0, 1] or weights not summing exactly to 1 raises its own
+    :class:`GameError` subclass instead of being built.  Zero-weight
+    branches are kept as written rather than normalised away.
     """
 
     name: str
     branches: tuple[Branch, ...]
 
+    def __post_init__(self) -> None:
+        validate_game(self)
+
     @classmethod
     def of(cls, name: str, *branches: tuple[RationalLike, RationalLike]) -> "Game":
-        """Build and validate a game from ``(reward, weight)`` pairs."""
-        built = cls(
+        """Build a game from ``(reward, weight)`` pairs."""
+        return cls(
             name,
             tuple(Branch(as_rational(r), as_rational(w)) for r, w in branches),
         )
-        validate_game(built)
-        return built
 
     def support(self) -> tuple[Branch, ...]:
         """Branches with strictly positive weight."""
@@ -202,7 +206,7 @@ def validate_game(game: Game) -> None:
     """
     if not game.branches:
         raise EmptyGameError(f"game {game.name!r} has no branches")
-    # Integers over a running common denominator, as in _summary_pass: a
+    # Integers over a running common denominator, as in summary_terms: a
     # Fraction is built only to word an error.
     numerator, denominator = 0, 1
     for b in game.branches:
@@ -223,15 +227,22 @@ def validate_game(game: Game) -> None:
         )
 
 
-def _summary_pass(game: Game) -> tuple[int, int, Fraction | None, Fraction | None]:
-    """The statistics of :func:`summary_terms`, in one pass over the branches.
+def expected_value(game: Game) -> Fraction:
+    """Weight-weighted sum of rewards; zero-weight branches contribute nothing."""
+    return Fraction(*summary_terms(game)[:2])
 
-    The expected value is over a running common denominator, not reduced:
-    whoever reads it reduces it once, with one gcd per game instead of one
-    per Fraction multiply and add.  Rewards are compared by
-    cross-multiplying integer pairs, the bounds' kept in ``least`` and
-    ``most``, so each branch's properties are read once.  Both bounds are
-    None when no branch has positive weight.
+
+def summary_terms(game: Game) -> tuple[int, int, Fraction, Fraction]:
+    """Every statistic any agent kind ranks by, in one pass, with no Fraction built.
+
+    Returns ``(numerator, denominator, low, high)``: the expected value is
+    numerator/denominator, over a running common denominator and not
+    reduced, so whoever reads it reduces it once, with one gcd per game
+    instead of one per Fraction multiply and add.  Low and high are the
+    first smallest and first largest support reward, as the branches hold
+    them; rewards are compared by cross-multiplying integer pairs, kept in
+    ``least`` and ``most``, so each branch's properties are read once.  A
+    valid game's weights sum to 1, so its support is never empty.
     """
     numerator, denominator = 0, 1
     low = high = None
@@ -252,31 +263,8 @@ def _summary_pass(game: Game) -> tuple[int, int, Fraction | None, Fraction | Non
     return numerator, denominator, low, high
 
 
-def expected_value(game: Game) -> Fraction:
-    """Weight-weighted sum of rewards; zero-weight branches contribute nothing.
-
-    Raises nothing, even when the support is empty.
-    """
-    return Fraction(*_summary_pass(game)[:2])
-
-
-def summary_terms(game: Game) -> tuple[int, int, Fraction, Fraction]:
-    """Every statistic any agent kind ranks by, with no Fraction built.
-
-    Returns ``(numerator, denominator, low, high)``: the expected value is
-    numerator/denominator, an integer pair that is not reduced, and low
-    and high are the first smallest and first largest support reward, as
-    the branches hold them.  An empty support raises
-    :class:`EmptyGameError`.
-    """
-    terms = _summary_pass(game)
-    if terms[2] is None:
-        raise EmptyGameError(f"game {game.name!r} has empty support")
-    return terms
-
-
 def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
-    """The ``(low, high)`` of :func:`summary_terms`, with its error."""
+    """The ``(low, high)`` of :func:`summary_terms`."""
     return summary_terms(game)[2:]
 
 
@@ -296,13 +284,10 @@ def flatten(compound: CompoundGame, name: str | None = None) -> Game:
 
     Produces one branch per (root branch i, continuation branch j) pair
     with reward ``root_i + cont_j`` and weight ``root_i * cont_j``.  The
-    root and every continuation are validated first, which is what makes
-    the result valid: each product lies in [0, 1], and continuation i's
-    products sum to ``root_i``, so all of them sum to 1.
+    root and every continuation are valid games, so the result is one:
+    each product lies in [0, 1], and continuation i's products sum to
+    ``root_i``, so all of them sum to 1.
     """
-    validate_game(compound.root)
-    for cont in compound.continuations:
-        validate_game(cont)
     branches = []
     for root_branch, cont in zip(compound.root.branches, compound.continuations):
         for b in cont.branches:

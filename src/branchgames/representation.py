@@ -74,11 +74,11 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .agents import RANK_KEYS, Agent, Preference, scaled_statistics
-from .core import Game, GameError, RewardAlphabet, validate_game, weight_vectors
+from .core import Game, GameError, RewardAlphabet, weight_vectors
 
 # Unused here; perfbench/tracing.py wraps these bindings by name.
 from .agents import compare  # noqa: F401
-from .core import weight_vector  # noqa: F401
+from .core import validate_game, weight_vector  # noqa: F401
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -137,15 +137,14 @@ def build_instance(
 ) -> PreferenceInstance:
     """Fill the comparison matrix from each game's rank under the agent.
 
-    Each game is validated and then checked against the alphabet, zero-weight
-    branches included, before the next game is looked at.  A game's rank is
-    the tuple of its ``agents.RANK_KEYS`` on its integer statistics; tuples
-    compare as the agent's rule does, so :func:`_level_matrix` reads off
-    them the matrix that ranking every pair would give, with no rule calls.
+    Every reward, zero-weight branches included, must lie in the alphabet.
+    A game's rank is the tuple of its ``agents.RANK_KEYS`` on its integer
+    statistics; tuples compare as the agent's rule does, so
+    :func:`_level_matrix` reads off them the matrix that ranking every
+    pair would give, with no rule calls.
     """
     games = tuple(games)
     for g in games:
-        validate_game(g)
         for b in g.branches:
             alphabet.index(b.reward)  # raises AlphabetMismatchError if outside
     keys = RANK_KEYS[agent.kind]

@@ -61,6 +61,7 @@ for the witness.
 The projected scenario count is computed in polynomial time, from
 partial-sum counts of the weight tuples, and checked against a cap before
 any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
+A grid that projects no scenario builds no game at all.
 The cap bounds the projected stream, not the work done, which grows with
 the root lengths, the classes and the states they reach.
 One walk over the weight menu, a position at a time, gives the weight
@@ -235,7 +236,7 @@ def _cap() -> int:
     return value
 
 
-def _check_cap(spec: GridSpec) -> None:
+def _check_cap(spec: GridSpec) -> int:
     projected = scenario_count(spec)
     cap = _cap()
     if projected > cap:
@@ -243,11 +244,13 @@ def _check_cap(spec: GridSpec) -> None:
             f"grid projects {projected} scenarios, over the cap of {cap} "
             f"(set {CAP_ENV_VAR} to override)"
         )
+    return projected
 
 
 def enumerate_scenarios(spec: GridSpec) -> Iterator[DiachronicScenario]:
     """Yield every grid scenario exactly once, in the documented order."""
-    _check_cap(spec)
+    if not _check_cap(spec):
+        return
     options = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     for root in _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R"):
         size = len(root.branches)
@@ -363,7 +366,8 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     module docstring); the first hit is built and replayed by
     :func:`check_diachronic`, whose report the hit carries.
     """
-    _check_cap(spec)
+    if not _check_cap(spec):
+        return None
     pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     classes = _arm_classes(agent, pool)
     rule = RULES[agent.kind]

@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 from branchgames import (
     AGENT_KINDS,
     Agent,
-    Branch,
-    EmptyGameError,
-    Game,
     Preference,
     Verdict,
     compare,
@@ -555,22 +552,6 @@ class TestExecution:
         for old, new in compares:
             assert new["verdict"] == Preference(old["verdict"]).flipped().value
             assert new["values"] == old["values"]
-
-    @pytest.mark.parametrize("kind", AGENT_KINDS)
-    def test_compare_on_a_game_without_support_names_the_game(self, kind):
-        # Only a hand-built ScenarioFile can hold such a game: parse
-        # validates every game.
-        empty = Game("empty", (Branch(F(1), F(0)),))
-        sf = ScenarioFile(
-            games={"empty": empty},
-            agents={kind: Agent.of(kind, kind)},
-            scenarios={},
-            checks=(CompareCheck(kind, "empty", "empty"),),
-        )
-        with pytest.raises(CheckExecutionError) as err:
-            run_file(sf)
-        assert isinstance(err.value.cause, EmptyGameError)
-        assert str(err.value.cause) == "game 'empty' has empty support"
 
     def test_diachronic_violation_is_flagged(self):
         outcomes = run_file(parse(SMALL_SOURCE))

@@ -44,6 +44,7 @@ from branchgames.agents import (
     scaled_statistics,
     summary,
 )
+from branchgames import search
 from branchgames.axioms import DiachronicScenario, broken_clause
 from branchgames.core import scale_to_integers
 from branchgames.search import (
@@ -465,14 +466,30 @@ def test_a_grid_far_over_the_cap_is_counted_and_refused_without_enumeration():
         next(enumerate_scenarios(spec))
 
 
-def test_a_menu_with_no_unit_sums_has_an_empty_stream():
-    # Neither grid has an option game, so the search has no arm to class.
+def test_a_menu_with_no_unit_sums_has_an_empty_stream(monkeypatch):
+    # The first three grids have no option game, so the search has no arm
+    # to class; the third would still have 2**19 root games.  The fourth
+    # has no root game but 3**20 option games.  A grid that projects no
+    # scenario builds no game.
+    def no_games(*args):
+        raise AssertionError("a grid of no scenarios builds no game")
+
+    monkeypatch.setattr(search, "_grid_games", no_games)
     for spec in (
         GridSpec.of(
             rewards=[0, 1], weights=["1/3"], max_root_branches=2, max_option_branches=2
         ),
         GridSpec.of(
             rewards=[-2], weights=["1/2"], max_root_branches=1, max_option_branches=1
+        ),
+        GridSpec.of(
+            rewards=[0],
+            weights=[F(k, 20) for k in range(1, 20)],
+            max_root_branches=20,
+            max_option_branches=1,
+        ),
+        GridSpec.of(
+            rewards=[0, 1, 2], weights=["1/20"], max_root_branches=1, max_option_branches=20
         ),
     ):
         assert scenario_count(spec) == 0

@@ -333,11 +333,10 @@ def test_continuity_argument_errors_match_the_reference(deltas, samples):
         STRICT_AGENTS[0], top, coin, alphabet, deltas, samples=samples, seed=0
     )
     assert outcome[0] is ValueError
-    broken = _grid_game("broken", ("0", "1/2"))
-    outcome = assert_continuity_matches_reference(
-        STRICT_AGENTS[0], broken, coin, alphabet, deltas, samples=samples, seed=0
-    )
-    assert outcome[0] is WeightSumError
+    # A game that would fail the reference's validation is refused when built.
+    message = "^game 'broken': weights sum to 1/2, expected 1$"
+    with pytest.raises(WeightSumError, match=message):
+        _grid_game("broken", ("0", "1/2"))
 
 
 _DECREASING_DELTAS = st.lists(

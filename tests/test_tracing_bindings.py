@@ -46,8 +46,11 @@ def test_cli_compare_is_the_agents_compare():
     [
         (axioms, "weight_vector", core),
         (axioms, "game_distance", core),
+        (axioms, "validate_game", core),
+        (cli, "validate_game", core),
         (representation, "weight_vector", core),
         (representation, "compare", agents),
+        (representation, "validate_game", core),
     ],
 )
 def test_tracer_only_bindings_are_the_objects_they_name(module, name, origin):
