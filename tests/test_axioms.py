@@ -154,6 +154,29 @@ class TestDiachronic:
         with pytest.raises(WeightSumError, match=message):
             Game("bad", (Branch(F(1), F(1, 2)),))
 
+    def test_invalid_second_option_is_reported(self):
+        # Building the scenario refuses its invalid second option.
+        message = "^game 'bad': weights sum to 1/2, expected 1$"
+        with pytest.raises(WeightSumError, match=message):
+            DiachronicScenario(
+                FLIP,
+                ((PRIZE2, PRIZE2), (PRIZE3, Game("bad", (Branch(F(1), F(1, 2)),)))),
+            )
+
+    def test_a_settled_verdict_does_not_skip_validation(self):
+        # Branch 0's descendant prefers its second option, which settles the
+        # verdict; branch 1's invalid second option still raises, because it
+        # is refused when built, before the check runs.
+        assert compare(OPT, CERTAIN1, PRIZE3) is Preference.PrefersRight
+        with pytest.raises(WeightSumError, match="^game 'bad'"):
+            check_diachronic(
+                OPT,
+                DiachronicScenario(
+                    FLIP,
+                    ((CERTAIN1, PRIZE3), (PRIZE2, Game("bad", (Branch(F(1), F(1, 2)),)))),
+                ),
+            )
+
     def test_root_without_branches_is_an_empty_game(self):
         with pytest.raises(EmptyGameError, match="^game 'e' has no branches$"):
             Game("e", ())

@@ -553,6 +553,21 @@ class TestExecution:
             assert new["verdict"] == Preference(old["verdict"]).flipped().value
             assert new["values"] == old["values"]
 
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_compare_on_a_game_without_support_names_the_game(self, kind):
+        # A game without support is refused when its block closes, so no
+        # compare check runs on one, and the error names the game.
+        source = (
+            "game empty\n"
+            "  branch reward=1 weight=0\n"
+            "\n"
+            f"agent {kind} kind={kind}\n"
+            f"check compare agent={kind} left=empty right=empty\n"
+        )
+        message = "^line 1: game 'empty': weights sum to 0, expected 1$"
+        with pytest.raises(ParseError, match=message):
+            parse(source)
+
     def test_diachronic_violation_is_flagged(self):
         outcomes = run_file(parse(SMALL_SOURCE))
         record = outcomes[1].record

@@ -149,6 +149,28 @@ class TestStatistics:
         assert reward_range(B0) == F(0)
         assert reward_range(CERTAIN1) == F(0)
 
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            # Zero-weight branches beside the one that carries all the weight.
+            (Branch(F(1), F(0)), Branch(F(-1, 2), F(0)), Branch(F(3), F(1))),
+            # Mixed denominators, with a zero-weight branch.
+            (Branch(F(3), F(1, 2)), Branch(F(-1, 3), F(1, 4)), Branch(F(5), F(0)),
+             Branch(F(2, 7), F(1, 4))),
+        ],
+    )
+    def test_expected_value_raises_nothing_on_hand_built_games(self, branches):
+        value = expected_value(Game("hand", branches))
+        assert type(value) is Fraction
+        assert value == sum((b.weight * b.reward for b in branches), F(0))
+
+    def test_reward_range_without_support_raises(self):
+        # A game without support is refused when built, so no statistic
+        # meets one.
+        message = "^game 'empty': weights sum to 0, expected 1$"
+        with pytest.raises(WeightSumError, match=message):
+            reward_range(Game("empty", (Branch(F(1), F(0)),)))
+
 
 class TestFlatten:
     def test_rewards_add_and_weights_multiply(self):
@@ -558,6 +580,26 @@ class TestSupportBounds:
         game = Game("g", (Branch(first, F(1, 2)), Branch(second, F(1, 2))))
         low, high = support_bounds(game)
         assert low is first and high is first
+
+    @pytest.mark.parametrize(
+        "statistic",
+        [support_bounds, summary, largest_reward, reward_range, summary_terms],
+    )
+    @pytest.mark.parametrize(
+        "branches",
+        [(), (Branch(F(1), F(0)),), (Branch(F(1), F(0)), Branch(F(-1), F(0)))],
+    )
+    def test_empty_support_raises(self, statistic, branches):
+        # Game refuses every game without support when built, so the
+        # statistic never meets one.
+        error = WeightSumError if branches else EmptyGameError
+        with pytest.raises(error) as err:
+            statistic(Game("empty", branches))
+        assert str(err.value) == (
+            "game 'empty': weights sum to 0, expected 1"
+            if branches
+            else "game 'empty' has no branches"
+        )
 
     def test_statistics_build_and_compare_no_fraction(self, monkeypatch):
         # Mixed denominators, zero-weight branches beyond both support

@@ -100,6 +100,15 @@ class TestBuildInstance:
         with pytest.raises(WeightSumError, match=message):
             Game("broken", (Branch(F(7), F(1, 2)),))
 
+    def test_games_are_checked_one_at_a_time_in_order(self):
+        # Of two games outside the alphabet, the first one's error is raised.
+        seven = Game.of("seven", (7, 1))
+        eight = Game.of("eight", (8, 1))
+        with pytest.raises(AlphabetMismatchError, match=r"^reward 7 not in"):
+            build_instance(DTBR, (seven, eight), ALPHA01)
+        with pytest.raises(AlphabetMismatchError, match=r"^reward 8 not in"):
+            build_instance(DTBR, (eight, seven), ALPHA01)
+
 
 class TestFeasibleFits:
     def test_mean_ranking_pins_the_midpoint(self):
