@@ -9,23 +9,24 @@ Strict comparisons become gap constraints E_u(winner) - E_u(loser) >= 1
 rather than open inequalities: feasible utilities are closed under positive
 scaling, so the unit gap loses nothing and keeps the system solvable by
 exact variable elimination.  Indifference becomes equality.  Rows are
-integers from the start: ``core.weight_vectors`` gives D, the least
-common multiple of the instance's branch-weight denominators, and each
-game's vector, in which a branch of weight w adds w*D at its reward's
-alphabet index.  An indifference then reads +-diff.u <= 0 and a strict
-comparison's unit gap reads -diff.u <= -D.  Any other common denominator,
-such as the least one of the merged per-reward weight totals, scales every
-vector and the gap by one positive factor, and each row is divided by the
-gcd of its entries before it is used, so the rows, and with them ``u``, the
-certificate and the uniqueness flag, do not depend on which one is taken.
-The comparison matrix is ranked on integer statistics
-(``agents.scaled_statistics``): each game's rank is its tuple of the
-agent's ``agents.RANK_KEYS``, with no pairwise sort callback, and the
-distinct ranks are its tie levels; each level's row is then one tuple of
-verdicts at the other games' levels.  A matrix handed to the fit is
-checked a row at a time against the same table, built in the same one
-place from its strict win counts as ranks.  Reward positions come from
-the alphabet's table keyed by integer (numerator, denominator) pairs.
+integers from the start: an instance builds its integer form once, when it
+is built, by ``core.weight_vectors``, which places each reward by the
+alphabet's table keyed by integer (numerator, denominator) pairs and
+refuses one outside it.  The form holds D, the least common multiple of the
+instance's branch-weight denominators, and each game's vector, in which a
+branch of weight w adds w*D at its reward's alphabet index.  An
+indifference then reads +-diff.u <= 0 and a strict comparison's unit gap
+reads -diff.u <= -D.  Any other common denominator, such as the least one
+of the merged per-reward weight totals, scales every vector and the gap by
+one positive factor, and each row is divided by the gcd of its entries
+before it is used, so the rows, and with them ``u``, the certificate and
+the uniqueness flag, do not depend on which one is taken.  The comparison
+matrix is ranked on integer statistics (``agents.scaled_statistics``): each
+game's rank is its tuple of the agent's ``agents.RANK_KEYS``, with no
+pairwise sort callback, and the distinct ranks are its tie levels; each
+level's row is then one tuple of verdicts at the other games' levels.  A
+matrix handed to the fit is checked a row at a time against the same table,
+built in the same one place from its strict win counts as ranks.
 On infeasible instances the solver returns an irreducible certificate: a
 subset of the recorded comparisons that is itself unsatisfiable and stays
 unsatisfiable under no further deletion.
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -110,6 +111,12 @@ class PreferenceInstance:
     alphabet: RewardAlphabet
     games: tuple[Game, ...]
     comparisons: tuple[tuple[Preference, ...], ...]
+    # ``core.weight_vectors`` of the games: D and each game's vector over D.
+    integer_form: tuple[int, _Vectors] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        vectors = weight_vectors(self.games, self.alphabet)
+        object.__setattr__(self, "integer_form", vectors)
 
     def constraint_list(self) -> tuple[ComparisonConstraint, ...]:
         """All unordered-pair comparisons, in (i, j) index order with i < j."""
@@ -137,16 +144,12 @@ def build_instance(
 ) -> PreferenceInstance:
     """Fill the comparison matrix from each game's rank under the agent.
 
-    Every reward, zero-weight branches included, must lie in the alphabet.
     A game's rank is the tuple of its ``agents.RANK_KEYS`` on its integer
     statistics; tuples compare as the agent's rule does, so
     :func:`_level_matrix` reads off them the matrix that ranking every
     pair would give, with no rule calls.
     """
     games = tuple(games)
-    for g in games:
-        for b in g.branches:
-            alphabet.index(b.reward)  # raises AlphabetMismatchError if outside
     keys = RANK_KEYS[agent.kind]
     ranks = [
         tuple(key(fields) for key in keys)
@@ -411,13 +414,11 @@ def _irreducible_certificate(
 def fit_utility(instance: PreferenceInstance) -> UtilityFit:
     """Decide representability; return a witness utility or a certificate."""
     order = _check_preorder(instance)
-    alphabet = instance.alphabet
-    games = instance.games
     m = instance.comparisons
-    nvars = len(alphabet)
-    n = len(games)
+    nvars = len(instance.alphabet)
+    n = len(instance.games)
     # Every weight vector and the unit gap, over one common denominator D.
-    gap, vectors = weight_vectors(games, alphabet)
+    gap, vectors = instance.integer_form
     # Comparisons between games adjacent in the order imply all the others;
     # pair (i, j) with i < j sits at this position in constraint_list().
     chain = [(i, j, m[i][j]) for i, j in map(sorted, zip(order, order[1:]))]
@@ -444,7 +445,7 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
             unique=None,
         )
     solution = _back_substitute(snapshots)
-    u = {r: solution[i] for i, r in enumerate(alphabet.rewards)}
+    u = {r: solution[i] for i, r in enumerate(instance.alphabet.rewards)}
     has_strict = any(p is not Preference.Indifferent for _, _, p in chain)
     unique = rank == (nvars - 2 if has_strict else nvars - 1)
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)

@@ -61,13 +61,14 @@ for the witness.
 The projected scenario count is computed in polynomial time, from
 partial-sum counts of the weight tuples, and checked against a cap before
 any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
-A grid that projects no scenario builds no game at all.
-The cap bounds the projected stream, not the work done, which grows with
-the root lengths, the classes and the states they reach.
-One walk over the weight menu, a position at a time, gives the weight
-tuples of every length; the counts come from the same walk over partial
-sums alone.  No tuple longer than 1 / (least menu weight) sums to 1, so
-both walks stop there, whatever the branch limits.
+A grid that projects no scenario builds no game at all.  The cap bounds the
+projected stream, not the work done, which grows with the root lengths, the
+classes and the states they reach.  One walk over the weight menu, a
+position at a time, gives the weight tuples of every length; the counts
+come from the same walk over partial sums alone, and they place each root
+length in the stream, so root games are built only for a hit, up to its
+length.  No tuple longer than 1 / (least menu weight) sums to 1, so both
+walks stop there, whatever the branch limits.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _grid_games(
     """Every game of at most ``limit`` branches over the menus, in pool order.
 
     Called with the reward menu and prefix ``O`` for the option pool, and
-    with the pinned root reward 0 and prefix ``R`` for the root games.
+    with the pinned root reward 0 and prefix ``R`` for a hit's root games.
     The walk runs on the menu scaled to integers with 1 alongside it: each
     step extends every kept prefix by each menu weight, in menu order, and
     drops a prefix past 1 (menu weights are positive); after n steps the
@@ -362,33 +363,31 @@ def _first_violation(
 def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     """First scenario in the stream the agent violates, or None when clean.
 
-    Each root length is decided once, slot by slot on fold states (see the
-    module docstring); the first hit is built and replayed by
-    :func:`check_diachronic`, whose report the hit carries.
+    Each root length is counted, not built, and decided once, slot by slot
+    on fold states (see the module docstring); the first hit is built and
+    replayed by :func:`check_diachronic`, whose report the hit carries.
     """
     if not _check_cap(spec):
         return None
     pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     classes = _arm_classes(agent, pool)
-    rule = RULES[agent.kind]
-    roots = _grid_games(spec, spec.max_root_branches, (Fraction(0),), "R")
-    reach = _reachable(
-        {state for _, _, state in classes}, len(roots[-1].branches) - 1 if roots else 0
-    )
+    sizes = _lengths(spec, spec.max_root_branches)
+    counts = _weight_tuple_counts(spec.weight_grid, len(sizes))
+    reach = _reachable({state for _, _, state in classes}, len(sizes) - 1)
     arm_count = len(pool) ** 2
     offset = 0
-    for size, group in itertools.groupby(roots, key=lambda root: len(root.branches)):
-        # No verdict reads the root weights, so the length's first root
-        # holds its first hit, if it has one.
-        group = list(group)
-        chosen = _first_violation(rule, classes, reach, size)
+    for size in filter(counts.__getitem__, sizes):
+        # No verdict reads the root weights, so the first root of a length
+        # with roots holds its first hit, if it has one.
+        chosen = _first_violation(RULES[agent.kind], classes, reach, size)
         if chosen is not None:
             index = 0
             for first, _, _ in chosen:
                 index = index * arm_count + first
             index += offset
+            roots = _grid_games(spec, size, (Fraction(0),), "R")
             scenario = DiachronicScenario(
-                group[0], tuple(options for _, options, _ in chosen)
+                roots[sum(counts[:size])], tuple(options for _, options, _ in chosen)
             )
             report = check_diachronic(agent, scenario)
             if report.verdict is not Verdict.VIOLATED:
@@ -397,5 +396,5 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
                     f"check_diachronic says {report.verdict.value}"
                 )
             return ViolationHit(index, scenario, report)
-        offset += len(group) * arm_count**size
+        offset += counts[size] * arm_count**size
     return None

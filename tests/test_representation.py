@@ -77,8 +77,8 @@ class TestBuildInstance:
         ghost = Game.of("ghost", (0, 1), (7, 0))
         with pytest.raises(AlphabetMismatchError, match=message):
             build_instance(DTBR, (SURE0, ghost), ALPHA01)
-        # fit_utility checks the alphabet itself, on an instance built by
-        # hand whose matrix is a valid preorder.
+        # An instance built by hand is checked when it is built, whatever
+        # its matrix.
         same, right, left = (
             Preference.Indifferent,
             Preference.PrefersRight,
@@ -87,14 +87,10 @@ class TestBuildInstance:
         for game, matrix in (
             (Game.of("sure7", (7, 1)), ((same, right), (left, same))),
             (ghost, ((same, same), (same, same))),
+            (ghost, ((same, left), (left, same))),
         ):
-            inst = PreferenceInstance(ALPHA01, (SURE0, game), matrix)
             with pytest.raises(AlphabetMismatchError, match=message):
-                fit_utility(inst)
-        # The preorder is checked before the alphabet.
-        inst = PreferenceInstance(ALPHA01, (SURE0, ghost), ((same, left), (left, same)))
-        with pytest.raises(InconsistentPreorderError):
-            fit_utility(inst)
+                PreferenceInstance(ALPHA01, (SURE0, game), matrix)
         # An invalid game is refused when built, before any alphabet sees it.
         message = "^game 'broken': weights sum to 1/2, expected 1$"
         with pytest.raises(WeightSumError, match=message):
@@ -108,6 +104,23 @@ class TestBuildInstance:
             build_instance(DTBR, (seven, eight), ALPHA01)
         with pytest.raises(AlphabetMismatchError, match=r"^reward 8 not in"):
             build_instance(DTBR, (eight, seven), ALPHA01)
+
+    def test_the_integer_form_is_no_part_of_equality_hashing_or_repr(self):
+        inst = build_instance(DTBR, (SURE0, MIX02), ALPHA012)
+        assert inst.integer_form == (2, [[2, 0, 0], [1, 0, 1]])
+        other = build_instance(DTBR, (SURE0, MIX02), ALPHA012)
+        object.__setattr__(other, "integer_form", (1, []))
+        assert inst == other
+        assert hash(inst) == hash(other)
+        assert repr(inst) == repr(other)
+        assert "integer_form" not in repr(inst)
+
+    def test_an_instance_built_by_hand_fits_as_the_built_one(self):
+        games = (SURE0, SURE1, SURE2, MIX02, WIN_AT_HALF)
+        for agent in (DTBR, EGAL, OPT, STOIC):
+            built = build_instance(agent, games, ALPHA012)
+            by_hand = PreferenceInstance(ALPHA012, games, built.comparisons)
+            assert fit_utility(by_hand) == fit_utility(built)
 
 
 class TestFeasibleFits:
@@ -364,6 +377,27 @@ class TestNormalizeErrors:
 SMALL_REWARDS = (F(0), F(1), F(2))
 
 
+@st.composite
+def thirds_and_quarters(draw):
+    """An alphabet of at most five rewards and at most eight games over it.
+
+    Each game's weights are all thirds or all quarters.
+    """
+    rewards = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True))
+    alphabet = RewardAlphabet.of(rewards)
+    out = []
+    for i in range(draw(st.integers(1, 8))):
+        whole = draw(st.sampled_from((3, 4)))
+        cuts = sorted(draw(st.sets(st.integers(1, whole - 1))))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, whole])]
+        branches = tuple(
+            Branch(draw(st.sampled_from(alphabet.rewards)), F(part, whole))
+            for part in parts
+        )
+        out.append(Game(f"g{i}", branches))
+    return alphabet, tuple(out)
+
+
 class TestFitProperties:
     @given(
         st.sampled_from((DTBR, EGAL, OPT, STOIC)),
@@ -394,6 +428,16 @@ class TestFitProperties:
                 assert reference_solve_rows(
                     reference_constraint_rows(inst, kept), len(ALPHA012)
                 ) is not None
+
+    @given(st.sampled_from((DTBR, STOIC)), thirds_and_quarters())
+    def test_mean_and_indifferent_rankings_always_fit(self, agent, drawn):
+        # Expected value is an expected utility and so is a constant, so
+        # dtbr and stoic matrices are always representable.
+        alphabet, game_list = drawn
+        inst = build_instance(agent, game_list, alphabet)
+        fit = fit_utility(inst)
+        assert fit.feasible
+        assert verify_fit(inst, fit.u)
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
     @settings(max_examples=40)

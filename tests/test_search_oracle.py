@@ -496,3 +496,32 @@ def test_a_menu_with_no_unit_sums_has_an_empty_stream(monkeypatch):
         assert list(enumerate_scenarios(spec)) == []
         for agent in AGENTS.values():
             assert find_violation(agent, spec) is None
+
+
+def test_a_clean_scan_builds_no_root_game(monkeypatch):
+    # Each root length is placed in the stream by its count of weight
+    # tuples; only a hit builds root games.  dtbr and stoic never violate.
+    build = search._grid_games
+
+    def options_only(spec, limit, rewards, prefix):
+        if rewards == (F(0),):
+            raise AssertionError("a clean scan builds no root game")
+        return build(spec, limit, rewards, prefix)
+
+    monkeypatch.setattr(search, "_grid_games", options_only)
+    for spec in (
+        GridSpec.of(
+            rewards=[0, 1],
+            weights=["1/2", 1],
+            max_root_branches=2,
+            max_option_branches=2,
+        ),
+        GridSpec.of(
+            rewards=[0, 1, 2],
+            weights=["1/3", "2/3", 1],
+            max_root_branches=3,
+            max_option_branches=1,
+        ),
+    ):
+        for kind in ("dtbr", "stoic"):
+            assert find_violation(AGENTS[kind], spec) is None
