@@ -8,7 +8,7 @@ searches small scenario grids for axiom violations.  A line-oriented
 scenario-file format and a ``branchgames`` command drive it all from text.
 """
 
-from .agents import AGENT_KINDS, Agent, Preference, compare, strictly_prefers, weakly_prefers
+from .agents import AGENT_KINDS, Agent, Preference, compare
 from .axioms import (
     AxiomReport,
     ContinuityLevel,
@@ -31,7 +31,6 @@ from .core import (
     EventMismatchError,
     Game,
     GameError,
-    Rational,
     RewardAlphabet,
     WeightRangeError,
     WeightSumError,
@@ -41,7 +40,6 @@ from .core import (
     flatten,
     game_distance,
     largest_reward,
-    reward_range,
     support_bounds,
     validate_game,
     weight_vector,
@@ -57,7 +55,6 @@ from .representation import (
     build_instance,
     fit_utility,
     normalize_fit,
-    verify_fit,
 )
 from .search import (
     GridSpec,
@@ -96,7 +93,6 @@ __all__ = [
     "NotStrictPreferenceError",
     "PreferenceInstance",
     "Preference",
-    "Rational",
     "RewardAlphabet",
     "ScenarioError",
     "UtilityFit",
@@ -119,12 +115,8 @@ __all__ = [
     "game_distance",
     "largest_reward",
     "normalize_fit",
-    "reward_range",
     "scenario_count",
-    "strictly_prefers",
     "support_bounds",
     "validate_game",
-    "verify_fit",
-    "weakly_prefers",
     "weight_vector",
 ]

@@ -209,11 +209,3 @@ def compare(agent: Agent, left: Game, right: Game) -> Preference:
     """Rank two valid games under the agent's preference order."""
     statistics = STATISTICS[agent.kind]
     return RULES[agent.kind](statistics(left), statistics(right))
-
-
-def strictly_prefers(agent: Agent, left: Game, right: Game) -> bool:
-    return compare(agent, left, right) is Preference.PrefersLeft
-
-
-def weakly_prefers(agent: Agent, left: Game, right: Game) -> bool:
-    return compare(agent, left, right) is not Preference.PrefersRight

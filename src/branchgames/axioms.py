@@ -127,13 +127,6 @@ class ContinuityLevel:
 class ContinuityWitness:
     levels: tuple[ContinuityLevel, ...]
 
-    def smallest_falsified(self) -> Optional[ContinuityLevel]:
-        hit = None
-        for level in self.levels:
-            if level.falsified and (hit is None or level.delta < hit.delta):
-                hit = level
-        return hit
-
 
 @dataclass(frozen=True)
 class AxiomReport:

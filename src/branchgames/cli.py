@@ -596,10 +596,6 @@ class CheckOutcome:
     text: str
 
     @property
-    def kind(self) -> str:
-        return self.record["check_kind"]
-
-    @property
     def violation(self) -> bool:
         return self.record["verdict"] in _VIOLATIONS
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -165,10 +163,6 @@ class RewardAlphabet:
     def of(cls, values: Iterable[RationalLike]) -> "RewardAlphabet":
         return cls(tuple(sorted({as_rational(v) for v in values})))
 
-    @classmethod
-    def from_games(cls, *games: Game) -> "RewardAlphabet":
-        return cls.of(b.reward for g in games for b in g.branches)
-
     def index(self, reward: Fraction) -> int:
         try:
             return self._positions[reward.numerator, reward.denominator]
@@ -271,12 +265,6 @@ def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
 def largest_reward(game: Game) -> Fraction:
     """Largest reward on the support (branches with weight > 0 only)."""
     return support_bounds(game)[1]
-
-
-def reward_range(game: Game) -> Fraction:
-    """Spread of the support rewards: largest minus smallest."""
-    low, high = support_bounds(game)
-    return high - low
 
 
 def flatten(compound: CompoundGame, name: str | None = None) -> Game:

@@ -72,7 +72,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .agents import RANK_KEYS, Agent, Preference, scaled_statistics
 from .core import Game, GameError, RewardAlphabet, weight_vectors
@@ -83,8 +83,6 @@ from .core import validate_game, weight_vector  # noqa: F401
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-
-_ZERO = Fraction(0)
 
 
 class InconsistentPreorderError(GameError):
@@ -449,33 +447,6 @@ def fit_utility(instance: PreferenceInstance) -> UtilityFit:
     has_strict = any(p is not Preference.Indifferent for _, _, p in chain)
     unique = rank == (nvars - 2 if has_strict else nvars - 1)
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)
-
-
-def verify_fit(
-    instance: PreferenceInstance, u: Mapping[Fraction, Fraction]
-) -> bool:
-    """Independently confirm that u reproduces every recorded comparison."""
-    for r in instance.alphabet:
-        if r not in u:
-            return False
-
-    def eu(game: Game) -> Fraction:
-        total = _ZERO
-        for b in game.branches:
-            total += b.weight * u[b.reward]
-        return total
-
-    for i, g in enumerate(instance.games):
-        for j, h in enumerate(instance.games):
-            gap = eu(g) - eu(h)
-            recorded = instance.comparisons[i][j]
-            if gap > 0 and recorded is not Preference.PrefersLeft:
-                return False
-            if gap < 0 and recorded is not Preference.PrefersRight:
-                return False
-            if gap == 0 and recorded is not Preference.Indifferent:
-                return False
-    return True
 
 
 def normalize_fit(

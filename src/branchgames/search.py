@@ -47,11 +47,12 @@ one).  Arms fold into one state as ``agents.compose`` composes support
 bounds, so a tuple's verdict is its state's, ranked with the tied
 expected value read as 0.  Classes with one state decide alike, so only
 the first of them, by first arm, is kept.  The states that j classes
-reach are built once per j, and a root of k branches is decided slot by
-slot: each slot takes the first class whose fold with the slots before it
-completes a violation with some state the remaining slots reach.  Within
-a root of k branches over A arms, the scenario with arms a_1..a_k has
-index sum_i a_i*A^(k-i), which rises with each slot on its own; so the
+reach are built once per j, until two j in a row reach the same states,
+and a root of k branches is decided slot by slot: each slot takes the
+first class whose fold with the slots before it completes a violation
+with some state the remaining slots reach.  Within a root of k branches
+over A arms, the scenario with arms a_1..a_k has index
+sum_i a_i*A^(k-i), which rises with each slot on its own; so the
 slot-by-slot choice is the root's first violating scenario.  The work is
 about k x classes x states, however many scenarios the grid holds: on a
 four-root grid of 658,289,430,900 scenarios no kind reaches more than 10
@@ -323,10 +324,20 @@ def _fold(state: Optional[tuple], other: tuple) -> tuple:
 
 
 def _reachable(states: set, longest: int) -> list[set]:
-    """``reach[j]``: the fold states of the tuples of j arm classes."""
+    """``reach[j]``: the fold states of the tuples of j arm classes.
+
+    The list stops at its fixed point, so ``reach[min(j, len(reach) - 1)]``
+    holds the states of j classes.  A fold is idempotent, so for j >= 1
+    every state of ``reach[j]`` folds with its own last arm to itself and
+    ``reach[j]`` is a subset of ``reach[j + 1]``; and ``reach[j + 1]`` is
+    read off ``reach[j]`` alone, so once two sets in a row are equal, every
+    later set equals them too.
+    """
     reach: list[set] = [{None}]
     for _ in range(longest):
         reach.append({_fold(state, other) for state in reach[-1] for other in states})
+        if reach[-1] == reach[-2]:
+            break
     return reach
 
 
@@ -344,13 +355,14 @@ def _first_violation(
     """
     prefix, chosen = None, []
     for rest in reversed(range(size)):
+        tails = reach[min(rest, len(reach) - 1)]
         for arm in classes:
             state = _fold(prefix, arm[2])
             # The compounds tie in expected value: read it as 0.
             if any(
                 broken_clause((whole[0],), rule((0, *whole[1:3]), (0, *whole[3:])))
                 is not None
-                for whole in (_fold(tail, state) for tail in reach[rest])
+                for whole in (_fold(tail, state) for tail in tails)
             ):
                 break
         else:

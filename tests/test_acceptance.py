@@ -36,11 +36,10 @@ from branchgames import (
     find_violation,
     normalize_fit,
     validate_game,
-    verify_fit,
     weight_vector,
-    weakly_prefers,
 )
 from branchgames.cli import emit, gallery_source, parse, render, run_file
+from test_fit_oracle import verify_fit
 
 F = Fraction
 
@@ -325,7 +324,8 @@ def test_criterion_10_property_suites():
         assert len(pool) == 57
         for agent in (DTBR, EGAL, OPT, STOIC):
             weak = [
-                [weakly_prefers(agent, x, y) for y in pool] for x in pool
+                [compare(agent, x, y) is not Preference.PrefersRight for y in pool]
+                for x in pool
             ]
             n = len(pool)
             for i in range(n):

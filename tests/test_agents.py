@@ -15,8 +15,6 @@ from branchgames import (
     Preference,
     compare,
     flatten,
-    strictly_prefers,
-    weakly_prefers,
 )
 from branchgames.agents import (
     RANK_KEYS,
@@ -86,12 +84,12 @@ class TestWorkedComparisons:
             assert compare(STOIC, left, right) is Preference.Indifferent
 
     def test_weak_and_strict_helpers(self):
-        assert strictly_prefers(EGAL, A, B)
-        assert not strictly_prefers(EGAL, B, A)
-        assert weakly_prefers(EGAL, A, B)
-        assert not weakly_prefers(EGAL, B, A)
-        assert weakly_prefers(DTBR, A, B)
-        assert weakly_prefers(DTBR, B, A)
+        assert compare(EGAL, A, B) is Preference.PrefersLeft
+        assert compare(EGAL, B, A) is not Preference.PrefersLeft
+        assert compare(EGAL, A, B) is not Preference.PrefersRight
+        assert compare(EGAL, B, A) is Preference.PrefersRight
+        assert compare(DTBR, A, B) is not Preference.PrefersRight
+        assert compare(DTBR, B, A) is not Preference.PrefersRight
 
 
 class TestAgentConstruction:
@@ -161,14 +159,20 @@ class TestPreorderLaws:
 
     @given(st.sampled_from(AGENTS), games(name="x"), games(name="y"))
     def test_total(self, agent, left, right):
-        assert weakly_prefers(agent, left, right) or weakly_prefers(agent, right, left)
+        assert (
+            compare(agent, left, right) is not Preference.PrefersRight
+            or compare(agent, right, left) is not Preference.PrefersRight
+        )
 
     @pytest.mark.parametrize("agent", AGENTS, ids=[a.kind for a in AGENTS])
     def test_transitive_on_a_small_exhaustive_grid(self, agent):
         pool = _tiny_game_set()
         for x, y, z in itertools.product(pool, repeat=3):
-            if weakly_prefers(agent, x, y) and weakly_prefers(agent, y, z):
-                assert weakly_prefers(agent, x, z)
+            if (
+                compare(agent, x, y) is not Preference.PrefersRight
+                and compare(agent, y, z) is not Preference.PrefersRight
+            ):
+                assert compare(agent, x, z) is not Preference.PrefersRight
 
     @given(games(name="x"), games(name="y"))
     def test_egalitarian_agrees_with_dtbr_off_ties(self, left, right):

@@ -20,7 +20,7 @@ from branchgames import (
     compare,
     expected_value,
     largest_reward,
-    reward_range,
+    support_bounds,
 )
 from branchgames.cli import (
     _TOKEN_RE,
@@ -525,7 +525,7 @@ class TestExecution:
             for name, statistic in (
                 ("expected_value", expected_value),
                 ("largest_reward", largest_reward),
-                ("reward_range", reward_range),
+                ("reward_range", lambda g: support_bounds(g)[1] - support_bounds(g)[0]),
             )
             for side, game in (("left", left), ("right", right))
         }
@@ -592,13 +592,13 @@ class TestExecution:
         assert first.encode() == second.encode()
 
     def test_gallery_covers_every_check_kind(self):
-        kinds = {o.kind for o in run_gallery()}
+        kinds = {o.record["check_kind"] for o in run_gallery()}
         assert kinds == {"compare", "diachronic", "continuity", "dutchbook", "fit"}
 
     def test_gallery_verdicts_tell_the_story(self):
         by_kind = {}
         for outcome in run_gallery():
-            by_kind.setdefault(outcome.kind, []).append(outcome)
+            by_kind.setdefault(outcome.record["check_kind"], []).append(outcome)
         assert by_kind["diachronic"][0].record["verdict"] == "violated"
         assert by_kind["continuity"][0].record["verdict"] == "violated"
         assert {o.record["verdict"] for o in by_kind["dutchbook"]} == {"not_exposed"}
@@ -614,7 +614,7 @@ class TestExecution:
 
     def test_fit_record_values(self):
         for outcome in run_gallery():
-            if outcome.kind != "fit":
+            if outcome.record["check_kind"] != "fit":
                 continue
             agent = outcome.record["inputs"]["agent"]
             values = outcome.record["values"]

@@ -26,7 +26,6 @@ from branchgames import (
     flatten,
     game_distance,
     largest_reward,
-    reward_range,
     support_bounds,
     validate_game,
     weight_vector,
@@ -144,10 +143,9 @@ class TestStatistics:
         assert largest_reward(g) == F(-1)
 
     def test_reward_range_over_support(self):
-        assert reward_range(A) == F(1)
-        assert reward_range(B) == F(3)
-        assert reward_range(B0) == F(0)
-        assert reward_range(CERTAIN1) == F(0)
+        for game, spread in ((A, F(1)), (B, F(3)), (B0, F(0)), (CERTAIN1, F(0))):
+            low, high = support_bounds(game)
+            assert high - low == spread
 
     @pytest.mark.parametrize(
         "branches",
@@ -169,7 +167,7 @@ class TestStatistics:
         # meets one.
         message = "^game 'empty': weights sum to 0, expected 1$"
         with pytest.raises(WeightSumError, match=message):
-            reward_range(Game("empty", (Branch(F(1), F(0)),)))
+            support_bounds(Game("empty", (Branch(F(1), F(0)),)))
 
 
 class TestFlatten:
@@ -298,7 +296,7 @@ def test_weight_vectors_are_the_reference_times_d_on_seeded_games(seed):
     rng = random.Random(seed)
     pool = [_seeded_game(rng, f"g{k}") for k in range(rng.randint(1, 5))]
     extra = rng.sample(range(1, 31), rng.randint(0, 2))
-    alphabet = RewardAlphabet.from_games(*pool)
+    alphabet = RewardAlphabet.of(b.reward for g in pool for b in g.branches)
     assert_weight_vectors_match_the_reference(pool, alphabet, extra)
     # Without its first reward the alphabet refuses whichever game names it first.
     if len(alphabet) > 1:
@@ -382,7 +380,7 @@ class TestRewardAlphabet:
         assert list(alphabet) == [F(1), F(2), F(3)]
 
     def test_from_games_collects_all_rewards(self):
-        alphabet = RewardAlphabet.from_games(A, B0)
+        alphabet = RewardAlphabet.of(b.reward for g in (A, B0) for b in g.branches)
         assert list(alphabet) == [F(0), F(1), F(2), F(3)]
 
     def test_index_and_membership(self):
@@ -482,7 +480,7 @@ class TestProperties:
         other = Game("shuffled", tuple(shuffled))
         assert expected_value(other) == expected_value(game)
         assert largest_reward(other) == largest_reward(game)
-        assert reward_range(other) == reward_range(game)
+        assert support_bounds(other) == support_bounds(game)
 
     @given(games(name="g"), st.integers(0, 3))
     def test_splitting_a_branch_preserves_statistics(self, game, quarters):
@@ -496,7 +494,7 @@ class TestProperties:
         )
         validate_game(split)
         assert expected_value(split) == expected_value(game)
-        alphabet = RewardAlphabet.from_games(game)
+        alphabet = RewardAlphabet.of(b.reward for b in game.branches)
         assert weight_vector(split, alphabet) == weight_vector(game, alphabet)
 
     @given(
@@ -555,7 +553,6 @@ class TestSupportBounds:
         assert high is max(rewards)
         assert summary(game) == (expected_value(game), low, high)
         assert largest_reward(game) is high
-        assert reward_range(game) == high - low
 
     @pytest.mark.parametrize(
         "branches, low, high",
@@ -583,7 +580,7 @@ class TestSupportBounds:
 
     @pytest.mark.parametrize(
         "statistic",
-        [support_bounds, summary, largest_reward, reward_range, summary_terms],
+        [support_bounds, summary, largest_reward, summary_terms],
     )
     @pytest.mark.parametrize(
         "branches",

@@ -13,6 +13,10 @@ versions they replaced: ``reference_back_substitute`` assigns the witness
 in ``Fraction``s, and ``reference_deletion_filter`` builds every
 comparison's rows up front and copies the trial list for every candidate.
 Each is fed the very arguments ``fit_utility`` hands its fast counterpart.
+
+``verify_fit`` checks a utility against an instance directly: the expected
+utilities of every ordered pair of games must order as the instance
+records.  The representation and acceptance tests assert fits with it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 from unittest import mock
 
 from hypothesis import given, settings
@@ -210,6 +214,37 @@ def reference_fit_utility(instance: PreferenceInstance) -> UtilityFit:
     expected_rank = nvars - 2 if has_strict else nvars - 1
     unique = reference_equality_rank(instance, constraints) == expected_rank
     return UtilityFit(verdict=FEASIBLE, u=u, certificate=None, unique=unique)
+
+
+# -- the fit checker ----------------------------------------------------------
+
+
+def verify_fit(
+    instance: PreferenceInstance, u: Mapping[Fraction, Fraction]
+) -> bool:
+    """Independently confirm that u reproduces every recorded comparison."""
+    for r in instance.alphabet:
+        if r not in u:
+            return False
+
+    def eu(game: Game) -> Fraction:
+        total = _ZERO
+        for b in game.branches:
+            total += b.weight * u[b.reward]
+        return total
+
+    for i, g in enumerate(instance.games):
+        for j, h in enumerate(instance.games):
+            gap = eu(g) - eu(h)
+            recorded = instance.comparisons[i][j]
+            if gap > 0 and recorded is not Preference.PrefersLeft:
+                return False
+            if gap < 0 and recorded is not Preference.PrefersRight:
+                return False
+            if gap == 0 and recorded is not Preference.Indifferent:
+                return False
+    return True
+
 
 
 # -- the references for single steps of the integer solver -------------------

@@ -23,7 +23,6 @@ from branchgames import (
     build_instance,
     fit_utility,
     normalize_fit,
-    verify_fit,
 )
 from branchgames.representation import _check_preorder
 from conftest import games
@@ -31,6 +30,7 @@ from test_fit_oracle import (
     reference_constraint_rows,
     reference_equality_rank,
     reference_solve_rows,
+    verify_fit,
 )
 
 F = Fraction

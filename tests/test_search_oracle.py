@@ -290,13 +290,14 @@ def test_a_three_root_grid_past_the_default_cap(monkeypatch):
 
 
 # Per kind, the first hit on the four-root quarter grid, and how many fold
-# states 0 to 4 arm classes reach.  The product walk decides classes^k
-# tuples per root instead: about 4 million per four-branch root for dtbr.
+# states 0, 1, ... arm classes reach, up to the first repeat, where the
+# list stops.  The product walk decides classes^k tuples per root instead:
+# about 4 million per four-branch root for dtbr.
 FOUR_ROOTS = {
-    "dtbr": (None, [1, 1, 1, 1, 1]),
-    "egalitarian": (1_415, [1, 9, 10, 10, 10]),
-    "optimist": (27_931, [1, 6, 8, 8, 8]),
-    "stoic": (None, [1, 1, 1, 1, 1]),
+    "dtbr": (None, [1, 1, 1]),
+    "egalitarian": (1_415, [1, 9, 10, 10]),
+    "optimist": (27_931, [1, 6, 8, 8]),
+    "stoic": (None, [1, 1, 1]),
 }
 
 
@@ -313,6 +314,41 @@ def test_a_four_root_grid_is_decided_on_few_states(monkeypatch, kind):
     pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     states = {state for _, _, state in _arm_classes(AGENTS[kind], pool)}
     assert [len(reach) for reach in _reachable(states, 4)] == reachable
+
+
+def reference_reachable(states: set, longest: int) -> list[set]:
+    """``reach[j]`` for every j up to ``longest``, past the fixed point."""
+    reach: list[set] = [{None}]
+    for _ in range(longest):
+        reach.append({search._fold(state, arm) for state in reach[-1] for arm in states})
+    return reach
+
+
+# Per kind, how many fold states 0, 1, ... arm classes reach on a grid
+# whose longest root has 1,000 branches of 1/1000, up to the first repeat.
+LONG_ROOT = {
+    "dtbr": [1, 1, 1],
+    "egalitarian": [1, 3, 6, 6],
+    "optimist": [1, 6, 8, 8],
+    "stoic": [1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_long_root_reaches_its_fixed_point_in_a_few_folds(kind):
+    spec = GridSpec.of([0, 1, 2], ["1/1000", 1], 1000, 1)
+    pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
+    classes = _arm_classes(AGENTS[kind], pool)
+    states = {state for _, _, state in classes}
+    # find_violation asks for one fewer than the longest root length.
+    reach = _reachable(states, 999)
+    assert [len(tails) for tails in reach] == LONG_ROOT[kind]
+    full = reference_reachable(states, 999)
+    assert all(reach[min(j, len(reach) - 1)] == full[j] for j in range(1000))
+    for size in (1, 2, 3, 1000):
+        assert _first_violation(RULES[kind], classes, reach, size) == (
+            _first_violation(RULES[kind], classes, full, size)
+        )
 
 
 @pytest.mark.parametrize("grid", ["negative_pair", "three_branch_roots"])

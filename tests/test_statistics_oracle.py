@@ -65,7 +65,7 @@ SAMPLES = 2
 )
 def test_build_instance_matrix_is_compare_on_every_pair(agent, drawn):
     pool = [Game(f"g{k}", g.branches) for k, g in enumerate(drawn)]
-    instance = build_instance(agent, pool, RewardAlphabet.from_games(*pool))
+    instance = build_instance(agent, pool, RewardAlphabet.of(b.reward for g in pool for b in g.branches))
     for i, left in enumerate(pool):
         for j, right in enumerate(pool):
             assert instance.comparisons[i][j] is compare(agent, left, right)
@@ -358,7 +358,7 @@ def test_continuity_matches_the_reference(
 ):
     # Extra rewards widen the alphabet; sometimes one game's reward is
     # dropped from it instead, so both checks must refuse alike.
-    alphabet = RewardAlphabet.from_games(left, right)
+    alphabet = RewardAlphabet.of(b.reward for g in (left, right) for b in g.branches)
     if extra:
         alphabet = RewardAlphabet.of([*alphabet, *extra])
     if len(extra) == 1 and len(alphabet) > 1:
@@ -379,7 +379,7 @@ def test_continuity_levels_match_pairwise_compare(agent, left, right, seed):
     assume(verdict is not Preference.Indifferent)
     if verdict is Preference.PrefersRight:
         left, right = right, left
-    alphabet = RewardAlphabet.from_games(left, right)
+    alphabet = RewardAlphabet.of(b.reward for g in (left, right) for b in g.branches)
     report = check_continuity(agent, left, right, alphabet, DELTAS)
     assert report.witness.levels == reference_levels(
         agent, left, right, alphabet, seed
