@@ -26,7 +26,6 @@ from .axioms import (
 from .core import (
     AlphabetMismatchError,
     Branch,
-    CompoundGame,
     EmptyGameError,
     EventMismatchError,
     Game,
@@ -35,7 +34,6 @@ from .core import (
     WeightRangeError,
     WeightSumError,
     as_rational,
-    combine_on_shared_event,
     expected_value,
     flatten,
     game_distance,
@@ -74,7 +72,6 @@ __all__ = [
     "AxiomReport",
     "Branch",
     "ComparisonConstraint",
-    "CompoundGame",
     "ContinuityLevel",
     "ContinuityWitness",
     "DegenerateNormalizationError",
@@ -105,7 +102,6 @@ __all__ = [
     "build_instance",
     "check_continuity",
     "check_diachronic",
-    "combine_on_shared_event",
     "compare",
     "enumerate_scenarios",
     "expected_value",

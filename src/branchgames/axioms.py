@@ -30,12 +30,10 @@ from typing import Optional, Sequence
 from .agents import RULES, STATISTICS, Agent, Preference, compare, compose
 from .core import (
     Branch,
-    CompoundGame,
     EventMismatchError,
     Game,
     GameError,
     RewardAlphabet,
-    combine_on_shared_event,
     flatten,
     game_distance,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     scale_to_integers,
@@ -187,12 +185,8 @@ def check_diachronic(agent: Agent, scenario: DiachronicScenario) -> AxiomReport:
     clause = broken_clause(descendant, forward)
     if clause is None:
         return AxiomReport("diachronic", Verdict.SATISFIED, None)
-    left = flatten(
-        CompoundGame(root, tuple(first for first, _ in options)), "compound_first"
-    )
-    right = flatten(
-        CompoundGame(root, tuple(second for _, second in options)), "compound_second"
-    )
+    left = flatten(root, [first for first, _ in options], "compound_first")
+    right = flatten(root, [second for _, second in options], "compound_second")
     witness = DiachronicWitness(
         clause=clause,
         descendant_preferences=descendant,
@@ -335,7 +329,9 @@ def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
     All games must share one branching event (identical weight lists).
     Each game is ranked against ``null``, built to pay 0 on every branch
     of that event; any other such game would differ from it only in its
-    name.  ``sure_loss`` holds when every support reward of the
+    name.  The combined game, named by joining the games' names with
+    ``+``, pays on each branch the sum of the games' rewards at the shared
+    weight.  ``sure_loss`` holds when every support reward of the
     combined game is negative.  ``exposure`` requires the agent to accept
     each game strictly (preferred to null), to weakly accept the combined
     game, and sure_loss.  ``weak_exposure`` relaxes individual acceptance
@@ -351,9 +347,11 @@ def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
             )
     null = Game("null", tuple(Branch(Fraction(0), w) for w in weights))
 
-    combined = games[0]
-    for g in games[1:]:
-        combined = combine_on_shared_event(combined, g)
+    columns = zip(*(g.branches for g in games))
+    combined = Game(
+        "+".join(g.name for g in games),
+        tuple(Branch(sum(b.reward for b in c), w) for c, w in zip(columns, weights)),
+    )
 
     statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
     null_statistics = statistics(null)

@@ -108,28 +108,9 @@ class Game:
             tuple(Branch(as_rational(r), as_rational(w)) for r, w in branches),
         )
 
-    def support(self) -> tuple[Branch, ...]:
-        """Branches with strictly positive weight."""
-        return tuple(b for b in self.branches if b.weight.numerator > 0)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{b.reward}@{b.weight}" for b in self.branches)
         return f"{self.name}{{{inner}}}"
-
-
-@dataclass(frozen=True, slots=True)
-class CompoundGame:
-    """A root game with one continuation game per root branch."""
-
-    root: Game
-    continuations: tuple[Game, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.continuations) != len(self.root.branches):
-            raise ValueError(
-                f"compound on {self.root.name!r}: {len(self.root.branches)} root "
-                f"branches but {len(self.continuations)} continuations"
-            )
 
 
 @dataclass(frozen=True)
@@ -267,43 +248,29 @@ def largest_reward(game: Game) -> Fraction:
     return support_bounds(game)[1]
 
 
-def flatten(compound: CompoundGame, name: str | None = None) -> Game:
-    """Collapse a root game plus per-branch continuations into one game.
+def flatten(
+    root: Game, continuations: Sequence[Game], name: str | None = None
+) -> Game:
+    """Collapse a root game plus one continuation per root branch into one game.
 
     Produces one branch per (root branch i, continuation branch j) pair
     with reward ``root_i + cont_j`` and weight ``root_i * cont_j``.  The
     root and every continuation are valid games, so the result is one:
     each product lies in [0, 1], and continuation i's products sum to
-    ``root_i``, so all of them sum to 1.
+    ``root_i``, so all of them sum to 1.  Raises ``ValueError`` unless
+    there is exactly one continuation per root branch.
     """
-    branches = []
-    for root_branch, cont in zip(compound.root.branches, compound.continuations):
-        for b in cont.branches:
-            branches.append(
-                Branch(root_branch.reward + b.reward, root_branch.weight * b.weight)
-            )
-    return Game(
-        name if name is not None else f"{compound.root.name}*",
-        tuple(branches),
-    )
-
-
-def combine_on_shared_event(first: Game, second: Game, name: str | None = None) -> Game:
-    """Add two games that resolve on the same branching event.
-
-    Branch i of the result keeps the shared weight and pays the sum of the
-    two rewards.  Raises :class:`EventMismatchError` unless the weight
-    lists agree branch for branch.
-    """
-    if [b.weight for b in first.branches] != [b.weight for b in second.branches]:
-        raise EventMismatchError(
-            f"{first.name!r} and {second.name!r} do not share a branching event"
+    if len(continuations) != len(root.branches):
+        raise ValueError(
+            f"compound on {root.name!r}: {len(root.branches)} root "
+            f"branches but {len(continuations)} continuations"
         )
     branches = tuple(
-        Branch(a.reward + b.reward, a.weight)
-        for a, b in zip(first.branches, second.branches)
+        Branch(r.reward + b.reward, r.weight * b.weight)
+        for r, cont in zip(root.branches, continuations)
+        for b in cont.branches
     )
-    return Game(name if name is not None else f"{first.name}+{second.name}", branches)
+    return Game(name if name is not None else f"{root.name}*", branches)
 
 
 def scale_to_integers(values: Sequence[Optional[Fraction]]) -> list[Optional[int]]:

@@ -222,7 +222,10 @@ def scenario_count(spec: GridSpec) -> int:
     option_count = sum(
         tuples[size] * len(spec.reward_grid) ** size for size in options
     )
-    return sum(tuples[size] * option_count ** (2 * size) for size in roots)
+    return sum(
+        tuples[size] * option_count ** (2 * size)
+        for size in filter(tuples.__getitem__, roots)
+    )
 
 
 def _cap() -> int:
@@ -242,8 +245,10 @@ def _check_cap(spec: GridSpec) -> int:
     projected = scenario_count(spec)
     cap = _cap()
     if projected > cap:
+        # Python refuses to print an int of more than 4,300 digits.
+        shown = projected if projected <= 10**4000 else "more than 10^4000"
         raise GridTooLargeError(
-            f"grid projects {projected} scenarios, over the cap of {cap} "
+            f"grid projects {shown} scenarios, over the cap of {cap} "
             f"(set {CAP_ENV_VAR} to override)"
         )
     return projected

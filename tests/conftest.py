@@ -11,7 +11,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from branchgames import Branch, CompoundGame, Game
+from branchgames import Branch, Game
 
 REWARD_POOL = tuple(
     Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3, 5)
@@ -45,9 +45,10 @@ def games(draw, name="g", max_branches=4, rewards=REWARD_POOL, allow_zero_weight
 
 @st.composite
 def compounds(draw, max_branches=3):
+    """A root game and one continuation per root branch, as ``flatten`` takes them."""
     root = draw(games(name="root", max_branches=max_branches))
     continuations = tuple(
         draw(games(name=f"cont{i}", max_branches=max_branches))
         for i in range(len(root.branches))
     )
-    return CompoundGame(root, continuations)
+    return root, continuations

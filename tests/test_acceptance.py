@@ -15,7 +15,6 @@ import pytest
 from branchgames import (
     Agent,
     Branch,
-    CompoundGame,
     ComparisonConstraint,
     DegenerateNormalizationError,
     DiachronicScenario,
@@ -87,8 +86,8 @@ def test_criterion_02_best_outcome_agent_breaks_the_strict_clause():
         )
         assert w.strict_branches == (0,)
         # replay the witness from scratch
-        left = flatten(CompoundGame(root, (scenario.options[0][0], scenario.options[1][0])))
-        right = flatten(CompoundGame(root, (scenario.options[0][1], scenario.options[1][1])))
+        left = flatten(root, (scenario.options[0][0], scenario.options[1][0]))
+        right = flatten(root, (scenario.options[0][1], scenario.options[1][1]))
         assert w.left_compound.branches == left.branches
         assert w.right_compound.branches == right.branches
         assert compare(OPT, left, right) is w.compound_preference
@@ -311,10 +310,7 @@ def _random_compound(rng):
         )
 
     root = random_game("root")
-    return CompoundGame(
-        root,
-        tuple(random_game(f"c{i}") for i in range(len(root.branches))),
-    )
+    return root, [random_game(f"c{i}") for i in range(len(root.branches))]
 
 
 def test_criterion_10_property_suites():
@@ -344,15 +340,13 @@ def test_criterion_10_property_suites():
         # expected value adds along paths on 1000 seeded random compounds
         rng = random.Random(4242)
         for _ in range(1000):
-            compound = _random_compound(rng)
-            flat = flatten(compound)
+            root, continuations = _random_compound(rng)
+            flat = flatten(root, continuations)
             validate_game(flat)
-            direct = expected_value(compound.root) + sum(
+            direct = expected_value(root) + sum(
                 (
                     branch.weight * expected_value(cont)
-                    for branch, cont in zip(
-                        compound.root.branches, compound.continuations
-                    )
+                    for branch, cont in zip(root.branches, continuations)
                 ),
                 F(0),
             )

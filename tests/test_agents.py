@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from branchgames import (
     AGENT_KINDS,
     Agent,
-    CompoundGame,
     Game,
     Preference,
     compare,
@@ -207,7 +206,7 @@ def test_compose_is_the_partial_summary_of_the_flattened_game(kind, root, data):
         [b.reward for b in root.branches],
         [statistics(c) for c in continuations],
     )
-    assert composed == statistics(flatten(CompoundGame(root, continuations)))
+    assert composed == statistics(flatten(root, continuations))
 
 
 def _reference_order(left, right):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from branchgames import (
     Agent,
-    CompoundGame,
     DiachronicScenario,
     EmptyGameError,
     EventMismatchError,
@@ -60,12 +59,8 @@ def replay_witness(agent, scenario, witness):
         for i, p in enumerate(witness.descendant_preferences)
         if p is Preference.PrefersLeft
     )
-    left = flatten(
-        CompoundGame(scenario.root, tuple(p[0] for p in scenario.options))
-    )
-    right = flatten(
-        CompoundGame(scenario.root, tuple(p[1] for p in scenario.options))
-    )
+    left = flatten(scenario.root, [p[0] for p in scenario.options])
+    right = flatten(scenario.root, [p[1] for p in scenario.options])
     assert witness.left_compound.branches == left.branches
     assert witness.right_compound.branches == right.branches
     assert witness.compound_preference is compare(
@@ -377,9 +372,9 @@ def test_diachronic_flattens_only_for_a_witness(monkeypatch):
 
     flattened = []
 
-    def counting_flatten(compound, name=None):
-        flattened.append(name)
-        return flatten(compound, name)
+    def counting_flatten(*args):
+        flattened.append(args[-1])
+        return flatten(*args)
 
     def no_compare(agent, left, right):
         raise AssertionError("check_diachronic ranks on composed summaries")

@@ -1,5 +1,10 @@
-"""Core model: validation, statistics, flattening, combination, distance."""
+"""Core model: validation, statistics, flattening, combination, distance.
 
+Combination is ``analyze_dutch_book``'s ``combined`` game, checked here
+against a left fold of ``combine_on_shared_event``, a pairwise reference.
+"""
+
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +17,6 @@ from branchgames import (
     Agent,
     AlphabetMismatchError,
     Branch,
-    CompoundGame,
     EmptyGameError,
     EventMismatchError,
     Game,
@@ -20,8 +24,8 @@ from branchgames import (
     WeightRangeError,
     WeightSumError,
     as_rational,
+    analyze_dutch_book,
     build_instance,
-    combine_on_shared_event,
     expected_value,
     flatten,
     game_distance,
@@ -30,7 +34,7 @@ from branchgames import (
     validate_game,
     weight_vector,
 )
-from branchgames.agents import summary
+from branchgames.agents import AGENT_KINDS, summary
 from branchgames.core import scale_to_integers, summary_terms, weight_vectors
 from conftest import REWARD_POOL, compounds, games
 
@@ -40,6 +44,7 @@ A = Game.of("A", (2, F(1, 2)), (3, F(1, 2)))
 B = Game.of("B", (1, F(1, 2)), (4, F(1, 2)))
 B0 = Game.of("B0", (1, 0), (0, 1))
 CERTAIN1 = Game.of("certain1", (1, 1))
+DTBR = Agent.of("ev", "dtbr")
 
 
 class TestValidation:
@@ -52,7 +57,7 @@ class TestValidation:
     def test_zero_weight_branch_is_legal_and_kept(self):
         validate_game(B0)
         assert len(B0.branches) == 2
-        assert B0.support() == (Branch(F(0), F(1)),)
+        assert support_bounds(B0) == (F(0), F(0))
 
     def test_empty_game_rejected(self):
         with pytest.raises(EmptyGameError, match="^game 'empty' has no branches$"):
@@ -177,7 +182,7 @@ class TestFlatten:
             Game.of("c1", (10, F(1, 2)), (20, F(1, 2))),
             Game.of("c2", (0, 1)),
         )
-        flat = flatten(CompoundGame(root, conts), name="flat")
+        flat = flatten(root, conts, name="flat")
         assert flat.name == "flat"
         assert flat.branches == (
             Branch(F(11), F(1, 4)),
@@ -188,13 +193,13 @@ class TestFlatten:
     def test_certain_continuations(self):
         root = Game.of("flip", (0, F(1, 2)), (0, F(1, 2)))
         conts = (Game.of("two", (2, 1)), Game.of("three", (3, 1)))
-        flat = flatten(CompoundGame(root, conts))
+        flat = flatten(root, conts)
         assert weight_vector(flat, RewardAlphabet.of([2, 3])) == (F(1, 2), F(1, 2))
 
     def test_zero_weight_root_branch_propagates(self):
         root = Game.of("r", (1, 0), (0, 1))
         conts = (Game.of("c", (5, 1)), Game.of("d", (7, 1)))
-        flat = flatten(CompoundGame(root, conts))
+        flat = flatten(root, conts)
         assert flat.branches == (Branch(F(6), F(0)), Branch(F(7), F(1)))
         validate_game(flat)
 
@@ -206,37 +211,84 @@ class TestFlatten:
             Game("bad", (Branch(F(0), F(1, 2)),))
 
     def test_continuation_count_must_match(self):
-        with pytest.raises(ValueError):
-            CompoundGame(A, (CERTAIN1,))
+        message = "^compound on 'A': 2 root branches but 1 continuations$"
+        with pytest.raises(ValueError, match=message):
+            flatten(A, (CERTAIN1,))
+
+
+def combine_on_shared_event(first, second):
+    """Add two games that resolve on the same branching event.
+
+    Branch i of the result keeps the shared weight and pays the sum of the
+    two rewards.  Raises :class:`EventMismatchError` unless the weight
+    lists agree branch for branch.
+    """
+    if [b.weight for b in first.branches] != [b.weight for b in second.branches]:
+        raise EventMismatchError(
+            f"{first.name!r} and {second.name!r} do not share a branching event"
+        )
+    branches = tuple(
+        Branch(a.reward + b.reward, a.weight)
+        for a, b in zip(first.branches, second.branches)
+    )
+    return Game(f"{first.name}+{second.name}", branches)
+
+
+def combined(*games):
+    """The package's combined game, as ``analyze_dutch_book`` builds it."""
+    return analyze_dutch_book(DTBR, games).combined
 
 
 class TestCombine:
     def test_mirror_bets_lock_in_a_loss(self):
         heads = Game.of("heads", (1, F(1, 2)), (-2, F(1, 2)))
         tails = Game.of("tails", (-2, F(1, 2)), (1, F(1, 2)))
-        both = combine_on_shared_event(heads, tails, name="both")
-        assert both.name == "both"
+        both = combined(heads, tails)
+        assert both.name == "heads+tails"
         assert both.branches == (Branch(F(-1), F(1, 2)), Branch(F(-1), F(1, 2)))
 
     def test_null_game_is_identity(self):
         null = Game.of("null", (0, F(1, 2)), (0, F(1, 2)))
-        assert combine_on_shared_event(A, null).branches == A.branches
+        assert combined(A, null).branches == A.branches
 
     def test_default_name_joins_the_operands(self):
-        assert combine_on_shared_event(A, B).name == "A+B"
+        assert combined(A, B).name == "A+B"
 
     def test_combining_a_game_with_itself_doubles_rewards(self):
-        doubled = combine_on_shared_event(B, B)
+        doubled = combined(B, B)
         assert doubled.branches == (Branch(F(2), F(1, 2)), Branch(F(8), F(1, 2)))
 
     def test_weight_profiles_must_match(self):
         skew = Game.of("skew", (1, F(1, 3)), (4, F(2, 3)))
         with pytest.raises(EventMismatchError):
-            combine_on_shared_event(B, skew)
+            combined(B, skew)
 
     def test_branch_counts_must_match(self):
         with pytest.raises(EventMismatchError):
-            combine_on_shared_event(A, CERTAIN1)
+            combined(A, CERTAIN1)
+
+    @given(
+        games(name="event", max_branches=4),
+        st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.lists(st.sampled_from(REWARD_POOL), min_size=5, max_size=5),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(AGENT_KINDS),
+    )
+    def test_combined_is_the_left_fold_of_the_package(self, event, parts, kind):
+        # Every game rides the event's weights, zero-weight branches included.
+        package = [
+            Game(name, tuple(Branch(r, b.weight) for r, b in zip(rewards, event.branches)))
+            for name, rewards in parts
+        ]
+        report = analyze_dutch_book(Agent.of("a", kind), package)
+        fold = functools.reduce(combine_on_shared_event, package)
+        assert report.combined.name == fold.name
+        assert report.combined.branches == fold.branches
 
 
 def reference_weight_vector(game, alphabet):
@@ -445,11 +497,12 @@ class TestRewardAlphabet:
 class TestProperties:
     @given(compounds())
     def test_expected_value_adds_along_paths(self, compound):
-        flat = flatten(compound)
-        direct = expected_value(compound.root) + sum(
+        root, continuations = compound
+        flat = flatten(root, continuations)
+        direct = expected_value(root) + sum(
             (
                 branch.weight * expected_value(cont)
-                for branch, cont in zip(compound.root.branches, compound.continuations)
+                for branch, cont in zip(root.branches, continuations)
             ),
             F(0),
         )
@@ -457,7 +510,7 @@ class TestProperties:
 
     @given(compounds())
     def test_flatten_output_is_always_valid(self, compound):
-        validate_game(flatten(compound))
+        validate_game(flatten(*compound))
 
     @given(games(name="x"), st.lists(st.sampled_from(REWARD_POOL), min_size=1, max_size=8))
     def test_combine_adds_expected_values(self, left, rewards):
@@ -469,9 +522,9 @@ class TestProperties:
                 for i, branch in enumerate(left.branches)
             ),
         )
-        combined = combine_on_shared_event(left, paired)
-        assert expected_value(combined) == expected_value(left) + expected_value(paired)
-        assert largest_reward(combined) <= largest_reward(left) + largest_reward(paired)
+        both = combined(left, paired)
+        assert expected_value(both) == expected_value(left) + expected_value(paired)
+        assert largest_reward(both) <= largest_reward(left) + largest_reward(paired)
 
     @given(games(name="g"), st.randoms(use_true_random=False))
     def test_expected_value_is_branch_order_invariant(self, game, rng):
@@ -546,7 +599,7 @@ def _support_games(draw):
 class TestSupportBounds:
     @given(_support_games())
     def test_bounds_are_min_and_max_over_the_support(self, game):
-        rewards = [b.reward for b in game.support()]
+        rewards = [b.reward for b in game.branches if b.weight > 0]
         low, high = support_bounds(game)
         # The first smallest and first largest, as the branches hold them.
         assert low is min(rewards)

@@ -20,7 +20,6 @@ from branchgames import (
     Agent,
     AxiomReport,
     Branch,
-    CompoundGame,
     DiachronicScenario,
     Game,
     GridSpec,
@@ -44,12 +43,8 @@ def reference_check_diachronic(
 ) -> AxiomReport:
     """The diachronic verdict from the flattened compounds, ranked by ``compare``."""
     root, options = scenario.root, scenario.options
-    left = flatten(
-        CompoundGame(root, tuple(first for first, _ in options)), "compound_first"
-    )
-    right = flatten(
-        CompoundGame(root, tuple(second for _, second in options)), "compound_second"
-    )
+    left = flatten(root, [first for first, _ in options], "compound_first")
+    right = flatten(root, [second for _, second in options], "compound_second")
     descendant = tuple(compare(agent, first, second) for first, second in options)
     forward = compare(agent, left, right)
     clause = broken_clause(descendant, forward)

@@ -161,6 +161,41 @@ class TestCap:
             "search diachronic dtbr -> none (scanned 2 scenarios)\n"
         )
 
+    def test_a_count_too_long_to_print_is_refused_as_too_large(self, monkeypatch, capsys):
+        # 8,000 branches of 1/8000 make one long root: 4 + 2**16000
+        # scenarios, a count of 4,817 digits, more than Python prints
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        spec = GridSpec.of([0, 1], ["1/8000", 1], 8000, 1)
+        assert scenario_count(spec) == 4 + 2**16000
+        message = (
+            "grid projects more than 10^4000 scenarios, over the cap of "
+            f"{DEFAULT_SCENARIO_CAP} (set {CAP_ENV_VAR} to override)"
+        )
+        with pytest.raises(GridTooLargeError) as error:
+            find_violation(DTBR, spec)
+        assert str(error.value) == message
+        with pytest.raises(GridTooLargeError) as error:
+            next(enumerate_scenarios(spec))
+        assert str(error.value) == message
+        argv = [
+            "search", "diachronic", "agent=dtbr", "rewards=0,1",
+            "weights=1/8000,1", "root_branches=8000", "option_branches=1",
+        ]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("execution error: ")
+        assert err.endswith(f": {message}\n") and err.count("\n") == 1
+
+    def test_a_count_of_4000_digits_is_printed_in_full(self, monkeypatch):
+        # 4 + 2**13286 has 4,000 digits; 4 + 2**13288 has 4,001
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        for branches, shown in ((6643, str(4 + 2**13286)), (6644, "more than 10^4000")):
+            spec = GridSpec.of([0, 1], [F(1, branches), 1], branches, 1)
+            with pytest.raises(GridTooLargeError) as error:
+                find_violation(DTBR, spec)
+            assert str(error.value).startswith(f"grid projects {shown} scenarios, ")
+
     def test_cap_env_var_must_be_a_positive_integer(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "many")
         with pytest.raises(ValueError):
