@@ -47,7 +47,6 @@ from .core import (
     expected_value,
     largest_reward,
     scale_to_integers,
-    summary_terms,
 )
 
 
@@ -101,10 +100,10 @@ Summary = tuple
 def summary(game: Game) -> Summary:
     """Every statistic any kind ranks by, for one valid game.
 
-    The Fraction form of :func:`core.summary_terms`, which the CLI reads
-    as integers.
+    The Fraction form of the game's ``terms``, which the CLI reads as
+    integers.
     """
-    numerator, denominator, low, high = summary_terms(game)
+    numerator, denominator, low, high = game.terms
     return Fraction(numerator, denominator), low, high
 
 

@@ -54,7 +54,7 @@ machine mode prints one JSON object per line with stable keys
 (check_kind, inputs, verdict, witness, values) and is byte-identical
 across runs of the same file.  A compare record's verdict comes from
 ``compare``; its six values are written from the integers of
-``core.summary_terms``, as ``str(Fraction)`` would write them, without
+each game's ``terms``, as ``str(Fraction)`` would write them, without
 building or formatting a ``Fraction``.  Every game a record holds,
 inputs and witnesses alike, goes through one ``_GameJson`` per
 ``run_file`` call, which makes each ``Branch`` object's ``{"reward",
@@ -97,7 +97,6 @@ from .core import (
     GameError,
     RewardAlphabet,
     as_rational,
-    summary_terms,
     validate_game,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
 )
 from .representation import (
@@ -692,11 +691,11 @@ def _rational_text(numerator: int, denominator: int) -> str:
 def _compare_values(game: Game) -> tuple[str, str, str]:
     """A game's expected value, largest reward and reward range, as text.
 
-    Written from the integers of ``summary_terms``: the support max and
-    the range are reduced from integer pairs, so no Fraction is built or
-    formatted.
+    Written from the integers of the game's ``terms``: the support max
+    and the range are reduced from integer pairs, so no Fraction is built
+    or formatted.
     """
-    numerator, denominator, low, high = summary_terms(game)
+    numerator, denominator, low, high = game.terms
     top, bottom = high.numerator, high.denominator
     spread = top * low.denominator - low.numerator * bottom
     return (

@@ -91,14 +91,17 @@ class Game:
     :func:`validate_game`, so a game with no branches, a weight outside
     [0, 1] or weights not summing exactly to 1 raises its own
     :class:`GameError` subclass instead of being built.  Zero-weight
-    branches are kept as written rather than normalised away.
+    branches are kept as written rather than normalised away.  The
+    ``terms`` that call returns are kept on the game; they take no part in
+    equality, hashing or ``repr``.
     """
 
     name: str
     branches: tuple[Branch, ...]
+    terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        validate_game(self)
+        object.__setattr__(self, "terms", validate_game(self))
 
     @classmethod
     def of(cls, name: str, *branches: tuple[RationalLike, RationalLike]) -> "Game":
@@ -173,74 +176,65 @@ class RewardAlphabet:
         return "{" + ", ".join(str(r) for r in self.rewards) + "}"
 
 
-def validate_game(game: Game) -> None:
-    """Check the game invariants; raise a :class:`GameError` subclass if broken.
+def validate_game(game: Game) -> tuple[int, int, Fraction, Fraction]:
+    """Check the game invariants and summarize the game, in one walk.
 
     A valid game has at least one branch, every weight in [0, 1], and
-    weights summing exactly to 1.
+    weights summing exactly to 1; otherwise a :class:`GameError` subclass
+    is raised.  A valid game's terms are ``(numerator, denominator, low,
+    high)``: its expected value is numerator/denominator, not reduced, so
+    whoever reads it reduces it once; low and high are the first smallest
+    and first largest support reward, as the branches hold them.  Weights
+    are summed and rewards compared as integer pairs: a Fraction is built
+    only to word an error.  Each running denominator is multiplied only by
+    a new denominator it is not already a multiple of.
     """
     if not game.branches:
         raise EmptyGameError(f"game {game.name!r} has no branches")
-    # Integers over a running common denominator, as in summary_terms: a
-    # Fraction is built only to word an error.
+    total, common = 0, 1
     numerator, denominator = 0, 1
+    low = high = None
     for b in game.branches:
-        top, bottom = b.weight.numerator, b.weight.denominator
-        if top < 0 or top > bottom:
+        share, bottom = b.weight.numerator, b.weight.denominator
+        if share < 0 or share > bottom:
             raise WeightRangeError(
                 f"game {game.name!r}: weight {b.weight} outside [0, 1]"
             )
-        if denominator % bottom:
-            numerator = numerator * bottom + top * denominator
-            denominator *= bottom
+        if common % bottom:
+            total = total * bottom + share * common
+            common *= bottom
         else:
-            numerator += top * (denominator // bottom)
-    if numerator != denominator:
-        total = Fraction(numerator, denominator)
-        raise WeightSumError(
-            f"game {game.name!r}: weights sum to {total}, expected 1"
-        )
+            total += share * (common // bottom)
+        top, scale = b.reward.numerator, b.reward.denominator
+        if not share:
+            continue
+        step = bottom * scale
+        if denominator % step:
+            numerator = numerator * step + share * top * denominator
+            denominator *= step
+        else:
+            numerator += share * top * (denominator // step)
+        if low is None:
+            low = high = b.reward
+            least = most = top, scale
+        elif top * least[1] < least[0] * scale:
+            low, least = b.reward, (top, scale)
+        elif top * most[1] > most[0] * scale:
+            high, most = b.reward, (top, scale)
+    if total != common:
+        total = Fraction(total, common)
+        raise WeightSumError(f"game {game.name!r}: weights sum to {total}, expected 1")
+    return numerator, denominator, low, high
 
 
 def expected_value(game: Game) -> Fraction:
     """Weight-weighted sum of rewards; zero-weight branches contribute nothing."""
-    return Fraction(*summary_terms(game)[:2])
-
-
-def summary_terms(game: Game) -> tuple[int, int, Fraction, Fraction]:
-    """Every statistic any agent kind ranks by, in one pass, with no Fraction built.
-
-    Returns ``(numerator, denominator, low, high)``: the expected value is
-    numerator/denominator, over a running common denominator and not
-    reduced, so whoever reads it reduces it once, with one gcd per game
-    instead of one per Fraction multiply and add.  Low and high are the
-    first smallest and first largest support reward, as the branches hold
-    them; rewards are compared by cross-multiplying integer pairs, kept in
-    ``least`` and ``most``, so each branch's properties are read once.  A
-    valid game's weights sum to 1, so its support is never empty.
-    """
-    numerator, denominator = 0, 1
-    low = high = None
-    for b in game.branches:
-        top, bottom = b.reward.numerator, b.reward.denominator
-        share, scale = b.weight.numerator, b.weight.denominator * bottom
-        numerator = numerator * scale + share * top * denominator
-        denominator *= scale
-        if share <= 0:
-            continue
-        if low is None:
-            low = high = b.reward
-            least = most = top, bottom
-        elif top * least[1] < least[0] * bottom:
-            low, least = b.reward, (top, bottom)
-        elif top * most[1] > most[0] * bottom:
-            high, most = b.reward, (top, bottom)
-    return numerator, denominator, low, high
+    return Fraction(*game.terms[:2])
 
 
 def support_bounds(game: Game) -> tuple[Fraction, Fraction]:
-    """The ``(low, high)`` of :func:`summary_terms`."""
-    return summary_terms(game)[2:]
+    """The first smallest and first largest reward on the support."""
+    return game.terms[2:]
 
 
 def largest_reward(game: Game) -> Fraction:

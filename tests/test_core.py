@@ -4,6 +4,7 @@ Combination is ``analyze_dutch_book``'s ``combined`` game, checked here
 against a left fold of ``combine_on_shared_event``, a pairwise reference.
 """
 
+import dataclasses
 import functools
 import math
 import random
@@ -35,7 +36,7 @@ from branchgames import (
     weight_vector,
 )
 from branchgames.agents import AGENT_KINDS, summary
-from branchgames.core import scale_to_integers, summary_terms, weight_vectors
+from branchgames.core import scale_to_integers, weight_vectors
 from conftest import REWARD_POOL, compounds, games
 
 F = Fraction
@@ -633,7 +634,7 @@ class TestSupportBounds:
 
     @pytest.mark.parametrize(
         "statistic",
-        [support_bounds, summary, largest_reward, summary_terms],
+        [support_bounds, summary, largest_reward],
     )
     @pytest.mark.parametrize(
         "branches",
@@ -655,16 +656,13 @@ class TestSupportBounds:
         # Mixed denominators, zero-weight branches beyond both support
         # extremes, and two equal but distinct rewards: a min() or max()
         # over Fractions would compare them, and a sum would build them.
-        game = Game(
-            "g",
-            (
-                Branch(F(5, 3), F(1, 4)),
-                Branch(F(1, 2), F(1, 4)),
-                Branch(F(-7), F(0)),
-                Branch(F(2, 4), F(1, 6)),
-                Branch(F(9, 2), F(0)),
-                Branch(F(-1, 6), F(1, 3)),
-            ),
+        branches = (
+            Branch(F(5, 3), F(1, 4)),
+            Branch(F(1, 2), F(1, 4)),
+            Branch(F(-7), F(0)),
+            Branch(F(2, 4), F(1, 6)),
+            Branch(F(9, 2), F(0)),
+            Branch(F(-1, 6), F(1, 3)),
         )
         calls = {}
         for method in ("__new__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
@@ -674,7 +672,8 @@ class TestSupportBounds:
                 return original(*args)
 
             monkeypatch.setattr(F, method, counting)
-        terms = summary_terms(game)
+        # Built while counting: the walk that validates it finds the terms.
+        game = Game("g", branches)
         bounds = support_bounds(game)
         by_bounds = dict(calls)
         value = expected_value(game)
@@ -682,6 +681,87 @@ class TestSupportBounds:
         monkeypatch.undo()
         assert by_bounds == {}
         assert by_value == {"__new__": 1}
-        assert bounds[0] is terms[2] and bounds[1] is terms[3]
+        assert bounds[0] is game.terms[2] and bounds[1] is game.terms[3]
         assert bounds == (F(-1, 6), F(5, 3))
         assert value == F(5, 12) + F(1, 8) + F(1, 12) - F(1, 18)
+
+
+def reference_summary_terms(game):
+    """The statistics walk that ``validate_game`` absorbed, kept as the oracle.
+
+    Returns ``(numerator, denominator, low, high)`` as ``Game.terms`` does,
+    but multiplies its running denominator by every branch's weight and
+    reward denominators, so the expected value's terms grow with the
+    branch count, and it reads the game's branches a second time.
+    """
+    numerator, denominator = 0, 1
+    low = high = None
+    for b in game.branches:
+        top, bottom = b.reward.numerator, b.reward.denominator
+        share, scale = b.weight.numerator, b.weight.denominator * bottom
+        numerator = numerator * scale + share * top * denominator
+        denominator *= scale
+        if share <= 0:
+            continue
+        if low is None:
+            low = high = b.reward
+            least = most = top, bottom
+        elif top * least[1] < least[0] * bottom:
+            low, least = b.reward, (top, bottom)
+        elif top * most[1] > most[0] * bottom:
+            high, most = b.reward, (top, bottom)
+    return numerator, denominator, low, high
+
+
+@st.composite
+def _framed_games(draw):
+    """A support game with zero-weight branches added before and after it."""
+    game = draw(_support_games())
+    rewards = _REWARD_LITERALS | st.sampled_from([F(-9), F(9)])
+    zeros = st.lists(st.builds(Branch, rewards, st.just(F(0))), max_size=2)
+    return Game("g", (*draw(zeros), *game.branches, *draw(zeros)))
+
+
+class TestStoredTerms:
+    @given(_framed_games())
+    def test_terms_are_the_reference_walk(self, game):
+        numerator, denominator, low, high = game.terms
+        reference = reference_summary_terms(game)
+        assert F(numerator, denominator) == F(*reference[:2])
+        # The very objects of the first branches holding each bound.
+        assert low is reference[2] and high is reference[3]
+
+    @given(games())
+    def test_validate_game_returns_the_stored_terms(self, game):
+        assert validate_game(game) == game.terms
+
+    def test_equal_games_from_distinct_branches_are_equal(self):
+        first = Game("g", (Branch(F(1, 2), F(1, 3)), Branch(F(2), F(2, 3))))
+        second = Game("g", (Branch(F(2, 4), F(1, 3)), Branch(F(2), F(2, 3))))
+        assert first.branches[0] is not second.branches[0]
+        assert first == second and hash(first) == hash(second)
+
+    def test_repr_leaves_the_terms_out(self):
+        game = Game.of("g", (1, F(1, 2)), (-2, F(1, 2)))
+        assert repr(game) == (
+            "Game(name='g', branches=("
+            "Branch(reward=Fraction(1, 1), weight=Fraction(1, 2)), "
+            "Branch(reward=Fraction(-2, 1), weight=Fraction(1, 2))))"
+        )
+
+    def test_replace_recomputes_the_terms(self):
+        renamed = dataclasses.replace(A, name="h")
+        assert renamed.name == "h" and renamed == Game("h", A.branches)
+        assert renamed.terms == A.terms == (5, 2, F(2), F(3))
+
+    def test_long_game_keeps_its_weight_denominator(self):
+        # One weight denominator n over n branches: the walk multiplies it
+        # in once, where the reference's denominator is n**n.
+        n = 300
+        game = Game("long", tuple(Branch(F(i % 7), F(1, n)) for i in range(n)))
+        assert game.terms == (sum(i % 7 for i in range(n)), n, F(0), F(6))
+        assert reference_summary_terms(game)[1] == n**n
+
+    def test_a_reward_without_an_integer_pair_fails_when_built(self):
+        with pytest.raises(AttributeError):
+            Game("g", (Branch(F(1), F(1, 2)), Branch(0.5, F(1, 2))))

@@ -3,7 +3,7 @@
 ``run_file`` turns each distinct ``Branch`` object into its ``{"reward",
 "weight"}`` dict once per call (``cli._GameJson``), so the records of one
 run share those dicts; a compare record's values are written from the
-integers of ``core.summary_terms``; and ``emit`` encodes without the
+integers of each game's ``terms``; and ``emit`` encodes without the
 circular-reference check.  The reference below builds every record with a
 fresh dict per branch, replaces each compare record's values with ones
 read from ``agents.summary``, a ``Fraction`` subtraction and ``str()``, and
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from branchgames import AGENT_KINDS, Agent, Branch, Game, Preference, compare
 from branchgames import cli
 from branchgames.agents import summary
-from branchgames.core import summary_terms
 from conftest import REWARD_POOL, games
 
 F = Fraction
@@ -312,7 +311,7 @@ def test_the_integer_pass_equals_summary(game, before, after, lead, trail):
         + (Branch(after, Fraction(0)),) * trail
     )
     game = Game("g", branches)
-    numerator, denominator, low, high = summary_terms(game)
+    numerator, denominator, low, high = game.terms
     support = [b.reward for b in branches if b.weight > 0]
     mean = sum((b.weight * b.reward for b in branches), Fraction(0))
     assert (Fraction(numerator, denominator), low, high) == summary(game)
