@@ -93,7 +93,7 @@ class Agent:
 # (expected value, support min, support max).  Any exact ordered numbers
 # will do: Fractions, or integers scaled by one positive factor per field,
 # with the min and max sharing theirs.
-# A field that a kind's rule never reads may be None.
+# A field that a kind's rule never reads may be None; stoic's are all None.
 Summary = tuple
 
 
@@ -145,15 +145,15 @@ RULES: dict[str, Callable[[Summary, Summary], Preference]] = {
 }
 
 # Per kind, the partial summary holding just the fields its rule reads.
-STATISTICS: dict[str, Callable[[Game], Optional[Summary]]] = {
+STATISTICS: dict[str, Callable[[Game], Summary]] = {
     "dtbr": lambda game: (expected_value(game), None, None),
     "egalitarian": summary,
     "optimist": lambda game: (None, None, largest_reward(game)),
-    "stoic": lambda game: None,
+    "stoic": lambda game: (None, None, None),
 }
 
 
-def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Optional[Summary]]:
+def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Summary]:
     """Each game's ``STATISTICS[kind]`` partial summary, in integers.
 
     Each field is one ``core.scale_to_integers`` column across the games,
@@ -164,7 +164,7 @@ def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Optional[Summary
     stay equal and no others become so.
     """
     parts = [STATISTICS[kind](game) for game in games]
-    if not parts or parts[0] is None:
+    if not parts:
         return parts
     values, lows, highs = zip(*parts)
     bounds = scale_to_integers(lows + highs)
@@ -174,8 +174,8 @@ def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Optional[Summary
 def compose(
     weights: Sequence[Any],
     rewards: Sequence[Any],
-    parts: Sequence[Optional[Summary]],
-) -> Optional[Summary]:
+    parts: Sequence[Summary],
+) -> Summary:
     """The partial summary of a compound, from its root branches.
 
     Root branch i has weight ``weights[i]`` and reward ``rewards[i]`` and
@@ -183,13 +183,10 @@ def compose(
     every root weight positive the compound has expected value
     sum_i w_i*(r_i + EV_i), support min min_i (r_i + lo_i) and support max
     max_i (r_i + hi_i), which is the summary of the game ``core.flatten``
-    builds.  A field the parts leave None stays None, so a stoic compound
-    composes to None and a dtbr one composes only its expected value.
+    builds.  A field the parts leave None stays None, so a dtbr compound
+    composes only its expected value and a stoic one composes nothing.
     """
-    shape = parts[0]
-    if shape is None:
-        return None
-    value, low, high = shape
+    value, low, high = parts[0]
     # check_diachronic calls this for both compounds of every scenario it
     # decides: a plain loop and maps over operator functions are its
     # fastest forms here.

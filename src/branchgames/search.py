@@ -59,24 +59,21 @@ four-root grid of 658,289,430,900 scenarios no kind reaches more than 10
 states.  Only the hit is built, and :func:`check_diachronic` replays it
 for the witness.
 
-The projected scenario count is computed in polynomial time, from
-partial-sum counts of the weight tuples, and checked against a cap before
-any scenario is built; set BRANCHGAMES_SCENARIO_CAP to raise or lower it.
-A grid that projects no scenario builds no game at all.  The cap bounds the
-projected stream, not the work done, which grows with the root lengths, the
-classes and the states they reach.  One walk over the weight menu, a
-position at a time, gives the weight tuples of every length; the counts
-come from the same walk over partial sums alone, and they place each root
-length in the stream, so root games are built only for a hit, up to its
-length.  No tuple longer than 1 / (least menu weight) sums to 1, so both
-walks stop there, whatever the branch limits.
+The scenario count comes in polynomial time from ``GridSpec.tuple_counts``,
+which a spec fills once, when it is built, in one walk over partial sums,
+and is checked against a cap, set by BRANCHGAMES_SCENARIO_CAP, before any
+game is built; a grid that projects no scenario builds none.  The cap bounds
+the projected stream, not the work, which grows with the root lengths, the
+classes and the states they reach.  The counts place each root length in
+the stream, so root games are built only for a hit.  No tuple longer than
+1 / (least menu weight) sums to 1, so no walk over the menu goes past it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -106,12 +103,17 @@ class GridTooLargeError(GameError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Menus and size limits defining one enumeration space."""
+    """Menus and size limits defining one enumeration space.
+
+    ``tuple_counts[n]`` is how many menu tuples of length n sum to 1, counted
+    once, when the spec is built, up to the longest length either limit allows.
+    """
 
     reward_grid: tuple[Fraction, ...]
     weight_grid: tuple[Fraction, ...]
     max_root_branches: int
     max_option_branches: int
+    tuple_counts: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.reward_grid:
@@ -127,6 +129,11 @@ class GridSpec:
                 raise ValueError(f"weight {w} outside (0, 1]")
         if self.max_root_branches < 1 or self.max_option_branches < 1:
             raise ValueError("branch limits must be at least 1")
+        limit = max(self.max_root_branches, self.max_option_branches)
+        # No tuple longer than 1 / (least menu weight) sums to 1.
+        longest = min(limit, 1 // min(self.weight_grid))
+        counts = tuple(_weight_tuple_counts(self.weight_grid, longest))
+        object.__setattr__(self, "tuple_counts", counts)
 
     @classmethod
     def of(
@@ -176,7 +183,7 @@ def _weight_tuple_counts(grid: tuple[Fraction, ...], longest: int) -> list[int]:
 
 def _lengths(spec: GridSpec, limit: int) -> range:
     """Tuple lengths 1 to ``limit`` that are short enough to sum to 1."""
-    return range(1, min(limit, 1 // min(spec.weight_grid)) + 1)
+    return range(1, min(limit + 1, len(spec.tuple_counts)))
 
 
 def _grid_games(
@@ -215,16 +222,15 @@ def _grid_games(
 
 
 def scenario_count(spec: GridSpec) -> int:
-    """Exact size of the stream, computed without enumerating it."""
-    roots = _lengths(spec, spec.max_root_branches)
-    options = _lengths(spec, spec.max_option_branches)
-    tuples = _weight_tuple_counts(spec.weight_grid, max(len(roots), len(options)))
+    """Exact size of the stream, from the spec's ``tuple_counts``."""
+    tuples = spec.tuple_counts
     option_count = sum(
-        tuples[size] * len(spec.reward_grid) ** size for size in options
+        tuples[size] * len(spec.reward_grid) ** size
+        for size in _lengths(spec, spec.max_option_branches)
     )
     return sum(
         tuples[size] * option_count ** (2 * size)
-        for size in filter(tuples.__getitem__, roots)
+        for size in filter(tuples.__getitem__, _lengths(spec, spec.max_root_branches))
     )
 
 
@@ -285,20 +291,17 @@ def _arm_classes(
     each fold state is kept (see the module docstring).
     """
     rule = RULES[agent.kind]
-    firsts: dict[Optional[Summary], int] = {}
+    firsts: dict[Summary, int] = {}
     for position, fields in enumerate(scaled_statistics(agent.kind, pool)):
         firsts.setdefault(fields, position)
-    bounds = {
-        fields: (0, 0) if fields is None else tuple(f or 0 for f in fields[1:])
-        for fields in firsts
-    }
+    bounds = {fields: tuple(f or 0 for f in fields[1:]) for fields in firsts}
     classes: dict[tuple, tuple[int, tuple[Game, Game], tuple]] = {}
     for left_fields, left in firsts.items():
         for right_fields, right in firsts.items():
             preference = rule(left_fields, right_fields)
             if preference is Preference.PrefersRight:
                 continue
-            if left_fields is not None and left_fields[0] is not None:
+            if left_fields[0] is not None:
                 if left_fields[0] < right_fields[0]:
                     raise RuntimeError("EV is not ranked first")
                 if left_fields[0] > right_fields[0]:
@@ -380,16 +383,16 @@ def _first_violation(
 def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
     """First scenario in the stream the agent violates, or None when clean.
 
-    Each root length is counted, not built, and decided once, slot by slot
-    on fold states (see the module docstring); the first hit is built and
-    replayed by :func:`check_diachronic`, whose report the hit carries.
+    Each root length is counted by the spec, not built, and decided once,
+    slot by slot on fold states (see the module docstring); the first hit is
+    built and replayed by :func:`check_diachronic`, whose report it carries.
     """
     if not _check_cap(spec):
         return None
     pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     classes = _arm_classes(agent, pool)
     sizes = _lengths(spec, spec.max_root_branches)
-    counts = _weight_tuple_counts(spec.weight_grid, len(sizes))
+    counts = spec.tuple_counts
     reach = _reachable({state for _, _, state in classes}, len(sizes) - 1)
     arm_count = len(pool) ** 2
     offset = 0

@@ -230,9 +230,20 @@ MUTANTS = (
     Mutant(
         "the longest tuple length is left out",
         "search.py",
-        "1 // min(spec.weight_grid)) + 1)",
-        "1 // min(spec.weight_grid)))",
+        "min(limit + 1, len(spec.tuple_counts)))",
+        "min(limit + 1, len(spec.tuple_counts) - 1))",
         ("tests/test_search.py::TestEnumeration::test_single_cell_grid", FIRST_HIT),
+    ),
+    Mutant(
+        "the grid counts tuples only up to its root limit",
+        "search.py",
+        "max(self.max_root_branches, self.max_option_branches)",
+        "self.max_root_branches",
+        (
+            "tests/test_search.py::TestTupleCounts"
+            "::test_option_games_longer_than_the_roots_are_counted_in_full",
+            f"{FIRST_HIT}[three_branch_pool-optimist-4113]",
+        ),
     ),
     Mutant(
         "the egalitarian prefers the wider spread",

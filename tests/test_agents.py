@@ -209,6 +209,30 @@ def test_compose_is_the_partial_summary_of_the_flattened_game(kind, root, data):
     assert composed == statistics(flatten(root, continuations))
 
 
+# Which fields of each kind's partial summary are None: the ones its rule
+# never reads.
+NONE_FIELDS = {
+    "dtbr": [False, True, True],
+    "egalitarian": [False, False, False],
+    "optimist": [True, True, False],
+    "stoic": [True, True, True],
+}
+
+
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_every_partial_summary_is_a_triple(kind):
+    # STATISTICS, compose and scaled_statistics give every kind, stoic
+    # too, the same (expected value, support min, support max) shape.
+    parts = [STATISTICS[kind](game) for game in (A, B, CERTAIN1)]
+    for part in (
+        *parts,
+        compose([F(1, 2), F(1, 2)], [0, 1], parts[:2]),
+        *scaled_statistics(kind, (A, B, CERTAIN1)),
+    ):
+        assert type(part) is tuple
+        assert [field is None for field in part] == NONE_FIELDS[kind]
+
+
 def _reference_order(left, right):
     """The verdict when a larger statistic is better."""
     if left > right:
@@ -222,8 +246,8 @@ def reference_rule(kind, left, right):
     """Each kind's comparator on two summaries, written out per kind.
 
     The rules ``RANK_KEYS`` builds replaced these; a summary is
-    (expected value, support min, support max), any field the kind does
-    not read may be None, and stoic's may be None whole.
+    (expected value, support min, support max), and any field the kind
+    does not read may be None, as all of stoic's are.
     """
     if kind == "dtbr":
         return _reference_order(left[0], right[0])
@@ -255,7 +279,7 @@ def mean_twins(draw):
     ),
 )
 def test_rules_and_rank_keys_match_the_reference_rule(kind, game_list):
-    # Fraction summaries, the kind's partial summaries (stoic's is None)
+    # Fraction summaries, the kind's partial summaries (stoic's all None)
     # and their integer form, ranked pairwise by the rule and by key tuples.
     keys = RANK_KEYS[kind]
     rule = RULES[kind]

@@ -1,5 +1,6 @@
 """Grid enumeration: counts, ordering, caps, and violation hunting."""
 
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -74,6 +75,53 @@ class TestGridSpec:
             GridSpec.of(rewards=[" 1"], weights=[1], max_root_branches=1, max_option_branches=1)
         with pytest.raises(ValueError):
             GridSpec.of(rewards=[0], weights=["1\n"], max_root_branches=1, max_option_branches=1)
+
+
+class TestTupleCounts:
+    def test_the_spec_holds_its_tuple_counts_outside_equality_hash_and_repr(self):
+        spec = GridSpec.of([0, 1], ["1/3", "2/3", 1], 3, 2)
+        counts = search._weight_tuple_counts(spec.weight_grid, 3)
+        assert spec.tuple_counts == tuple(counts) == (0, 1, 2, 1)
+        twin = GridSpec.of([0, 1], ["1/3", "2/3", 1], 3, 2)
+        object.__setattr__(twin, "tuple_counts", ())
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(twin) == repr(spec) and "tuple_counts" not in repr(spec)
+        # Counted up to the longest length either limit allows, and no
+        # further than a tuple of the menu can sum to 1.
+        assert dataclasses.replace(spec, max_root_branches=1).tuple_counts == (0, 1, 2)
+        assert GridSpec.of([0], ["1/2", 1], 10**6, 1).tuple_counts == (0, 1, 1)
+
+    def test_a_search_request_counts_its_weight_tuples_once(self, monkeypatch, capsys):
+        lengths = []
+        count = search._weight_tuple_counts
+
+        def counted(grid, longest):
+            lengths.append(longest)
+            return count(grid, longest)
+
+        monkeypatch.setattr(search, "_weight_tuple_counts", counted)
+        argv = [
+            "search", "diachronic", "agent=optimist", "rewards=0,1",
+            "weights=1/2,1", "root_branches=2", "option_branches=2",
+        ]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("search diachronic optimist -> found")
+        assert lengths == [2]
+        spec = GridSpec.of([0, 1], ["1/2", 1], 2, 2)
+        assert lengths == [2, 2]
+        scenario_count(spec)
+        find_violation(OPT, spec)
+        list(enumerate_scenarios(spec))
+        assert lengths == [2, 2]
+        dataclasses.replace(spec, max_option_branches=1)
+        assert lengths == [2, 2, 2]
+
+    def test_option_games_longer_than_the_roots_are_counted_in_full(self):
+        # One root, and 2 one-branch and 4 two-branch option games, so
+        # 6 * 6 scenarios; counting tuples only up to the root limit would
+        # leave the 2 one-branch games and 4 scenarios.
+        spec = GridSpec.of([0, 1], ["1/2", 1], 1, 2)
+        assert scenario_count(spec) == len(list(enumerate_scenarios(spec))) == 36
 
 
 class TestEnumeration:
