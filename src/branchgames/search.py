@@ -61,12 +61,14 @@ for the witness.
 
 The scenario count comes in polynomial time from ``GridSpec.tuple_counts``,
 which a spec fills once, when it is built, in one walk over partial sums,
-and is checked against a cap, set by BRANCHGAMES_SCENARIO_CAP, before any
-game is built; a grid that projects no scenario builds none.  The cap bounds
-the projected stream, not the work, which grows with the root lengths, the
-classes and the states they reach.  The counts place each root length in
-the stream, so root games are built only for a hit.  No tuple longer than
-1 / (least menu weight) sums to 1, so no walk over the menu goes past it.
+together with ``root_lengths``, the root lengths that hold a tuple, so a
+count reads no length without one.  It is checked against a cap, set by
+BRANCHGAMES_SCENARIO_CAP, before any game is built; a grid that projects
+no scenario builds none.  The cap bounds the projected stream, not the
+work, which grows with the root lengths, the classes and the states they
+reach.  The counts place each root length in the stream, so root games are
+built only for a hit.  No tuple longer than 1 / (least menu weight) sums
+to 1, so no walk over the menu goes past it.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class GridSpec:
     """Menus and size limits defining one enumeration space.
 
     ``tuple_counts[n]`` is how many menu tuples of length n sum to 1, counted
-    once, when the spec is built, up to the longest length either limit allows.
+    once, when the spec is built, up to the longest length either limit allows;
+    ``root_lengths`` lists, ascending, the root lengths n with such a tuple.
     """
 
     reward_grid: tuple[Fraction, ...]
@@ -114,6 +117,7 @@ class GridSpec:
     max_root_branches: int
     max_option_branches: int
     tuple_counts: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    root_lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.reward_grid:
@@ -134,6 +138,8 @@ class GridSpec:
         longest = min(limit, 1 // min(self.weight_grid))
         counts = tuple(_weight_tuple_counts(self.weight_grid, longest))
         object.__setattr__(self, "tuple_counts", counts)
+        roots = filter(counts.__getitem__, _lengths(self, self.max_root_branches))
+        object.__setattr__(self, "root_lengths", tuple(roots))
 
     @classmethod
     def of(
@@ -222,16 +228,14 @@ def _grid_games(
 
 
 def scenario_count(spec: GridSpec) -> int:
-    """Exact size of the stream, from the spec's ``tuple_counts``."""
+    """Exact size of the stream, from the spec's counts and root lengths."""
     tuples = spec.tuple_counts
+    # A length without a tuple would still raise the reward count to its power.
     option_count = sum(
         tuples[size] * len(spec.reward_grid) ** size
-        for size in _lengths(spec, spec.max_option_branches)
+        for size in filter(tuples.__getitem__, _lengths(spec, spec.max_option_branches))
     )
-    return sum(
-        tuples[size] * option_count ** (2 * size)
-        for size in filter(tuples.__getitem__, _lengths(spec, spec.max_root_branches))
-    )
+    return sum(tuples[size] * option_count ** (2 * size) for size in spec.root_lengths)
 
 
 def _cap() -> int:
@@ -391,12 +395,11 @@ def find_violation(agent: Agent, spec: GridSpec) -> Optional[ViolationHit]:
         return None
     pool = _grid_games(spec, spec.max_option_branches, spec.reward_grid, "O")
     classes = _arm_classes(agent, pool)
-    sizes = _lengths(spec, spec.max_root_branches)
-    counts = spec.tuple_counts
-    reach = _reachable({state for _, _, state in classes}, len(sizes) - 1)
+    counts, sizes = spec.tuple_counts, spec.root_lengths
+    reach = _reachable({state for _, _, state in classes}, sizes[-1] - 1)
     arm_count = len(pool) ** 2
     offset = 0
-    for size in filter(counts.__getitem__, sizes):
+    for size in sizes:
         # No verdict reads the root weights, so the first root of a length
         # with roots holds its first hit, if it has one.
         chosen = _first_violation(RULES[agent.kind], classes, reach, size)

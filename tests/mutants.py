@@ -52,6 +52,7 @@ FIRST_HIT = f"{ORACLE}::test_first_hit_matches_the_reference"
 CLASS_WALK = f"{ORACLE}::test_the_class_walk_agrees_on_every_fixed_grid"
 STORED = f"{CORE}::TestStoredTerms"
 PARSE = "tests/test_parse_oracle.py"
+PAUSE = "tests/test_cli.py::TestCollectorPause"
 
 MUTANTS = (
     # The one walk over a game's branches, in core.validate_game.
@@ -244,6 +245,48 @@ MUTANTS = (
             "::test_option_games_longer_than_the_roots_are_counted_in_full",
             f"{FIRST_HIT}[three_branch_pool-optimist-4113]",
         ),
+    ),
+    Mutant(
+        "root lengths without a root tuple are kept",
+        "search.py",
+        "roots = filter(counts.__getitem__, _lengths(self, self.max_root_branches))",
+        "roots = _lengths(self, self.max_root_branches)",
+        (
+            "tests/test_search.py::TestTupleCounts::test_the_spec_lists_its_root_lengths_once",
+            f"{FIRST_HIT}[three_branch_roots-optimist-15]",
+        ),
+    ),
+    Mutant(
+        "option lengths without a tuple are raised to their power",
+        "search.py",
+        "for size in filter(tuples.__getitem__, _lengths(spec, spec.max_option_branches))",
+        "for size in _lengths(spec, spec.max_option_branches)",
+        (
+            "tests/test_search.py::TestTupleCounts"
+            "::test_the_count_raises_rewards_only_to_option_lengths_with_a_tuple",
+        ),
+    ),
+    # The collector pause around cli.main.
+    Mutant(
+        "the collector is never re-enabled",
+        "cli.py",
+        "        if enabled:\n            gc.enable()\n",
+        "        pass\n",
+        (f"{PAUSE}::test_main_restores_the_callers_setting",),
+    ),
+    Mutant(
+        "the collector is enabled even when the caller had it disabled",
+        "cli.py",
+        "        if enabled:\n            gc.enable()\n",
+        "        gc.enable()\n",
+        (f"{PAUSE}::test_main_restores_the_callers_setting",),
+    ),
+    Mutant(
+        "the pause is removed",
+        "cli.py",
+        "    gc.disable()\n",
+        "",
+        (f"{PAUSE}::test_no_collection_starts_during_parse_run_or_emit",),
     ),
     Mutant(
         "the egalitarian prefers the wider spread",

@@ -1,12 +1,15 @@
 """Scenario files end to end: parsing, canonical rendering, execution, CLI."""
 
 import argparse
+import gc
 import json
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -41,6 +44,7 @@ from branchgames.cli import (
 )
 from branchgames import agents, cli
 from conftest import child_env, games
+from test_emit_oracle import _SeededFile
 
 F = Fraction
 
@@ -1052,3 +1056,144 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert "grid projects 1332 scenarios, over the cap of 3" in err
+
+
+OVER_CAP_SEARCH = ["search", "diachronic", "agent=dtbr", "rewards=0,1",
+                   "weights=1/2,1", "root_branches=2", "option_branches=2"]
+# Each way out of main: the argv, and the exit code or what it raises.
+MAIN_EXITS = {
+    "exit-0": (["gallery", "--machine"], 0),
+    "violation": (
+        ["run", str(SCENARIO_DIR / "optimist_axioms.game"), "--fail-on-violation"], 1
+    ),
+    "parse-error": (["search", "frob", "agent=dtbr"], 2),
+    "execution-error": (OVER_CAP_SEARCH, 2),
+    "usage-error": (["run"], "SystemExit 2"),
+    "help": (["--help"], "SystemExit 0"),
+    # run_gallery is patched to raise.
+    "exception": (["gallery"], "ZeroDivisionError"),
+}
+SEARCH_FOUND = ["search", "diachronic", "agent=optimist", "rewards=0,1,2",
+                "weights=1/2,1", "root_branches=2", "option_branches=2"]
+SEARCH_NONE = ["search", "diachronic", "agent=dtbr", "rewards=0,1,2",
+               "weights=1/2,1", "root_branches=2", "option_branches=2"]
+# Successful runs, each argv without --machine; None stands for a seeded file.
+CLEAN_RUNS = {
+    "gallery": ["gallery"],
+    **{p.stem: ["run", str(p)] for p in sorted(SCENARIO_DIR.glob("*.game"))},
+    "seeded": None,
+    "search-found": SEARCH_FOUND,
+    "search-none": SEARCH_NONE,
+}
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's setting, thresholds, callbacks and debug flags."""
+    enabled, thresholds, debug = gc.isenabled(), gc.get_threshold(), gc.get_debug()
+    callbacks = list(gc.callbacks)
+    yield
+    gc.callbacks[:] = callbacks
+    gc.set_debug(debug)
+    gc.garbage.clear()
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses cyclic collection, and a run leaves nothing for it to free."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exit_path", MAIN_EXITS)
+    def test_main_restores_the_callers_setting(
+        self, exit_path, enabled, collector, capsys, monkeypatch
+    ):
+        argv, expected = MAIN_EXITS[exit_path]
+        monkeypatch.setenv("BRANCHGAMES_SCENARIO_CAP", "3")
+        if exit_path == "exception":
+            monkeypatch.setattr(cli, "run_gallery", lambda: 1 // 0)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            outcome = main(argv)
+        except SystemExit as exc:
+            outcome = f"SystemExit {exc.code}"
+        except ZeroDivisionError:
+            outcome = "ZeroDivisionError"
+        assert gc.isenabled() is enabled
+        assert outcome == expected
+        capsys.readouterr()
+
+    def test_no_collection_starts_during_parse_run_or_emit(
+        self, tmp_path, collector, capsys
+    ):
+        path = tmp_path / "seeded.game"
+        path.write_text(_SeededFile(0).build(), encoding="utf-8")
+        stages = {f.__code__ for f in (parse, cli._Parser.parse, run_file, emit)}
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                frame, codes = sys._getframe(1), set()
+                while frame is not None:
+                    codes.add(frame.f_code)
+                    frame = frame.f_back
+                starts.append(codes & stages)
+
+        gc.enable()
+        gc.set_threshold(100, 5, 5)
+        gc.callbacks.append(record)
+        # Called outside main, the same run does set off collections.
+        emit(run_file(parse(path.read_text(encoding="utf-8"))), True)
+        assert any(run_file.__code__ in codes for codes in starts)
+        starts.clear()
+        assert main(["run", str(path), "--machine"]) == 0
+        gc.callbacks.remove(record)
+        assert not any(starts)
+        capsys.readouterr()
+
+    def test_the_run_is_freed_before_the_collector_is_back_on(
+        self, collector, capsys, monkeypatch
+    ):
+        # Outcomes still alive when collection resumes would fill its
+        # first collection.
+        live, alive_at_enable = [], []
+        run = cli.run_file
+
+        def tracked(sf):
+            outcomes = run(sf)
+            live.extend(map(weakref.ref, outcomes))
+            return outcomes
+
+        def enable():
+            alive_at_enable.append(sum(ref() is not None for ref in live))
+            gc.enable()
+
+        monkeypatch.setattr(cli, "run_file", tracked)
+        shim = SimpleNamespace(isenabled=gc.isenabled, disable=gc.disable, enable=enable)
+        monkeypatch.setattr(cli, "gc", shim)
+        gc.enable()
+        assert main(["gallery", "--machine"]) == 0
+        assert alive_at_enable == [0]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("run", CLEAN_RUNS)
+    def test_a_run_leaves_no_cyclic_garbage(self, run, tmp_path, collector, capsys):
+        argv = CLEAN_RUNS[run]
+        if argv is None:
+            path = tmp_path / "seeded.game"
+            path.write_text(_SeededFile(3).build(), encoding="utf-8")
+            argv = ["run", str(path)]
+        _argument_parser()
+        # Off, so that only the collections below run.
+        gc.disable()
+        for mode in ([], ["--machine"]):
+            gc.set_debug(0)
+            gc.collect()
+            # Keep what the collector finds, so a failure can name it.
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            code = main(argv + mode)
+            found = gc.collect()
+            names = sorted({type(o).__name__ for o in gc.garbage})
+            gc.garbage.clear()
+            assert (code, found) == (0, 0), (mode, names)
+        capsys.readouterr()

@@ -116,6 +116,47 @@ class TestTupleCounts:
         dataclasses.replace(spec, max_option_branches=1)
         assert lengths == [2, 2, 2]
 
+    def test_the_spec_lists_its_root_lengths_once(self):
+        spec = GridSpec.of([0], ["1/100000", 1], 100000, 1)
+        assert spec.root_lengths == (1, 100000)
+        # Lengths without a tuple are left out, and so are lengths past the
+        # root limit that the option limit still counts.
+        assert GridSpec.of([0], ["1/2"], 3, 1).root_lengths == (2,)
+        assert GridSpec.of([0, 1], ["1/3", "2/3", 1], 2, 3).root_lengths == (1, 2)
+        twin = GridSpec.of([0], ["1/100000", 1], 100000, 1)
+        object.__setattr__(twin, "root_lengths", ())
+        assert twin == spec and hash(twin) == hash(spec)
+        assert "root_lengths" not in repr(spec)
+        assert dataclasses.replace(spec, max_root_branches=99999).root_lengths == (1,)
+
+        class Reads(tuple):
+            def __getitem__(self, index):
+                read.append(index)
+                return tuple.__getitem__(self, index)
+
+        read = []
+        object.__setattr__(spec, "tuple_counts", Reads(spec.tuple_counts))
+        # The count reads the one option length (to skip it if empty, then
+        # to count it) and the two root lengths, not each of the 100,000
+        # lengths between them.
+        assert scenario_count(spec) == 2
+        assert sorted(read) == [1, 1, 1, 100000]
+
+    def test_the_count_raises_rewards_only_to_option_lengths_with_a_tuple(self):
+        # Of 20,000 option lengths only 1 and 20,000 hold a tuple; raising
+        # the reward count to the power of every length took 0.5 s a count.
+        spec = GridSpec.of([0, 1], ["1/20000", 1], 1, 20000)
+        sizes = []
+
+        class Rewards(tuple):
+            def __len__(self):
+                sizes.append(None)
+                return tuple.__len__(self)
+
+        object.__setattr__(spec, "reward_grid", Rewards(spec.reward_grid))
+        assert scenario_count(spec) == (2 + 2**20000) ** 2
+        assert len(sizes) == 2
+
     def test_option_games_longer_than_the_roots_are_counted_in_full(self):
         # One root, and 2 one-branch and 4 two-branch option games, so
         # 6 * 6 scenarios; counting tuples only up to the root limit would
