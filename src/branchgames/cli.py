@@ -52,14 +52,20 @@ written per kind.
 Checks run in declaration order.  Text mode prints one block per check;
 machine mode prints one JSON object per line with stable keys
 (check_kind, inputs, verdict, witness, values) and is byte-identical
-across runs of the same file.  A compare record's verdict comes from
+across runs of the same file.  ``run_file`` writes each record's line
+once, as JSON text, while its check runs, and ``emit`` only joins the
+lines.  The text is what ``json.dumps(record, sort_keys=True)`` writes:
+the record, its ``inputs`` and every witness object are written from the
+text of each member, keys in sorted order; a leaf that holds no game
+goes through one shared encoder, a string on its fast path, and an
+integer through ``str()``.  A compare record's verdict comes from
 ``compare``; its six values are written from the integers of
 each game's ``terms``, as ``str(Fraction)`` would write them, without
 building or formatting a ``Fraction``.  Every game a record holds,
 inputs and witnesses alike, goes through one ``_GameJson`` per
-``run_file`` call, which makes each ``Branch`` object's ``{"reward",
-"weight"}`` dict once, so a run's records share those dicts and are
-read-only.  Nothing of it outlives the call.  A violated axiom is a
+``run_file`` call, which writes each ``Branch`` object's text once.
+Nothing of it outlives the call.  ``CheckOutcome.record`` parses the
+line on first read, so records share nothing.  A violated axiom is a
 reported result, not a failure: the exit code is 0 whenever every check
 executed, 2 on parse or execution errors, and 1 only under
 --fail-on-violation when some check found a violation or exposure.
@@ -75,8 +81,8 @@ that was enabled on entry is enabled again, one that was disabled stays
 so.  A run makes no reference cycles: its games, branches, declarations
 and records are freed by reference counting alone, so a collection
 during a run traverses them and finds nothing.  Without the pause a run
-of about 1,150 checks sets off about 28 collections, about 5 ms of its
-60 ms; a search over rewards 0..5, weights k/12, 3 root and 4 option
+of about 1,150 checks sets off about 21 collections, about 1.7 ms of its
+47 ms; a search over rewards 0..5, weights k/12, 3 root and 4 option
 branches (226,122 option games) takes 1.9 s for dtbr with it, 3.8 s
 without.  Only argparse leaves cyclic garbage, its help formatter's, when
 it builds the parser and when it writes usage or help; the first
@@ -95,7 +101,7 @@ import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .agents import AGENT_KINDS, Agent, compare
 from .axioms import (
@@ -606,65 +612,122 @@ _VIOLATIONS = frozenset({"violated", "exposed", "found"})
 
 @dataclass
 class CheckOutcome:
-    record: dict
+    """One executed check: its ``--machine`` line, its text block, its verdict."""
+
+    line: str
     text: str
+    verdict: str
+
+    @functools.cached_property
+    def record(self) -> dict:
+        """The record ``line`` writes, parsed from it on first read."""
+        return json.loads(self.line)
 
     @property
     def violation(self) -> bool:
-        return self.record["verdict"] in _VIOLATIONS
+        return self.verdict in _VIOLATIONS
+
+
+# One encoder for the record leaves that hold no game: json.dumps(value,
+# sort_keys=True) writes the same bytes but builds an encoder per call.  A
+# str takes its fast path, which builds no C encoder; any other value
+# builds one per call, so a record sends at most one such value through
+# it, and writes an int with str().  No leaf is cyclic, so the
+# circular-reference check is skipped.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+_encode = _RECORD_ENCODER.encode
+
+
+def _list(texts: Iterable[str]) -> str:
+    """The JSON array of these element texts."""
+    return "[" + ", ".join(texts) + "]"
+
+
+def _object(members: dict[str, str]) -> str:
+    """The JSON object of these member texts, in sorted key order.
+
+    The keys are identifiers, which JSON writes as they are.
+    """
+    texts = [f'"{key}": {members[key]}' for key in sorted(members)]
+    return "{" + ", ".join(texts) + "}"
 
 
 class _GameJson:
-    """The record form of games, for one ``run_file`` call.
+    """The JSON text of games in records, for one ``run_file`` call.
 
-    Each distinct ``Branch`` object is turned into its ``{"reward",
-    "weight"}`` dict once, and every game that holds that object gets the
-    same dict.  The parser hands every game of a file one shared ``Branch``
-    per distinct branch line, so a file's records stringify each of those
-    once.  The table is keyed by ``id`` and keeps the ``Branch`` beside its
-    dict, so no id is reused while the entry lives; ``Branch`` and
-    ``Fraction`` values are never hashed, which costs more than
-    recomputing the strings.  A new table is made per call, so nothing
-    outlives it.
+    Each distinct ``Branch`` object is written as its ``{"reward": ...,
+    "weight": ...}`` text once, and every game that holds that object
+    reuses the text.  The parser hands every game of a file one shared
+    ``Branch`` per distinct branch line, so a file's records stringify
+    each of those once.  The table is keyed by ``id`` and keeps the
+    ``Branch`` beside its text, so no id is reused while the entry lives;
+    ``Branch`` and ``Fraction`` values are never hashed, which costs more
+    than recomputing the strings.  A game is written as ``{"branches":
+    [...], "name": ...}`` with its name through the record encoder.  A new
+    table is made per call, so nothing outlives it.
     """
 
     def __init__(self) -> None:
-        self.branches: dict[int, tuple[Branch, dict[str, str]]] = {}
+        self.branches: dict[int, tuple[Branch, str]] = {}
 
-    def _branch(self, branch: Branch) -> tuple[Branch, dict[str, str]]:
-        entry = (branch, {"reward": str(branch.reward), "weight": str(branch.weight)})
+    def _branch(self, branch: Branch) -> tuple[Branch, str]:
+        # A rational's str() needs no JSON escaping.
+        text = f'{{"reward": "{branch.reward}", "weight": "{branch.weight}"}}'
+        entry = (branch, text)
         self.branches[id(branch)] = entry
         return entry
 
-    def __call__(self, game: Optional[Game]) -> Optional[dict]:
+    def __call__(self, game: Optional[Game]) -> str:
         if game is None:
-            return None
+            return "null"
         known = self.branches.get
         add = self._branch
-        return {
-            "name": game.name,
-            "branches": [(known(id(b)) or add(b))[1] for b in game.branches],
-        }
+        branches = ", ".join([(known(id(b)) or add(b))[1] for b in game.branches])
+        return f'{{"branches": [{branches}], "name": {_encode(game.name)}}}'
 
-    def scenario(self, scenario: DiachronicScenario) -> dict:
-        return {
-            "root": self(scenario.root),
-            "options": [
-                [self(first), self(second)] for first, second in scenario.options
-            ],
-        }
+    def scenario(self, scenario: DiachronicScenario) -> dict[str, str]:
+        """The texts of a scenario's ``root`` and ``options`` members."""
+        pairs = scenario.options
+        options = (_list([self(first), self(second)]) for first, second in pairs)
+        return {"root": self(scenario.root), "options": _list(options)}
 
-    def witness(self, witness: DiachronicWitness) -> dict:
-        return {
-            "clause": witness.clause,
-            "descendant_preferences": [
-                p.value for p in witness.descendant_preferences
-            ],
-            "strict_branches": list(witness.strict_branches),
-            "left_compound": self(witness.left_compound),
-            "right_compound": self(witness.right_compound),
-            "compound_preference": witness.compound_preference.value,
-        }
+    def witness(self, witness: DiachronicWitness) -> str:
+        return _object(
+            {
+                "clause": _encode(witness.clause),
+                "descendant_preferences": _list(
+                    [_encode(p.value) for p in witness.descendant_preferences]
+                ),
+                "strict_branches": _list(map(str, witness.strict_branches)),
+                "left_compound": self(witness.left_compound),
+                "right_compound": self(witness.right_compound),
+                "compound_preference": _encode(witness.compound_preference.value),
+            }
+        )
+
+
+class _Record:
+    """The texts of one record's members, as its executor fills them in.
+
+    ``inputs`` maps each key to its text; ``verdict`` is the verdict itself.
+    A plain class: a dataclass would add about 0.4 ms to every import.
+    """
+
+    __slots__ = ("inputs", "verdict", "values", "witness")
+
+    def __init__(self, inputs: dict[str, str]) -> None:
+        self.inputs = inputs
+        self.verdict = ""
+        self.values = "{}"
+        self.witness = "null"
+
+    def line(self, check_kind: str) -> str:
+        """The record's JSON text, its keys in sorted order."""
+        return (
+            f'{{"check_kind": {_encode(check_kind)}, "inputs": {_object(self.inputs)}, '
+            f'"values": {self.values}, "verdict": {_encode(self.verdict)}, '
+            f'"witness": {self.witness}}}'
+        )
 
 
 def _compound_line(witness: DiachronicWitness) -> str:
@@ -674,25 +737,28 @@ def _compound_line(witness: DiachronicWitness) -> str:
     )
 
 
-def _inputs(check: CheckDecl, sf: ScenarioFile, game_json: _GameJson) -> dict:
-    """The check's keys for its record: games in full, rationals as strings."""
+def _inputs(check: CheckDecl, sf: ScenarioFile, game_json: _GameJson) -> dict[str, str]:
+    """The text of each of the check's keys: games in full, rationals as strings."""
     inputs = {}
     for key in _KIND_OF[type(check)].keys.values():
         value = getattr(check, key.name)
         if key.ref == "game":
-            value = game_json(sf.games[value])
+            text = game_json(sf.games[value])
         elif key.ref == "games":
-            value = [game_json(sf.games[name]) for name in value]
+            text = _list([game_json(sf.games[name]) for name in value])
         elif isinstance(value, tuple):
-            value = [str(v) for v in value]
-        inputs[key.name] = value
+            text = _list([_encode(str(v)) for v in value])
+        elif isinstance(value, str):
+            text = _encode(value)
+        else:  # an integer, or None for an optional key left out
+            text = "null" if value is None else str(value)
+        inputs[key.name] = text
     return inputs
 
 
-# An executor runs its check, fills in the verdict, witness and values of
-# the record that run_file opened with check_kind and inputs, and returns
-# the text block, read from the record wherever the record holds it.  Every
-# game it puts in the record goes through the run's ``game_json``.
+# An executor runs its check, fills in the verdict, values and witness of
+# the record that run_file opened with the check's inputs, and returns the
+# text block.  Every game it writes goes through the run's ``game_json``.
 
 
 def _rational_text(numerator: int, denominator: int) -> str:
@@ -721,45 +787,46 @@ def _compare_values(game: Game) -> tuple[str, str, str]:
 
 
 def _execute_compare(
-    check: CompareCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+    check: CompareCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
 ) -> str:
     agent = sf.agents[check.agent]
     left = sf.games[check.left]
     right = sf.games[check.right]
-    record["inputs"]["kind"] = agent.kind
-    record["verdict"] = compare(agent, left, right).value
+    record.inputs["kind"] = _encode(agent.kind)
+    record.verdict = compare(agent, left, right).value
     left_value, left_high, left_range = _compare_values(left)
     right_value, right_high, right_range = _compare_values(right)
-    record["values"] = {
-        "left_expected_value": left_value,
-        "right_expected_value": right_value,
-        "left_largest_reward": left_high,
-        "right_largest_reward": right_high,
-        "left_reward_range": left_range,
-        "right_reward_range": right_range,
-    }
-    return f"compare {check.agent} {check.left} {check.right} -> {record['verdict']}"
+    # In sorted key order.
+    record.values = (
+        f'{{"left_expected_value": {_encode(left_value)}, '
+        f'"left_largest_reward": {_encode(left_high)}, '
+        f'"left_reward_range": {_encode(left_range)}, '
+        f'"right_expected_value": {_encode(right_value)}, '
+        f'"right_largest_reward": {_encode(right_high)}, '
+        f'"right_reward_range": {_encode(right_range)}}}'
+    )
+    return f"compare {check.agent} {check.left} {check.right} -> {record.verdict}"
 
 
 def _execute_diachronic(
-    check: DiachronicCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+    check: DiachronicCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
 ) -> str:
     scenario = sf.scenarios[check.scenario]
     report = check_diachronic(sf.agents[check.agent], scenario)
-    record["inputs"].update(game_json.scenario(scenario))
-    record["verdict"] = report.verdict.value
-    text = f"diachronic {check.agent} {check.scenario} -> {record['verdict']}"
+    record.inputs.update(game_json.scenario(scenario))
+    record.verdict = report.verdict.value
+    text = f"diachronic {check.agent} {check.scenario} -> {record.verdict}"
     w = report.witness
     if w is None:
         return text
-    record["witness"] = game_json.witness(w)
-    descendants = ", ".join(record["witness"]["descendant_preferences"])
+    record.witness = game_json.witness(w)
+    descendants = ", ".join(p.value for p in w.descendant_preferences)
     lines = [f"{text} clause={w.clause}", f"  descendants: {descendants}"]
     return "\n".join([*lines, _compound_line(w)])
 
 
 def _execute_continuity(
-    check: ContinuityCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+    check: ContinuityCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
 ) -> str:
     report = check_continuity(
         sf.agents[check.agent],
@@ -768,58 +835,61 @@ def _execute_continuity(
         RewardAlphabet.of(check.alphabet),
         check.deltas,
     )
-    levels = report.witness.levels
-    record["verdict"] = report.verdict.value
-    record["witness"] = {
-        "levels": [
-            {
-                "delta": str(level.delta),
-                "left": game_json(level.left_perturbed),
-                "right": game_json(level.right_perturbed),
-                "preference": level.preference.value if level.falsified else None,
-            }
-            for level in levels
-        ]
-    }
-    lines = [
-        f"continuity {check.agent} {check.left} {check.right} -> {record['verdict']}"
-    ]
-    for level, entry in zip(levels, record["witness"]["levels"]):
+    record.verdict = report.verdict.value
+    levels = []
+    lines = [f"continuity {check.agent} {check.left} {check.right} -> {record.verdict}"]
+    for level in report.witness.levels:
         found = "no counterexample found"
+        preference = "null"
         if level.falsified:
+            preference = _encode(level.preference.value)
             found = (
                 f"{level.left_perturbed} vs {level.right_perturbed} -> "
-                f"{entry['preference']}"
+                f"{level.preference.value}"
             )
-        lines.append(f"  delta={entry['delta']}: {found}")
+        levels.append(
+            _object(
+                {
+                    "delta": _encode(str(level.delta)),
+                    "left": game_json(level.left_perturbed),
+                    "right": game_json(level.right_perturbed),
+                    "preference": preference,
+                }
+            )
+        )
+        lines.append(f"  delta={level.delta}: {found}")
+    record.witness = _object({"levels": _list(levels)})
     return "\n".join(lines)
 
 
 def _execute_dutchbook(
-    check: DutchBookCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+    check: DutchBookCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
 ) -> str:
     report = analyze_dutch_book(
         sf.agents[check.agent], [sf.games[name] for name in check.games]
     )
-    record["verdict"] = "exposed" if report.exposure else "not_exposed"
-    record["witness"] = {
-        "combined": game_json(report.combined),
-        "null": game_json(report.null),
-    }
-    values = record["values"] = {
-        "individual_preferences": [p.value for p in report.individual_preferences],
-        "combined_preference": report.combined_preference.value,
-        "sure_loss": report.sure_loss,
-        "exposure": report.exposure,
-        "weak_exposure": report.weak_exposure,
-    }
+    record.verdict = "exposed" if report.exposure else "not_exposed"
+    record.witness = _object(
+        {"combined": game_json(report.combined), "null": game_json(report.null)}
+    )
+    individual = [p.value for p in report.individual_preferences]
+    combined = report.combined_preference.value
+    record.values = _encode(
+        {
+            "individual_preferences": individual,
+            "combined_preference": combined,
+            "sure_loss": report.sure_loss,
+            "exposure": report.exposure,
+            "weak_exposure": report.weak_exposure,
+        }
+    )
     return "\n".join(
         [
-            f"dutchbook {check.agent} {_fmt(check.games)} -> {record['verdict']} "
+            f"dutchbook {check.agent} {_fmt(check.games)} -> {record.verdict} "
             f"sure_loss={str(report.sure_loss).lower()} "
             f"weak_exposure={str(report.weak_exposure).lower()}",
-            f"  combined={report.combined} -> {values['combined_preference']}",
-            "  individual: " + ", ".join(values["individual_preferences"]),
+            f"  combined={report.combined} -> {combined}",
+            "  individual: " + ", ".join(individual),
         ]
     )
 
@@ -829,7 +899,7 @@ def _utility_text(u: dict[str, str]) -> str:
 
 
 def _execute_fit(
-    check: FitCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+    check: FitCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
 ) -> str:
     alphabet = RewardAlphabet.of(check.alphabet)
     instance = build_instance(
@@ -840,8 +910,8 @@ def _execute_fit(
     if check.anchors is not None and not all(r in alphabet for r in check.anchors):
         raise ValueError("anchor rewards are outside the fitted alphabet")
     fit = fit_utility(instance)
-    record["verdict"] = fit.verdict
-    values = record["values"] = {
+    record.verdict = fit.verdict
+    values = {
         "u": None,
         "unique": fit.unique,
         "normalized_u": None,
@@ -849,17 +919,18 @@ def _execute_fit(
     }
     lines = [f"fit {check.agent} {_fmt(check.games)} -> {fit.verdict}"]
     if fit.certificate is not None:
+        games = instance.games
+        # (left, preference, right) per comparison.
         certificate = [
-            {
-                "left": instance.games[c.left].name,
-                "right": instance.games[c.right].name,
-                "preference": c.preference.value,
-            }
+            (games[c.left].name, c.preference.value, games[c.right].name)
             for c in fit.certificate
         ]
-        record["witness"] = {"certificate": certificate}
-        parts = [f"{c['left']} {c['preference']} {c['right']}" for c in certificate]
-        lines.append("  certificate: " + "; ".join(parts))
+        entries = [
+            _object({"left": _encode(a), "preference": _encode(p), "right": _encode(b)})
+            for a, p, b in certificate
+        ]
+        record.witness = _object({"certificate": _list(entries)})
+        lines.append("  certificate: " + "; ".join(" ".join(c) for c in certificate))
     if fit.u is not None:
         values["u"] = {str(r): str(fit.u[r]) for r in alphabet}
         unique = str(fit.unique).lower()
@@ -876,11 +947,12 @@ def _execute_fit(
             lines.append(
                 f"  normalized at {anchors}: {_utility_text(values['normalized_u'])}"
             )
+    record.values = _encode(values)
     return "\n".join(lines)
 
 
 def _execute_search(
-    check: SearchCheck, sf: ScenarioFile, record: dict, game_json: _GameJson
+    check: SearchCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
 ) -> str:
     agent = sf.agents[check.agent]
     spec = GridSpec(
@@ -888,18 +960,20 @@ def _execute_search(
     )
     total = scenario_count(spec)
     hit = find_violation(agent, spec)
-    record["inputs"]["kind"] = agent.kind
-    record["values"] = {"scenario_count": total}
+    record.inputs["kind"] = _encode(agent.kind)
+    record.values = f'{{"scenario_count": {total}}}'
     if hit is None:
-        record["verdict"] = "none"
+        record.verdict = "none"
         return f"search diachronic {check.agent} -> none (scanned {total} scenarios)"
     w = hit.report.witness
-    record["verdict"] = "found"
-    record["witness"] = {
-        "index": hit.index,
-        "scenario": game_json.scenario(hit.scenario),
-        "report": game_json.witness(w),
-    }
+    record.verdict = "found"
+    record.witness = _object(
+        {
+            "index": str(hit.index),
+            "scenario": _object(game_json.scenario(hit.scenario)),
+            "report": game_json.witness(w),
+        }
+    )
     lines = [
         f"search diachronic {check.agent} -> found index={hit.index} clause={w.clause}",
         f"  root={hit.scenario.root}",
@@ -915,7 +989,7 @@ class _CheckKind:
     name: str  # the record's check_kind
     form: str  # the first two words of its line
     decl: type
-    execute: Callable[[Any, ScenarioFile, dict, _GameJson], str]
+    execute: Callable[[Any, ScenarioFile, _Record, _GameJson], str]
     keys: dict[str, _Key] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -943,22 +1017,16 @@ _EXECUTION_ERRORS = (GameError, ValueError, MemoryError)
 def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
     """Execute all checks in declaration order; raises CheckExecutionError.
 
-    The records of one call share the dict of each branch object they
-    name (see :class:`_GameJson`), so treat them as read-only: a change to
-    one branch entry shows in every record that names that branch.
-    Records of different calls share nothing.
+    Each outcome holds its record's ``--machine`` line, written as JSON
+    text while its check runs, and ``CheckOutcome.record`` parses that
+    line, so records share nothing.  Within one call each distinct branch
+    object is written once (see :class:`_GameJson`).
     """
     outcomes = []
     game_json = _GameJson()
     for check in sf.checks:
         kind = _KIND_OF[type(check)]
-        record = {
-            "check_kind": kind.name,
-            "inputs": _inputs(check, sf, game_json),
-            "verdict": None,
-            "witness": None,
-            "values": {},
-        }
+        record = _Record(_inputs(check, sf, game_json))
         try:
             text = kind.execute(check, sf, record, game_json)
         except _EXECUTION_ERRORS as exc:
@@ -968,25 +1036,14 @@ def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
             raise CheckExecutionError(
                 f"{origin} ({_render_check(check)})", exc
             ) from exc
-        outcomes.append(CheckOutcome(record, text))
+        outcomes.append(CheckOutcome(record.line(kind.name), text, record.verdict))
     return outcomes
 
 
-# One encoder for every record: json.dumps(record, sort_keys=True) writes
-# the same bytes but builds an encoder per call.  Without the circular
-# reference check each container skips a marker insert and delete.  No
-# record is cyclic: each is a fresh tree, and the branch dicts records
-# share are leaves reached along several paths, not cycles.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
-
-
 def emit(outcomes: Sequence[CheckOutcome], machine: bool) -> str:
-    if machine:
-        encode = _RECORD_ENCODER.encode
-        return "\n".join(encode(o.record) for o in outcomes) + (
-            "\n" if outcomes else ""
-        )
-    return "\n".join(o.text for o in outcomes) + ("\n" if outcomes else "")
+    """Each check's ``--machine`` line, or else its text block, one after another."""
+    blocks = [o.line if machine else o.text for o in outcomes]
+    return "\n".join(blocks) + ("\n" if blocks else "")
 
 
 # -- built-in gallery ------------------------------------------------------

@@ -53,6 +53,7 @@ CLASS_WALK = f"{ORACLE}::test_the_class_walk_agrees_on_every_fixed_grid"
 STORED = f"{CORE}::TestStoredTerms"
 PARSE = "tests/test_parse_oracle.py"
 PAUSE = "tests/test_cli.py::TestCollectorPause"
+EMIT = "tests/test_emit_oracle.py"
 
 MUTANTS = (
     # The one walk over a game's branches, in core.validate_game.
@@ -287,6 +288,31 @@ MUTANTS = (
         "    gc.disable()\n",
         "",
         (f"{PAUSE}::test_no_collection_starts_during_parse_run_or_emit",),
+    ),
+    # The --machine lines that run_file writes as text.
+    Mutant(
+        "a game name is written without the encoder",
+        "cli.py",
+        '"name": {_encode(game.name)}}}',
+        '"name": "{game.name}"}}',
+        (f"{EMIT}::test_names_needing_escapes_match_the_reference",),
+    ),
+    Mutant(
+        "inputs (and witness) keys are written in field order instead of sorted",
+        "cli.py",
+        "for key in sorted(members)]",
+        "for key in members]",
+        (
+            f"{EMIT}::test_seeded_files_match_the_reference",
+            f"{EMIT}::test_gallery_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "an exposed Dutch book is not counted as a violation",
+        "cli.py",
+        '_VIOLATIONS = frozenset({"violated", "exposed", "found"})',
+        '_VIOLATIONS = frozenset({"violated", "found"})',
+        (f"{EMIT}::test_violation_agrees_with_the_record_verdict",),
     ),
     Mutant(
         "the egalitarian prefers the wider spread",

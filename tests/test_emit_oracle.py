@@ -1,17 +1,21 @@
-"""``branchgames run --machine`` against records built as first written.
+"""``branchgames run --machine`` against records built as dicts.
 
-``run_file`` turns each distinct ``Branch`` object into its ``{"reward",
-"weight"}`` dict once per call (``cli._GameJson``), so the records of one
-run share those dicts; a compare record's values are written from the
-integers of each game's ``terms``; and ``emit`` encodes without the
-circular-reference check.  The reference below builds every record with a
-fresh dict per branch, replaces each compare record's values with ones
-read from ``agents.summary``, a ``Fraction`` subtraction and ``str()``, and
-encodes each record with ``json.dumps(record, sort_keys=True)``.  The
-command's stdout must be byte-identical to the reference on seeded files
-that reach every check kind and each verdict whose witness holds games of
-its own, on the gallery and on the shipped scenario files.  Hypothesis
-checks the integer text and the integer pass on their own.
+``run_file`` writes each record's ``--machine`` line as JSON text while
+its check runs (``cli._GameJson`` writes each distinct ``Branch`` object's
+text once per call), a compare record's values are written from the
+integers of each game's ``terms``, and ``emit`` only joins the lines.
+``reference_records`` below builds every record as a dict instead, as
+the command first did: a fresh dict per branch, the check's keys read
+from its kind's entry in ``cli._CHECK_KINDS``, each kind's values and
+witness filled in from the same library calls, and each compare record's
+values read from ``agents.summary``, a ``Fraction`` subtraction and
+``str()``.  Each record is encoded with ``json.dumps(record,
+sort_keys=True)``.  The command's stdout must be byte-identical to the
+reference on seeded files that reach every check kind and each verdict
+whose witness holds games of its own, on the gallery and on the shipped
+scenario files; hypothesis checks names that need escaping, which only
+the Python API can give, and the integer text and the integer pass on
+their own.
 """
 
 import json
@@ -23,9 +27,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchgames import AGENT_KINDS, Agent, Branch, Game, Preference, compare
+from branchgames import (
+    AGENT_KINDS,
+    Agent,
+    Branch,
+    DiachronicScenario,
+    Game,
+    GridSpec,
+    Preference,
+    RewardAlphabet,
+    analyze_dutch_book,
+    build_instance,
+    check_continuity,
+    check_diachronic,
+    compare,
+    find_violation,
+    fit_utility,
+    normalize_fit,
+    scenario_count,
+)
 from branchgames import cli
 from branchgames.agents import summary
+from branchgames.representation import DegenerateNormalizationError
 from conftest import REWARD_POOL, games
 
 F = Fraction
@@ -37,8 +60,11 @@ STRICT_KINDS = ("dtbr", "egalitarian", "optimist")
 DENOMINATORS = (2, 3, 4, 6)
 
 
-class ReferenceGameJson(cli._GameJson):
-    """The record form of a game with a fresh dict per branch."""
+# -- the reference: records as dicts ------------------------------------------
+
+
+class ReferenceGameJson:
+    """The record form of games, with a fresh dict per branch."""
 
     def __call__(self, game):
         if game is None:
@@ -50,6 +76,41 @@ class ReferenceGameJson(cli._GameJson):
                 for b in game.branches
             ],
         }
+
+    def scenario(self, scenario):
+        return {
+            "root": self(scenario.root),
+            "options": [
+                [self(first), self(second)] for first, second in scenario.options
+            ],
+        }
+
+    def witness(self, witness):
+        return {
+            "clause": witness.clause,
+            "descendant_preferences": [
+                p.value for p in witness.descendant_preferences
+            ],
+            "strict_branches": list(witness.strict_branches),
+            "left_compound": self(witness.left_compound),
+            "right_compound": self(witness.right_compound),
+            "compound_preference": witness.compound_preference.value,
+        }
+
+
+def reference_inputs(check, sf, game_json) -> dict:
+    """The check's keys for its record: games in full, rationals as strings."""
+    inputs = {}
+    for key in cli._KIND_OF[type(check)].keys.values():
+        value = getattr(check, key.name)
+        if key.ref == "game":
+            value = game_json(sf.games[value])
+        elif key.ref == "games":
+            value = [game_json(sf.games[name]) for name in value]
+        elif isinstance(value, tuple):
+            value = [str(v) for v in value]
+        inputs[key.name] = value
+    return inputs
 
 
 def reference_compare_values(left: Game, right: Game) -> dict:
@@ -66,34 +127,150 @@ def reference_compare_values(left: Game, right: Game) -> dict:
     }
 
 
-def reference_emit(sf: cli.ScenarioFile, monkeypatch) -> str:
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_GameJson", ReferenceGameJson)
-        outcomes = cli.run_file(sf)
-    for check, outcome in zip(sf.checks, outcomes):
-        assert not _shared_dicts([outcome.record])
-        if isinstance(check, cli.CompareCheck):
-            left, right = sf.games[check.left], sf.games[check.right]
-            outcome.record["values"] = reference_compare_values(left, right)
-    return "".join(json.dumps(o.record, sort_keys=True) + "\n" for o in outcomes)
+def _fill_compare(check, sf, record, game_json):
+    agent = sf.agents[check.agent]
+    left, right = sf.games[check.left], sf.games[check.right]
+    record["inputs"]["kind"] = agent.kind
+    record["verdict"] = compare(agent, left, right).value
+    record["values"] = reference_compare_values(left, right)
 
 
-def _dicts(value, found: list) -> list:
-    """Every dict in a record tree, once per path that reaches it."""
-    if isinstance(value, dict):
-        found.append(value)
-        for item in value.values():
-            _dicts(item, found)
-    elif isinstance(value, list):
-        for item in value:
-            _dicts(item, found)
-    return found
+def _fill_diachronic(check, sf, record, game_json):
+    scenario = sf.scenarios[check.scenario]
+    report = check_diachronic(sf.agents[check.agent], scenario)
+    record["inputs"].update(game_json.scenario(scenario))
+    record["verdict"] = report.verdict.value
+    if report.witness is not None:
+        record["witness"] = game_json.witness(report.witness)
 
 
-def _shared_dicts(records) -> int:
-    """How many times the records reach a dict they reached before."""
-    found = _dicts(list(records), [])
-    return len(found) - len({id(d) for d in found})
+def _fill_continuity(check, sf, record, game_json):
+    report = check_continuity(
+        sf.agents[check.agent],
+        sf.games[check.left],
+        sf.games[check.right],
+        RewardAlphabet.of(check.alphabet),
+        check.deltas,
+    )
+    record["verdict"] = report.verdict.value
+    record["witness"] = {
+        "levels": [
+            {
+                "delta": str(level.delta),
+                "left": game_json(level.left_perturbed),
+                "right": game_json(level.right_perturbed),
+                "preference": level.preference.value if level.falsified else None,
+            }
+            for level in report.witness.levels
+        ]
+    }
+
+
+def _fill_dutchbook(check, sf, record, game_json):
+    report = analyze_dutch_book(
+        sf.agents[check.agent], [sf.games[name] for name in check.games]
+    )
+    record["verdict"] = "exposed" if report.exposure else "not_exposed"
+    record["witness"] = {
+        "combined": game_json(report.combined),
+        "null": game_json(report.null),
+    }
+    record["values"] = {
+        "individual_preferences": [p.value for p in report.individual_preferences],
+        "combined_preference": report.combined_preference.value,
+        "sure_loss": report.sure_loss,
+        "exposure": report.exposure,
+        "weak_exposure": report.weak_exposure,
+    }
+
+
+def _fill_fit(check, sf, record, game_json):
+    alphabet = RewardAlphabet.of(check.alphabet)
+    instance = build_instance(
+        sf.agents[check.agent], [sf.games[name] for name in check.games], alphabet
+    )
+    fit = fit_utility(instance)
+    record["verdict"] = fit.verdict
+    values = record["values"] = {
+        "u": None,
+        "unique": fit.unique,
+        "normalized_u": None,
+        "normalization_error": None,
+    }
+    if fit.certificate is not None:
+        record["witness"] = {
+            "certificate": [
+                {
+                    "left": instance.games[c.left].name,
+                    "right": instance.games[c.right].name,
+                    "preference": c.preference.value,
+                }
+                for c in fit.certificate
+            ]
+        }
+    if fit.u is not None:
+        values["u"] = {str(r): str(fit.u[r]) for r in alphabet}
+    if check.anchors is not None and fit.feasible:
+        try:
+            normalized = normalize_fit(fit, *check.anchors)
+        except DegenerateNormalizationError:
+            values["normalization_error"] = "DegenerateNormalization"
+        else:
+            values["normalized_u"] = {str(r): str(normalized.u[r]) for r in alphabet}
+
+
+def _fill_search(check, sf, record, game_json):
+    agent = sf.agents[check.agent]
+    spec = GridSpec(
+        check.rewards, check.weights, check.root_branches, check.option_branches
+    )
+    hit = find_violation(agent, spec)
+    record["inputs"]["kind"] = agent.kind
+    record["values"] = {"scenario_count": scenario_count(spec)}
+    record["verdict"] = "none" if hit is None else "found"
+    if hit is not None:
+        record["witness"] = {
+            "index": hit.index,
+            "scenario": game_json.scenario(hit.scenario),
+            "report": game_json.witness(hit.report.witness),
+        }
+
+
+REFERENCE_FILLS = {
+    "compare": _fill_compare,
+    "diachronic": _fill_diachronic,
+    "continuity": _fill_continuity,
+    "dutchbook": _fill_dutchbook,
+    "fit": _fill_fit,
+    "search": _fill_search,
+}
+
+
+def reference_records(sf: cli.ScenarioFile) -> list[dict]:
+    """Every check's record as a dict, built as the command first built it."""
+    game_json = ReferenceGameJson()
+    records = []
+    for check in sf.checks:
+        kind = cli._KIND_OF[type(check)]
+        record = {
+            "check_kind": kind.name,
+            "inputs": reference_inputs(check, sf, game_json),
+            "verdict": None,
+            "witness": None,
+            "values": {},
+        }
+        REFERENCE_FILLS[kind.name](check, sf, record, game_json)
+        records.append(record)
+    return records
+
+
+def reference_emit(sf: cli.ScenarioFile) -> str:
+    return "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in reference_records(sf)
+    )
+
+
+# -- seeded files -----------------------------------------------------------
 
 
 def _split(rng, parts: int, denominator: int) -> list[Fraction]:
@@ -207,11 +384,11 @@ def _machine_output(path: Path, capsys) -> bytes:
     return captured.out.encode("utf-8")
 
 
-def test_seeded_files_match_the_reference(seeded_files, capsys, monkeypatch):
+def test_seeded_files_match_the_reference(seeded_files, capsys):
     verdicts = set()
     for path in seeded_files:
         sf = cli.parse(path.read_text(encoding="utf-8"))
-        expected = reference_emit(sf, monkeypatch).encode("utf-8")
+        expected = reference_emit(sf).encode("utf-8")
         assert _machine_output(path, capsys) == expected, path.name
         for line in expected.decode("utf-8").splitlines():
             record = json.loads(line)
@@ -237,36 +414,121 @@ def test_seeded_files_match_the_reference(seeded_files, capsys, monkeypatch):
     assert {kind for kind, _ in verdicts} == {k.name for k in cli._CHECK_KINDS}
 
 
-def test_gallery_matches_the_reference(capsys, monkeypatch):
-    expected = reference_emit(cli.parse(cli.gallery_source()), monkeypatch)
+def test_gallery_matches_the_reference(capsys):
+    expected = reference_emit(cli.parse(cli.gallery_source()))
     capsys.readouterr()
     assert cli.main(["gallery", "--machine"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
-def test_shipped_scenarios_match_the_reference(path, capsys, monkeypatch):
+def test_shipped_scenarios_match_the_reference(path, capsys):
     sf = cli.parse(path.read_text(encoding="utf-8"))
-    expected = reference_emit(sf, monkeypatch).encode("utf-8")
+    expected = reference_emit(sf).encode("utf-8")
     assert _machine_output(path, capsys) == expected
 
 
-def test_records_share_branch_dicts_within_a_run_only(seeded_files, capsys):
+def test_record_is_the_parsed_line(seeded_files):
+    for path in seeded_files:
+        for outcome in cli.run_file(cli.parse(path.read_text(encoding="utf-8"))):
+            assert outcome.record == json.loads(outcome.line)
+            # Parsed on the first read only.
+            assert outcome.record is outcome.record
+
+
+# Every verdict a record can hold, and whether --fail-on-violation counts it.
+VERDICTS = {
+    **{p.value: False for p in Preference},
+    "satisfied": False,
+    "violated": True,
+    "no_violation_found": False,
+    "exposed": True,
+    "not_exposed": False,
+    "feasible": False,
+    "infeasible": False,
+    "found": True,
+    "none": False,
+}
+
+
+def test_violation_agrees_with_the_record_verdict(seeded_files):
+    sources = [path.read_text(encoding="utf-8") for path in seeded_files]
+    files = [cli.parse(text) for text in [*sources, cli.gallery_source()]]
+    files.append(
+        cli._parse_search_terms(
+            "diachronic agent=dtbr rewards=0,1 weights=1/2,1 "
+            "root_branches=1 option_branches=1".split()
+        )
+    )
+    outcomes = [o for sf in files for o in cli.run_file(sf)]
+    # No built-in agent is exposed to a Dutch book, so that outcome is
+    # built by hand.
+    exposed = json.dumps({"check_kind": "dutchbook", "verdict": "exposed"})
+    outcomes.append(cli.CheckOutcome(exposed, "", "exposed"))
+    for outcome in outcomes:
+        assert outcome.verdict == outcome.record["verdict"]
+        assert outcome.violation is VERDICTS[outcome.verdict]
+    assert {o.verdict for o in outcomes} == set(VERDICTS)
+
+
+def test_two_runs_over_one_parse_give_identical_lines(seeded_files, capsys):
     path = seeded_files[0]
     # Twice in one process: the same bytes.
     assert _machine_output(path, capsys) == _machine_output(path, capsys)
-    # Two runs over one parse hold the same Branch objects, so a table that
-    # outlived a run would hand the second run the first run's dicts.
+    # Two runs over one parse hold the same Branch objects, so a branch
+    # table that outlived a run would be read by the next one.
     sf = cli.parse(path.read_text(encoding="utf-8"))
-    first = [o.record for o in cli.run_file(sf)]
-    second = [o.record for o in cli.run_file(sf)]
-    assert first == second
-    # Within a run, records reach each branch's dict from every game that
-    # holds it.
-    assert _shared_dicts(first) > 0
-    # Both runs stay alive here, so no id is reused between them.
-    first_ids = {id(d) for d in _dicts(first, [])}
-    assert not first_ids & {id(d) for d in _dicts(second, [])}
+    first = [o.line for o in cli.run_file(sf)]
+    assert [o.line for o in cli.run_file(sf)] == first
+
+
+# -- names that need escaping -------------------------------------------------
+
+# Text that JSON escapes, or that ASCII-only JSON writes as \u escapes,
+# besides any other code point.
+_AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\xe9", "\u2028"]
+# Lone surrogates, and a code point outside the BMP, which ASCII-only JSON
+# writes as a surrogate pair.
+_AWKWARD += ["\ud800", "\udfff", "\U0001f600"]
+_NAMES = st.text(
+    st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=())),
+    max_size=6,
+)
+_EVENT = (F(1, 3), F(2, 3))
+
+
+@given(st.data())
+def test_names_needing_escapes_match_the_reference(data):
+    """Files cannot name a game this way: their names are identifiers."""
+
+    def name():
+        return data.draw(_NAMES)
+
+    def game(branches=None):
+        if branches is None:
+            branches = data.draw(games(max_branches=3)).branches
+        return Game(name(), branches)
+
+    def on_event():
+        pool = st.sampled_from(REWARD_POOL)
+        rewards = data.draw(st.lists(pool, min_size=2, max_size=2))
+        return game(tuple(Branch(r, w) for r, w in zip(rewards, _EVENT)))
+
+    agent, scenario = name(), name()
+    kind = data.draw(st.sampled_from(AGENT_KINDS))
+    checked = [game(), game(), on_event(), on_event()]
+    root, options = on_event(), ((game(), game()), (game(), game()))
+    sf = cli.ScenarioFile(
+        games={f"g{i}": g for i, g in enumerate(checked)},
+        agents={agent: Agent(agent, kind)},
+        scenarios={scenario: DiachronicScenario(root, options)},
+        checks=(
+            cli.CompareCheck(agent, "g0", "g1"),
+            cli.DutchBookCheck(agent, ("g2", "g3")),
+            cli.DiachronicCheck(agent, scenario),
+        ),
+    )
+    assert cli.emit(cli.run_file(sf), machine=True) == reference_emit(sf)
 
 
 # -- the integer pass and its text ------------------------------------------
