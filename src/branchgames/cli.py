@@ -52,9 +52,11 @@ written per kind.
 Checks run in declaration order.  Text mode prints one block per check;
 machine mode prints one JSON object per line with stable keys
 (check_kind, inputs, verdict, witness, values) and is byte-identical
-across runs of the same file.  ``run_file`` writes each record's line
-once, as JSON text, while its check runs, and ``emit`` only joins the
-lines.  The text is what ``json.dumps(record, sort_keys=True)`` writes:
+across runs of the same file.  Each executor returns its record's
+verdict, the JSON texts of its values and witness, and its text block;
+``run_file`` writes the record's line from them, once, and ``emit`` only
+joins the lines.  The line is the only form a record takes, and it is
+what ``json.dumps(record, sort_keys=True)`` would write:
 the record, its ``inputs`` and every witness object are written from the
 text of each member, keys in sorted order; a leaf that holds no game
 goes through one shared encoder, a string on its fast path, and an
@@ -64,11 +66,10 @@ each game's ``terms``, as ``str(Fraction)`` would write them, without
 building or formatting a ``Fraction``.  Every game a record holds,
 inputs and witnesses alike, goes through one ``_GameJson`` per
 ``run_file`` call, which writes each ``Branch`` object's text once.
-Nothing of it outlives the call.  ``CheckOutcome.record`` parses the
-line on first read, so records share nothing.  A violated axiom is a
-reported result, not a failure: the exit code is 0 whenever every check
-executed, 2 on parse or execution errors, and 1 only under
---fail-on-violation when some check found a violation or exposure.
+Nothing of it outlives the call.  A violated axiom is a reported result,
+not a failure: the exit code is 0 whenever every check executed, 2 on
+parse or execution errors, and 1 only under --fail-on-violation when
+some check found a violation or exposure.
 
 ``main(argv)`` returns that exit code rather than exiting, so it can be
 called repeatedly in one process.  It builds its argparse parser on the
@@ -612,16 +613,14 @@ _VIOLATIONS = frozenset({"violated", "exposed", "found"})
 
 @dataclass
 class CheckOutcome:
-    """One executed check: its ``--machine`` line, its text block, its verdict."""
+    """One executed check: its ``--machine`` line, its text block, its verdict.
+
+    The line is the record; parse it with ``json.loads`` to read its members.
+    """
 
     line: str
     text: str
     verdict: str
-
-    @functools.cached_property
-    def record(self) -> dict:
-        """The record ``line`` writes, parsed from it on first read."""
-        return json.loads(self.line)
 
     @property
     def violation(self) -> bool:
@@ -706,30 +705,6 @@ class _GameJson:
         )
 
 
-class _Record:
-    """The texts of one record's members, as its executor fills them in.
-
-    ``inputs`` maps each key to its text; ``verdict`` is the verdict itself.
-    A plain class: a dataclass would add about 0.4 ms to every import.
-    """
-
-    __slots__ = ("inputs", "verdict", "values", "witness")
-
-    def __init__(self, inputs: dict[str, str]) -> None:
-        self.inputs = inputs
-        self.verdict = ""
-        self.values = "{}"
-        self.witness = "null"
-
-    def line(self, check_kind: str) -> str:
-        """The record's JSON text, its keys in sorted order."""
-        return (
-            f'{{"check_kind": {_encode(check_kind)}, "inputs": {_object(self.inputs)}, '
-            f'"values": {self.values}, "verdict": {_encode(self.verdict)}, '
-            f'"witness": {self.witness}}}'
-        )
-
-
 def _compound_line(witness: DiachronicWitness) -> str:
     return (
         f"  {witness.left_compound} vs {witness.right_compound} -> "
@@ -756,9 +731,11 @@ def _inputs(check: CheckDecl, sf: ScenarioFile, game_json: _GameJson) -> dict[st
     return inputs
 
 
-# An executor runs its check, fills in the verdict, values and witness of
-# the record that run_file opened with the check's inputs, and returns the
-# text block.  Every game it writes goes through the run's ``game_json``.
+# An executor runs its check and returns its record's verdict, the JSON
+# texts of its values and witness ("{}" and "null" where the kind has
+# none), and its text block.  It adds to the ``inputs`` texts that run_file
+# hands it those its keys do not name.  Every game it writes goes through
+# the run's ``game_json``.
 
 
 def _rational_text(numerator: int, denominator: int) -> str:
@@ -787,17 +764,17 @@ def _compare_values(game: Game) -> tuple[str, str, str]:
 
 
 def _execute_compare(
-    check: CompareCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
-) -> str:
+    check: CompareCheck, sf: ScenarioFile, inputs: dict[str, str], game_json: _GameJson
+) -> tuple[str, str, str, str]:
     agent = sf.agents[check.agent]
     left = sf.games[check.left]
     right = sf.games[check.right]
-    record.inputs["kind"] = _encode(agent.kind)
-    record.verdict = compare(agent, left, right).value
+    inputs["kind"] = _encode(agent.kind)
+    verdict = compare(agent, left, right).value
     left_value, left_high, left_range = _compare_values(left)
     right_value, right_high, right_range = _compare_values(right)
     # In sorted key order.
-    record.values = (
+    values = (
         f'{{"left_expected_value": {_encode(left_value)}, '
         f'"left_largest_reward": {_encode(left_high)}, '
         f'"left_reward_range": {_encode(left_range)}, '
@@ -805,29 +782,35 @@ def _execute_compare(
         f'"right_largest_reward": {_encode(right_high)}, '
         f'"right_reward_range": {_encode(right_range)}}}'
     )
-    return f"compare {check.agent} {check.left} {check.right} -> {record.verdict}"
+    text = f"compare {check.agent} {check.left} {check.right} -> {verdict}"
+    return verdict, values, "null", text
 
 
 def _execute_diachronic(
-    check: DiachronicCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
-) -> str:
+    check: DiachronicCheck,
+    sf: ScenarioFile,
+    inputs: dict[str, str],
+    game_json: _GameJson,
+) -> tuple[str, str, str, str]:
     scenario = sf.scenarios[check.scenario]
     report = check_diachronic(sf.agents[check.agent], scenario)
-    record.inputs.update(game_json.scenario(scenario))
-    record.verdict = report.verdict.value
-    text = f"diachronic {check.agent} {check.scenario} -> {record.verdict}"
+    inputs.update(game_json.scenario(scenario))
+    verdict = report.verdict.value
+    text = f"diachronic {check.agent} {check.scenario} -> {verdict}"
     w = report.witness
     if w is None:
-        return text
-    record.witness = game_json.witness(w)
+        return verdict, "{}", "null", text
     descendants = ", ".join(p.value for p in w.descendant_preferences)
     lines = [f"{text} clause={w.clause}", f"  descendants: {descendants}"]
-    return "\n".join([*lines, _compound_line(w)])
+    return verdict, "{}", game_json.witness(w), "\n".join([*lines, _compound_line(w)])
 
 
 def _execute_continuity(
-    check: ContinuityCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
-) -> str:
+    check: ContinuityCheck,
+    sf: ScenarioFile,
+    inputs: dict[str, str],
+    game_json: _GameJson,
+) -> tuple[str, str, str, str]:
     report = check_continuity(
         sf.agents[check.agent],
         sf.games[check.left],
@@ -835,9 +818,9 @@ def _execute_continuity(
         RewardAlphabet.of(check.alphabet),
         check.deltas,
     )
-    record.verdict = report.verdict.value
+    verdict = report.verdict.value
     levels = []
-    lines = [f"continuity {check.agent} {check.left} {check.right} -> {record.verdict}"]
+    lines = [f"continuity {check.agent} {check.left} {check.right} -> {verdict}"]
     for level in report.witness.levels:
         found = "no counterexample found"
         preference = "null"
@@ -858,23 +841,26 @@ def _execute_continuity(
             )
         )
         lines.append(f"  delta={level.delta}: {found}")
-    record.witness = _object({"levels": _list(levels)})
-    return "\n".join(lines)
+    witness = _object({"levels": _list(levels)})
+    return verdict, "{}", witness, "\n".join(lines)
 
 
 def _execute_dutchbook(
-    check: DutchBookCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
-) -> str:
+    check: DutchBookCheck,
+    sf: ScenarioFile,
+    inputs: dict[str, str],
+    game_json: _GameJson,
+) -> tuple[str, str, str, str]:
     report = analyze_dutch_book(
         sf.agents[check.agent], [sf.games[name] for name in check.games]
     )
-    record.verdict = "exposed" if report.exposure else "not_exposed"
-    record.witness = _object(
+    verdict = "exposed" if report.exposure else "not_exposed"
+    witness = _object(
         {"combined": game_json(report.combined), "null": game_json(report.null)}
     )
     individual = [p.value for p in report.individual_preferences]
     combined = report.combined_preference.value
-    record.values = _encode(
+    values = _encode(
         {
             "individual_preferences": individual,
             "combined_preference": combined,
@@ -883,15 +869,14 @@ def _execute_dutchbook(
             "weak_exposure": report.weak_exposure,
         }
     )
-    return "\n".join(
-        [
-            f"dutchbook {check.agent} {_fmt(check.games)} -> {record.verdict} "
-            f"sure_loss={str(report.sure_loss).lower()} "
-            f"weak_exposure={str(report.weak_exposure).lower()}",
-            f"  combined={report.combined} -> {combined}",
-            "  individual: " + ", ".join(individual),
-        ]
-    )
+    lines = [
+        f"dutchbook {check.agent} {_fmt(check.games)} -> {verdict} "
+        f"sure_loss={str(report.sure_loss).lower()} "
+        f"weak_exposure={str(report.weak_exposure).lower()}",
+        f"  combined={report.combined} -> {combined}",
+        "  individual: " + ", ".join(individual),
+    ]
+    return verdict, values, witness, "\n".join(lines)
 
 
 def _utility_text(u: dict[str, str]) -> str:
@@ -899,8 +884,8 @@ def _utility_text(u: dict[str, str]) -> str:
 
 
 def _execute_fit(
-    check: FitCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
-) -> str:
+    check: FitCheck, sf: ScenarioFile, inputs: dict[str, str], game_json: _GameJson
+) -> tuple[str, str, str, str]:
     alphabet = RewardAlphabet.of(check.alphabet)
     instance = build_instance(
         sf.agents[check.agent], [sf.games[name] for name in check.games], alphabet
@@ -910,7 +895,7 @@ def _execute_fit(
     if check.anchors is not None and not all(r in alphabet for r in check.anchors):
         raise ValueError("anchor rewards are outside the fitted alphabet")
     fit = fit_utility(instance)
-    record.verdict = fit.verdict
+    witness = "null"
     values = {
         "u": None,
         "unique": fit.unique,
@@ -929,7 +914,7 @@ def _execute_fit(
             _object({"left": _encode(a), "preference": _encode(p), "right": _encode(b)})
             for a, p, b in certificate
         ]
-        record.witness = _object({"certificate": _list(entries)})
+        witness = _object({"certificate": _list(entries)})
         lines.append("  certificate: " + "; ".join(" ".join(c) for c in certificate))
     if fit.u is not None:
         values["u"] = {str(r): str(fit.u[r]) for r in alphabet}
@@ -947,27 +932,25 @@ def _execute_fit(
             lines.append(
                 f"  normalized at {anchors}: {_utility_text(values['normalized_u'])}"
             )
-    record.values = _encode(values)
-    return "\n".join(lines)
+    return fit.verdict, _encode(values), witness, "\n".join(lines)
 
 
 def _execute_search(
-    check: SearchCheck, sf: ScenarioFile, record: _Record, game_json: _GameJson
-) -> str:
+    check: SearchCheck, sf: ScenarioFile, inputs: dict[str, str], game_json: _GameJson
+) -> tuple[str, str, str, str]:
     agent = sf.agents[check.agent]
     spec = GridSpec(
         check.rewards, check.weights, check.root_branches, check.option_branches
     )
     total = scenario_count(spec)
     hit = find_violation(agent, spec)
-    record.inputs["kind"] = _encode(agent.kind)
-    record.values = f'{{"scenario_count": {total}}}'
+    inputs["kind"] = _encode(agent.kind)
+    values = f'{{"scenario_count": {total}}}'
     if hit is None:
-        record.verdict = "none"
-        return f"search diachronic {check.agent} -> none (scanned {total} scenarios)"
+        text = f"search diachronic {check.agent} -> none (scanned {total} scenarios)"
+        return "none", values, "null", text
     w = hit.report.witness
-    record.verdict = "found"
-    record.witness = _object(
+    witness = _object(
         {
             "index": str(hit.index),
             "scenario": _object(game_json.scenario(hit.scenario)),
@@ -981,7 +964,7 @@ def _execute_search(
     for i, (first, second) in enumerate(hit.scenario.options):
         lines.append(f"  arm {i}: {first} vs {second}")
     lines.append(_compound_line(w))
-    return "\n".join(lines)
+    return "found", values, witness, "\n".join(lines)
 
 
 @dataclass
@@ -989,7 +972,7 @@ class _CheckKind:
     name: str  # the record's check_kind
     form: str  # the first two words of its line
     decl: type
-    execute: Callable[[Any, ScenarioFile, _Record, _GameJson], str]
+    execute: Callable[[Any, ScenarioFile, dict[str, str], _GameJson], tuple]
     keys: dict[str, _Key] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -1017,18 +1000,18 @@ _EXECUTION_ERRORS = (GameError, ValueError, MemoryError)
 def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
     """Execute all checks in declaration order; raises CheckExecutionError.
 
-    Each outcome holds its record's ``--machine`` line, written as JSON
-    text while its check runs, and ``CheckOutcome.record`` parses that
-    line, so records share nothing.  Within one call each distinct branch
-    object is written once (see :class:`_GameJson`).
+    Each outcome holds its record's ``--machine`` line, written here as
+    JSON text from the check's inputs and what its executor returns.
+    Within one call each distinct branch object is written once (see
+    :class:`_GameJson`).
     """
     outcomes = []
     game_json = _GameJson()
     for check in sf.checks:
         kind = _KIND_OF[type(check)]
-        record = _Record(_inputs(check, sf, game_json))
+        inputs = _inputs(check, sf, game_json)
         try:
-            text = kind.execute(check, sf, record, game_json)
+            verdict, values, witness, text = kind.execute(check, sf, inputs, game_json)
         except _EXECUTION_ERRORS as exc:
             if isinstance(exc, MemoryError):
                 exc.__traceback__ = exc.__context__ = None
@@ -1036,7 +1019,13 @@ def run_file(sf: ScenarioFile) -> list[CheckOutcome]:
             raise CheckExecutionError(
                 f"{origin} ({_render_check(check)})", exc
             ) from exc
-        outcomes.append(CheckOutcome(record.line(kind.name), text, record.verdict))
+        # The record, its keys in sorted order.
+        line = (
+            f'{{"check_kind": {_encode(kind.name)}, "inputs": {_object(inputs)}, '
+            f'"values": {values}, "verdict": {_encode(verdict)}, '
+            f'"witness": {witness}}}'
+        )
+        outcomes.append(CheckOutcome(line, text, verdict))
     return outcomes
 
 
@@ -1195,7 +1184,8 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     try:
         if args.command == "run":
             try:
-                with open(args.file, encoding="utf-8") as handle:
+                # utf-8-sig drops one byte-order mark at the start of the file.
+                with open(args.file, encoding="utf-8-sig") as handle:
                     text = handle.read()
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: {exc}", file=sys.stderr)

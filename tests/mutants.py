@@ -54,6 +54,7 @@ STORED = f"{CORE}::TestStoredTerms"
 PARSE = "tests/test_parse_oracle.py"
 PAUSE = "tests/test_cli.py::TestCollectorPause"
 EMIT = "tests/test_emit_oracle.py"
+GOLDEN = "tests/test_golden.py::test_output_matches_the_golden_file"
 
 MUTANTS = (
     # The one walk over a game's branches, in core.validate_game.
@@ -313,6 +314,31 @@ MUTANTS = (
         '_VIOLATIONS = frozenset({"violated", "exposed", "found"})',
         '_VIOLATIONS = frozenset({"violated", "found"})',
         (f"{EMIT}::test_violation_agrees_with_the_record_verdict",),
+    ),
+    Mutant(
+        "a satisfied diachronic check writes its witness as {} instead of null",
+        "cli.py",
+        'return verdict, "{}", "null", text',
+        'return verdict, "{}", "{}", text',
+        (f"{GOLDEN}[verdict_tour-machine]",),
+    ),
+    Mutant(
+        "a search without a hit writes its values as {}",
+        "cli.py",
+        'return "none", values, "null", text',
+        'return "none", "{}", "null", text',
+        (f"{GOLDEN}[search_none-machine]",),
+    ),
+    # A scenario file read by the command line.
+    Mutant(
+        "a byte-order mark at the start of a file is kept",
+        "cli.py",
+        'encoding="utf-8-sig"',
+        'encoding="utf-8"',
+        (
+            "tests/test_cli.py::TestCommandLine"
+            "::test_a_byte_order_mark_at_the_start_is_dropped",
+        ),
     ),
     Mutant(
         "the egalitarian prefers the wider spread",

@@ -49,6 +49,7 @@ from test_emit_oracle import _SeededFile
 F = Fraction
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 SMALL_SOURCE = """\
 # a small but complete scenario file
@@ -504,7 +505,7 @@ MACHINE_KEYS = {"check_kind", "inputs", "verdict", "witness", "values"}
 class TestExecution:
     def test_compare_outcome_record(self):
         outcomes = run_file(parse(SMALL_SOURCE))
-        record = outcomes[0].record
+        record = json.loads(outcomes[0].line)
         assert set(record) == MACHINE_KEYS
         assert record["check_kind"] == "compare"
         assert record["verdict"] == Preference.PrefersRight.value
@@ -523,8 +524,11 @@ class TestExecution:
             checks=(CompareCheck(kind, "left", "right"),),
         )
         (outcome,) = run_file(sf)
-        assert outcome.record["verdict"] == compare(sf.agents[kind], left, right).value
-        assert outcome.record["values"] == {
+        assert (
+            json.loads(outcome.line)["verdict"]
+            == compare(sf.agents[kind], left, right).value
+        )
+        assert json.loads(outcome.line)["values"] == {
             f"{side}_{name}": str(statistic(game))
             for name, statistic in (
                 ("expected_value", expected_value),
@@ -539,11 +543,11 @@ class TestExecution:
         # cli.compare alone, which the per-layer tracer counts: flipping
         # compare flips every compare verdict and leaves the values be.
         sf = parse(gallery_source())
-        before = [o.record for o in run_file(sf)]
+        before = [json.loads(o.line) for o in run_file(sf)]
         monkeypatch.setattr(
             cli, "compare", lambda *args: agents.compare(*args).flipped()
         )
-        after = [o.record for o in run_file(sf)]
+        after = [json.loads(o.line) for o in run_file(sf)]
         compares = [
             (old, new)
             for old, new in zip(before, after)
@@ -574,7 +578,7 @@ class TestExecution:
 
     def test_diachronic_violation_is_flagged(self):
         outcomes = run_file(parse(SMALL_SOURCE))
-        record = outcomes[1].record
+        record = json.loads(outcomes[1].line)
         # careful agent: same mean, certain2 has no spread, gamble does;
         # mixing cannot rescue the wider compound here
         assert record["check_kind"] == "diachronic"
@@ -596,18 +600,21 @@ class TestExecution:
         assert first.encode() == second.encode()
 
     def test_gallery_covers_every_check_kind(self):
-        kinds = {o.record["check_kind"] for o in run_gallery()}
+        kinds = {json.loads(o.line)["check_kind"] for o in run_gallery()}
         assert kinds == {"compare", "diachronic", "continuity", "dutchbook", "fit"}
 
     def test_gallery_verdicts_tell_the_story(self):
         by_kind = {}
         for outcome in run_gallery():
-            by_kind.setdefault(outcome.record["check_kind"], []).append(outcome)
-        assert by_kind["diachronic"][0].record["verdict"] == "violated"
-        assert by_kind["continuity"][0].record["verdict"] == "violated"
-        assert {o.record["verdict"] for o in by_kind["dutchbook"]} == {"not_exposed"}
+            kind = json.loads(outcome.line)["check_kind"]
+            by_kind.setdefault(kind, []).append(outcome)
+        assert json.loads(by_kind["diachronic"][0].line)["verdict"] == "violated"
+        assert json.loads(by_kind["continuity"][0].line)["verdict"] == "violated"
+        assert {json.loads(o.line)["verdict"] for o in by_kind["dutchbook"]} == {
+            "not_exposed"
+        }
         fits = {
-            o.record["inputs"]["agent"]: o.record["verdict"]
+            json.loads(o.line)["inputs"]["agent"]: json.loads(o.line)["verdict"]
             for o in by_kind["fit"]
         }
         assert fits == {
@@ -618,10 +625,10 @@ class TestExecution:
 
     def test_fit_record_values(self):
         for outcome in run_gallery():
-            if outcome.record["check_kind"] != "fit":
+            if json.loads(outcome.line)["check_kind"] != "fit":
                 continue
-            agent = outcome.record["inputs"]["agent"]
-            values = outcome.record["values"]
+            agent = json.loads(outcome.line)["inputs"]["agent"]
+            values = json.loads(outcome.line)["values"]
             if agent == "stoic":
                 assert values["normalization_error"] == "DegenerateNormalization"
                 assert values["normalized_u"] is None
@@ -632,7 +639,7 @@ class TestExecution:
                 assert values["unique"] is True
             if agent == "optimist":
                 assert values["u"] is None
-                certificate = outcome.record["witness"]["certificate"]
+                certificate = json.loads(outcome.line)["witness"]["certificate"]
                 assert {
                     (c["left"], c["right"], c["preference"]) for c in certificate
                 } == {
@@ -709,6 +716,32 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "utf-8" in err
+
+    @pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIO_DIR.glob("*.game")), ids=lambda path: path.stem
+    )
+    def test_a_byte_order_mark_at_the_start_is_dropped(
+        self, path, machine, tmp_path, capsys
+    ):
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        argv = ["run", str(marked)] + (["--machine"] if machine else [])
+        code, out, err = self.run_main(argv, capsys)
+        golden = GOLDEN_DIR / f"{path.stem}.{'jsonl' if machine else 'txt'}"
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == golden.read_bytes()
+
+    def test_a_byte_order_mark_after_the_start_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "late-mark.game"
+        path.write_bytes(
+            b"game g\n  branch reward=1 weight=1\n\xef\xbb\xbfagent a kind=dtbr\n"
+        )
+        code, out, err = self.run_main(["run", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: line 3, column 1: unknown keyword '\\ufeffagent'\n"
+        )
 
     def test_run_numbers_lines_as_parse_does(self, tmp_path, capsys):
         source = (

@@ -428,14 +428,6 @@ def test_shipped_scenarios_match_the_reference(path, capsys):
     assert _machine_output(path, capsys) == expected
 
 
-def test_record_is_the_parsed_line(seeded_files):
-    for path in seeded_files:
-        for outcome in cli.run_file(cli.parse(path.read_text(encoding="utf-8"))):
-            assert outcome.record == json.loads(outcome.line)
-            # Parsed on the first read only.
-            assert outcome.record is outcome.record
-
-
 # Every verdict a record can hold, and whether --fail-on-violation counts it.
 VERDICTS = {
     **{p.value: False for p in Preference},
@@ -466,7 +458,7 @@ def test_violation_agrees_with_the_record_verdict(seeded_files):
     exposed = json.dumps({"check_kind": "dutchbook", "verdict": "exposed"})
     outcomes.append(cli.CheckOutcome(exposed, "", "exposed"))
     for outcome in outcomes:
-        assert outcome.verdict == outcome.record["verdict"]
+        assert outcome.verdict == json.loads(outcome.line)["verdict"]
         assert outcome.violation is VERDICTS[outcome.verdict]
     assert {o.verdict for o in outcomes} == set(VERDICTS)
 
