@@ -17,37 +17,34 @@ value, and the smallest and largest reward on its support.
 :data:`RANK_KEYS` holds each kind's keys on such summaries, the larger
 preferred and a later key read only on an exact tie; exact keys make
 every kind a total preorder by construction.  :data:`RULES` holds the
-rule each kind's keys make, and :data:`STATISTICS` each kind's partial
-summary of one game: just the fields its keys read.  :func:`compare`
-ranks two games through both.  Callers that rank several games read each
-game's statistics once: the Dutch-book check reads ``STATISTICS``, and
-the comparison matrix and the grid search read :func:`scaled_statistics`,
-which puts every field in integers over a denominator shared by all the
-games with ``core.scale_to_integers``, so they compare integers instead
-of ``Fraction``s; the matrix sorts the games by their key tuples.  All
-three statistics compose along branches, and :func:`compose` is the one
-rule that does it: the diachronic check ranks compounds on summaries it
-composes from their continuations' partial summaries, the grid search
-folds arms by its rule for support bounds, and the continuity check
-ranks perturbed games as compounds of sure-zero continuations.
+rule each kind's keys make.  :func:`compare` ranks two games through it
+on integer expected values: it reads both games' ``terms`` and puts the
+two values over the common denominator of the pair, so it builds no
+``Fraction``; the Dutch-book check ranks each game against its null game
+through it.  The comparison matrix and the grid search read
+:func:`scaled_statistics`, which puts every field a kind reads in
+integers over a denominator shared by all the games, straight from their
+``terms``; the matrix sorts the games by their key tuples.
+:data:`STATISTICS` holds each kind's partial summary of one game, just
+the fields its keys read, in ``Fraction``s; only the diachronic and
+continuity checks read it.  All three statistics compose along branches,
+and :func:`compose` is the one rule that does it: the diachronic check
+ranks compounds on summaries it composes from their continuations'
+partial summaries, the grid search folds arms by its rule for support
+bounds, and the continuity check ranks perturbed games as compounds of
+sure-zero continuations.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
 from typing import Any, Callable, Optional, Sequence
 
-from .core import (
-    Game,
-    RationalLike,
-    as_rational,
-    expected_value,
-    largest_reward,
-    scale_to_integers,
-)
+from .core import Game, RationalLike, as_rational, expected_value, largest_reward
 
 
 class Preference(enum.Enum):
@@ -153,22 +150,41 @@ STATISTICS: dict[str, Callable[[Game], Summary]] = {
 }
 
 
+# Per kind, the summary fields its rule reads: those its STATISTICS
+# partial summary does not leave None.
+_FIELDS = {"dtbr": (0,), "egalitarian": (0, 1, 2), "optimist": (2,), "stoic": ()}
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Each numerator/denominator pair's numerator over the lcm of them all."""
+    common = math.lcm(*(bottom for _, bottom in pairs))
+    return [top * (common // bottom) for top, bottom in pairs]
+
+
 def scaled_statistics(kind: str, games: Sequence[Game]) -> list[Summary]:
     """Each game's ``STATISTICS[kind]`` partial summary, in integers.
 
-    Each field is one ``core.scale_to_integers`` column across the games,
-    so it becomes an integer.  The support min and max are one column and
-    share one multiplier, because the egalitarian rule subtracts them.  A
-    positive multiplier per field keeps every ``RULES`` verdict between the
-    games and maps distinct values to distinct integers, so equal summaries
-    stay equal and no others become so.
+    Read from the games' ``terms``, with no ``Fraction`` built.  Each
+    field is one column across the games, put over the lcm of its
+    denominators, so it becomes an integer; a field the kind does not
+    read stays None.  The support min and max are one column and share
+    one multiplier, because the egalitarian rule subtracts them.  A
+    positive multiplier per field keeps every ``RULES`` verdict between
+    the games and maps distinct values to distinct integers, so equal
+    summaries stay equal and no others become so.
     """
-    parts = [STATISTICS[kind](game) for game in games]
-    if not parts:
-        return parts
-    values, lows, highs = zip(*parts)
-    bounds = scale_to_integers(lows + highs)
-    return list(zip(scale_to_integers(values), bounds, bounds[len(parts) :]))
+    fields, terms = _FIELDS[kind], [game.terms for game in games]
+    count = len(terms)
+    values = lows = highs = [None] * count
+    if 0 in fields:
+        values = _over_lcm([t[:2] for t in terms])
+    # A summary's support min and max are at terms[2] and terms[3].
+    bounds = _over_lcm([t[i + 1].as_integer_ratio() for i in fields if i for t in terms])
+    if 1 in fields:
+        lows = bounds[:count]
+    if 2 in fields:
+        highs = bounds[len(bounds) - count :]
+    return list(zip(values, lows, highs))
 
 
 def compose(
@@ -202,6 +218,13 @@ def compose(
 
 
 def compare(agent: Agent, left: Game, right: Game) -> Preference:
-    """Rank two valid games under the agent's preference order."""
-    statistics = STATISTICS[agent.kind]
-    return RULES[agent.kind](statistics(left), statistics(right))
+    """Rank two valid games under the agent's preference order.
+
+    Ranks the games' ``terms`` through ``RULES``: each expected value
+    a/b and c/d is put over b*d as the integer a*d or c*b, and the support
+    bounds are the games' own, so no ``Fraction`` is built.
+    """
+    a, b, left_low, left_high = left.terms
+    c, d, right_low, right_high = right.terms
+    rule = RULES[agent.kind]
+    return rule((a * d, left_low, left_high), (c * b, right_low, right_high))

@@ -345,7 +345,8 @@ def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
             raise EventMismatchError(
                 f"{g.name!r} does not ride the same event as {games[0].name!r}"
             )
-    null = Game("null", tuple(Branch(Fraction(0), w) for w in weights))
+    zero = Fraction(0)
+    null = Game("null", tuple(Branch(zero, w) for w in weights))
 
     columns = zip(*(g.branches for g in games))
     combined = Game(
@@ -353,10 +354,8 @@ def analyze_dutch_book(agent: Agent, games: Sequence[Game]) -> DutchBookReport:
         tuple(Branch(sum(b.reward for b in c), w) for c, w in zip(columns, weights)),
     )
 
-    statistics, rule = STATISTICS[agent.kind], RULES[agent.kind]
-    null_statistics = statistics(null)
-    individual = tuple(rule(statistics(g), null_statistics) for g in games)
-    combined_pref = rule(statistics(combined), null_statistics)
+    individual = tuple(compare(agent, g, null) for g in games)
+    combined_pref = compare(agent, combined, null)
     sure_loss = support_bounds(combined)[1] < 0
     accepts_each = all(p is Preference.PrefersLeft for p in individual)
     weakly_accepts_each = all(p is not Preference.PrefersRight for p in individual)

@@ -65,11 +65,12 @@ integer through ``str()``.  A compare record's verdict comes from
 each game's ``terms``, as ``str(Fraction)`` would write them, without
 building or formatting a ``Fraction``.  Every game a record holds,
 inputs and witnesses alike, goes through one ``_GameJson`` per
-``run_file`` call, which writes each ``Branch`` object's text once.
-Nothing of it outlives the call.  A violated axiom is a reported result,
-not a failure: the exit code is 0 whenever every check executed, 2 on
-parse or execution errors, and 1 only under --fail-on-violation when
-some check found a violation or exposure.
+``run_file`` call, which writes each ``Branch`` object's text once,
+from its integer ``pairs``.  Nothing of it outlives the call.  A
+violated axiom is a reported result, not a failure: the exit code is 0
+whenever every check executed, 2 on parse or execution errors, and 1
+only under --fail-on-violation when some check found a violation or
+exposure.
 
 ``main(argv)`` returns that exit code rather than exiting, so it can be
 called repeatedly in one process.  It builds its argparse parser on the
@@ -670,8 +671,11 @@ class _GameJson:
         self.branches: dict[int, tuple[Branch, str]] = {}
 
     def _branch(self, branch: Branch) -> tuple[Branch, str]:
-        # A rational's str() needs no JSON escaping.
-        text = f'{{"reward": "{branch.reward}", "weight": "{branch.weight}"}}'
+        # A rational's text needs no JSON escaping.
+        share, bottom, top, scale = branch.pairs
+        reward = top if scale == 1 else f"{top}/{scale}"
+        weight = share if bottom == 1 else f"{share}/{bottom}"
+        text = f'{{"reward": "{reward}", "weight": "{weight}"}}'
         entry = (branch, text)
         self.branches[id(branch)] = entry
         return entry
@@ -749,17 +753,17 @@ def _rational_text(numerator: int, denominator: int) -> str:
 def _compare_values(game: Game) -> tuple[str, str, str]:
     """A game's expected value, largest reward and reward range, as text.
 
-    Written from the integers of the game's ``terms``: the support max
-    and the range are reduced from integer pairs, so no Fraction is built
-    or formatted.
+    Written from the integers of the game's ``terms``: each support bound
+    is read once as its integer ratio, and the range is reduced from
+    them, so no Fraction is built or formatted.
     """
     numerator, denominator, low, high = game.terms
-    top, bottom = high.numerator, high.denominator
-    spread = top * low.denominator - low.numerator * bottom
+    top, bottom = high.as_integer_ratio()
+    least, scale = low.as_integer_ratio()
     return (
         _rational_text(numerator, denominator),
         _rational_text(top, bottom),
-        _rational_text(spread, bottom * low.denominator),
+        _rational_text(top * scale - least * bottom, bottom * scale),
     )
 
 

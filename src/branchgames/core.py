@@ -77,10 +77,28 @@ def as_rational(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class Branch:
-    """One outcome of a game: a reward and the weight of its branch."""
+    """One outcome of a game: a reward and the weight of its branch.
+
+    ``pairs`` holds the integers ``(weight numerator, weight denominator,
+    reward numerator, reward denominator)``, read once when the branch is
+    built, so the walk that validates a game reads integers instead of
+    ``Fraction`` properties.  A reward or weight without integer
+    ``numerator`` and ``denominator`` (a float, a string, a ``Decimal``)
+    raises ``AttributeError`` here.  ``pairs`` takes no part in equality,
+    hashing or ``repr``.
+    """
 
     reward: Fraction
     weight: Fraction
+    pairs: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        weight, reward = self.weight, self.reward
+        object.__setattr__(
+            self,
+            "pairs",
+            (weight.numerator, weight.denominator, reward.numerator, reward.denominator),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,9 +203,10 @@ def validate_game(game: Game) -> tuple[int, int, Fraction, Fraction]:
     high)``: its expected value is numerator/denominator, not reduced, so
     whoever reads it reduces it once; low and high are the first smallest
     and first largest support reward, as the branches hold them.  Weights
-    are summed and rewards compared as integer pairs: a Fraction is built
-    only to word an error.  Each running denominator is multiplied only by
-    a new denominator it is not already a multiple of.
+    are summed and rewards compared on each branch's integer ``pairs``: no
+    ``Fraction`` property is read, and a Fraction is built only to word an
+    error.  Each running denominator is multiplied only by a new
+    denominator it is not already a multiple of.
     """
     if not game.branches:
         raise EmptyGameError(f"game {game.name!r} has no branches")
@@ -195,7 +214,7 @@ def validate_game(game: Game) -> tuple[int, int, Fraction, Fraction]:
     numerator, denominator = 0, 1
     low = high = None
     for b in game.branches:
-        share, bottom = b.weight.numerator, b.weight.denominator
+        share, bottom, top, scale = b.pairs
         if share < 0 or share > bottom:
             raise WeightRangeError(
                 f"game {game.name!r}: weight {b.weight} outside [0, 1]"
@@ -205,7 +224,6 @@ def validate_game(game: Game) -> tuple[int, int, Fraction, Fraction]:
             common *= bottom
         else:
             total += share * (common // bottom)
-        top, scale = b.reward.numerator, b.reward.denominator
         if not share:
             continue
         step = bottom * scale

@@ -53,6 +53,7 @@ CLASS_WALK = f"{ORACLE}::test_the_class_walk_agrees_on_every_fixed_grid"
 STORED = f"{CORE}::TestStoredTerms"
 PARSE = "tests/test_parse_oracle.py"
 PAUSE = "tests/test_cli.py::TestCollectorPause"
+RANK = "tests/test_rank_oracle.py"
 EMIT = "tests/test_emit_oracle.py"
 GOLDEN = "tests/test_golden.py::test_output_matches_the_golden_file"
 
@@ -339,6 +340,40 @@ MUTANTS = (
             "tests/test_cli.py::TestCommandLine"
             "::test_a_byte_order_mark_at_the_start_is_dropped",
         ),
+    ),
+    # Ranking and record texts on integers.
+    Mutant(
+        "compare scales each expected value by its own denominator",
+        "agents.py",
+        "return rule((a * d, left_low, left_high), (c * b, right_low, right_high))",
+        "return rule((a * b, left_low, left_high), (c * d, right_low, right_high))",
+        (f"{RANK}::test_compare_matches_the_reference_on_every_grid_pair",),
+    ),
+    Mutant(
+        "a branch's pairs hold the reward before the weight",
+        "core.py",
+        "(weight.numerator, weight.denominator, reward.numerator, reward.denominator)",
+        "(reward.numerator, reward.denominator, weight.numerator, weight.denominator)",
+        # Every module that builds a game at import fails to collect, which
+        # counts as an error, not a kill; this one builds games in its tests.
+        ("tests/test_validate_oracle.py::test_every_game_of_up_to_three_branches_on_the_grid",),
+    ),
+    Mutant(
+        "scaled_statistics scales the support min and max by separate multipliers",
+        "agents.py",
+        "    bounds = _over_lcm([t[i + 1].as_integer_ratio() for i in fields if i for t in terms])\n",
+        "    bounds = [\n"
+        "        n for i in fields if i\n"
+        "        for n in _over_lcm([t[i + 1].as_integer_ratio() for t in terms])\n"
+        "    ]\n",
+        (f"{RANK}::test_scaled_statistics_match_the_reference_on_the_grid",),
+    ),
+    Mutant(
+        "a branch's integer reward is written as n/1",
+        "cli.py",
+        'reward = top if scale == 1 else f"{top}/{scale}"',
+        'reward = f"{top}/{scale}"',
+        (f"{RANK}::test_compare_values_and_branch_texts_on_the_grid",),
     ),
     Mutant(
         "the egalitarian prefers the wider spread",

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -765,3 +766,30 @@ class TestStoredTerms:
     def test_a_reward_without_an_integer_pair_fails_when_built(self):
         with pytest.raises(AttributeError):
             Game("g", (Branch(F(1), F(1, 2)), Branch(0.5, F(1, 2))))
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5"), 0.0, Decimal(0)])
+    @pytest.mark.parametrize("weight", [F(0), F(1, 2), F(1)])
+    def test_a_branch_without_integer_pairs_is_refused_when_built(self, bad, weight):
+        # The Branch itself refuses it, before any Game reads it, on a
+        # zero-weight branch too.
+        with pytest.raises(AttributeError):
+            Branch(bad, weight)
+        with pytest.raises(AttributeError):
+            Branch(F(1), bad)
+
+    def test_branch_pairs_are_its_integers(self):
+        assert Branch(F(-3, 4), F(2, 6)).pairs == (1, 3, -3, 4)
+        assert Branch(7, 0).pairs == (0, 1, 7, 1)
+
+    def test_branch_equality_hash_and_repr_ignore_the_pairs(self):
+        first, second = Branch(F(1, 2), F(1, 3)), Branch(F(2, 4), F(1, 3))
+        object.__setattr__(second, "pairs", (0, 1, 0, 1))
+        assert first == second and hash(first) == hash(second)
+        assert repr(second) == "Branch(reward=Fraction(1, 2), weight=Fraction(1, 3))"
+        assert Branch(F(1), F(1)) != Branch(F(1), F(0))
+
+    def test_replace_recomputes_the_pairs(self):
+        branch = dataclasses.replace(Branch(F(1, 2), F(1, 3)), reward=F(-5, 7))
+        assert branch.pairs == (1, 3, -5, 7)
+        branch = dataclasses.replace(branch, weight=F(0))
+        assert branch.pairs == (0, 1, -5, 7)

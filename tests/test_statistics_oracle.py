@@ -1,11 +1,12 @@
 """Checks that rank many games against ``compare`` on every pair.
 
 ``check_continuity`` ranks summaries that ``agents.compose`` takes from
-integer weight vectors, ``analyze_dutch_book`` reads each game's
-statistics once from ``agents.STATISTICS``, and ``build_instance`` reads
-them in integers from ``agents.scaled_statistics``; all three rank them
-with ``agents.RULES``.  Each test here ranks the same games pairwise with
-``compare`` instead and expects the same verdicts.  ``build_instance``
+integer weight vectors, and ``build_instance`` reads each game's
+statistics once, in integers, from ``agents.scaled_statistics``; both
+rank them with ``agents.RULES``.  ``analyze_dutch_book`` ranks each game
+and the combined game against its null game with ``compare``.  Each test
+here ranks the same games pairwise with ``compare`` and expects the same
+verdicts.  ``build_instance``
 ranks the games with one sort, so its matrix is also held to
 :func:`reference_matrix`, the rule on every pair of integer statistics.
 The continuity tests also replay :func:`reference_check_continuity`, the
